@@ -12,6 +12,11 @@
 //                   deterministic, so it doubles as a regression guard)
 //   ns/eval         solve wall time per evaluation
 //   oracle_share    fraction of solve time spent inside the block oracle
+//   p3_proof_us     cold solve of a (P3)-infeasible requirement pair: Lmax
+//                   at the paper-default agreement latency L*, Ebudget
+//                   midway between Ebest and E* — both players' optima
+//                   miss the other cap, so the empty bargaining set is
+//                   certified without a P4 solve (DESIGN.md §2)
 //
 // plus a descent-vs-grid parity check: one SolverMode::kGridVerify solve
 // per model must select the same operating points (E/L within 1e-6
@@ -30,6 +35,9 @@
 //     baseline (loose factors: wall-clock gates must survive noisy
 //     shared runners),
 //   - any model's cold solve exceeds 1 ms (the ROADMAP acceptance bar),
+//   - any model's P3 proof exceeds 3x its feasible ms/solve in the same
+//     run or 3x the baseline's p3_proof_us (the penalty multistart these
+//     proofs used to run cost ~70x a feasible solve),
 //   - or the parity check fails (always fatal, baseline or not).
 #include <cctype>
 #include <chrono>
@@ -193,7 +201,28 @@ int main(int argc, char** argv) {
       regressed = true;
     }
 
+    // P3 proof: Lmax at the agreement latency pins P1's optimum at E*,
+    // above a budget shaved to midway between Ebest and E*.
+    core::AppRequirements p3_req = scenario.requirements;
+    p3_req.l_max = first->nbs.latency;
+    p3_req.e_budget = 0.5 * (first->e_best() + first->nbs.energy);
+    core::EnergyDelayGame p3_game(*model, p3_req);
+    const double p3_t0 = now_ms();
+    for (int i = 0; i < repeats; ++i) {
+      auto proof = p3_game.solve();
+      if (proof.ok() || proof.error().message.find("(P3)") ==
+                            std::string::npos) {
+        std::fprintf(stderr, "%s: P3 proof pair did not prove (P3)\n",
+                     name.c_str());
+        return 2;
+      }
+    }
+    const double p3_proof_us = 1e3 * (now_ms() - p3_t0) / repeats;
+    std::printf("       P3 proof: %8.1f us  (%.2fx a feasible solve)\n",
+                p3_proof_us, p3_proof_us / (1e3 * ms_per_solve));
+
     const std::string tag = field_tag(name);
+    json.number((tag + "_p3_proof_us").c_str(), p3_proof_us);
     json.number((tag + "_solves_per_sec").c_str(), solves_per_sec);
     json.number((tag + "_ms_per_solve").c_str(), ms_per_solve);
     json.number((tag + "_evals_per_solve").c_str(), evals_per_solve);
@@ -243,6 +272,22 @@ int main(int argc, char** argv) {
       if (ms_per_solve > 1.0) {
         std::fprintf(stderr, "REGRESSION %s: %.3f ms/solve (> 1 ms bar)\n",
                      name.c_str(), ms_per_solve);
+        regressed = true;
+      }
+      // Infeasibility proofs must stay feasible-solve cheap.
+      if (p3_proof_us > 3e3 * ms_per_solve) {
+        std::fprintf(stderr,
+                     "REGRESSION %s: P3 proof %.1f us vs feasible %.1f us "
+                     "(>3x)\n",
+                     name.c_str(), p3_proof_us, 1e3 * ms_per_solve);
+        regressed = true;
+      }
+      if (json_number(baseline, tag + "_p3_proof_us", &base) &&
+          p3_proof_us > 3.0 * base) {
+        std::fprintf(stderr,
+                     "REGRESSION %s: P3 proof %.1f us vs baseline %.1f "
+                     "(>3x)\n",
+                     name.c_str(), p3_proof_us, base);
         regressed = true;
       }
     }

@@ -77,12 +77,15 @@ SweepResult ScenarioEngine::sweep_skeleton(const SweepJob& job) const {
 
 // Warm-started evaluation of one whole sweep on the calling thread.
 //
-// Infeasible cells are the expensive degenerate case: the cold pipeline
-// runs its full global multistart only to prove there is nothing to find.
-// Ascending sweep values only ever *relax* the binding requirement (a
-// larger Lmax loosens P1, a larger Ebudget loosens P2; the protocol's own
-// feasibility margin does not depend on the requirement at all), so cell
-// feasibility is monotone along the sweep.  The chain exploits that: a
+// P1- or P2-infeasible cells are the expensive degenerate case: that
+// subproblem's coarse scan finds nothing, so the cold pipeline runs the
+// full penalty multistart only to prove there is nothing to find.  (P3
+// cells are cheap: solve_weighted certifies an empty bargaining set from
+// the P1/P2 optima without running P4.)  Ascending sweep values only ever
+// *relax* the binding requirement (a larger Lmax loosens P1, a larger
+// Ebudget loosens P2; the protocol's own feasibility margin does not
+// depend on the requirement at all), so cell feasibility is monotone
+// along the sweep.  The chain exploits that: a
 // binary search over the cells locates the feasibility frontier with
 // O(log n) cold probes, everything below the frontier is marked infeasible
 // without being solved (reasons derived from the protocol envelope, see

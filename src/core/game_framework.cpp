@@ -683,6 +683,40 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
     return out;
   }
 
+  // The (P3) caps: agreements must beat the disagreement point and meet
+  // the application requirements.
+  const double e_cap = std::min(req_.e_budget, e_worst);
+  const double l_cap = std::min(req_.l_max, l_worst);
+
+  // No agreement strictly inside the caps.  Strict-inequality slacks can
+  // exclude a corner that sits exactly on the caps; accept a corner that
+  // satisfies the (P3) constraints within tolerance.  Otherwise the
+  // players genuinely cannot reach any agreement inside the application
+  // requirements.
+  auto corner_or_infeasible = [&]() -> Expected<BargainingOutcome> {
+    auto corner_ok = [&](const OperatingPoint& c) {
+      return c.energy <= e_cap * (1 + 1e-9) && c.latency <= l_cap * (1 + 1e-9);
+    };
+    if (corner_ok(out.p2) || corner_ok(out.p1)) {
+      EDB_WARN("NBS search degenerate for " << model_.name()
+                                            << "; using a corner agreement");
+      out.nbs = corner_ok(out.p2) ? out.p2 : out.p1;
+      out.nash_product = 0.0;
+      return out;
+    }
+    return p3_infeasible_error(model_.name());
+  };
+
+  // Empty bargaining set (DESIGN.md §2): l_cap <= Lmax makes every point
+  // of the P4 set P1-feasible, so its energy is >= e_best; likewise its
+  // latency is >= l_best.  When a player's own optimum already misses its
+  // cap by more than solver tolerance (dual_solve's macro_better margin),
+  // the set is empty and P4 would only search for nothing.
+  if (out.e_best() > e_cap * (1 + 1e-6) || out.l_best() > l_cap * (1 + 1e-6)) {
+    EDB_COUNT("solver.p3_certified", 1);
+    return corner_or_infeasible();
+  }
+
   // (P4): maximise the (weighted) Nash product below the disagreement
   // point.  Slacks are normalised by the players' bargaining ranges so the
   // exponents weight *relative* gains; for alpha = 1/2 the argmax equals
@@ -694,8 +728,6 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
   // One spec drives both oracle flavours (see make_scalar_objective).
   // The caps are x-independent, so hoisting them out of the per-lane
   // combines preserves the scalar bits.
-  const double e_cap = std::min(req_.e_budget, e_worst);
-  const double l_cap = std::min(req_.l_max, l_worst);
   const std::vector<MetricSlack> mslacks = {
       {/*uses_energy=*/true, /*cap=*/e_cap},
       {/*uses_energy=*/false, /*cap=*/l_cap}};
@@ -720,25 +752,10 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
   auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, hints.nbs,
                       hints.trusted, control_, stats.evaluations);
   if (!r.ok()) {
-    // Deadline/cancellation first: the corner fallback below answers
+    // Deadline/cancellation first: the corner fallback answers
     // "degenerate bargaining set", not "we ran out of budget".
     if (is_transient(r.error().code)) return r.error();
-    // Strict-inequality slacks can exclude a corner that sits exactly on
-    // the caps; accept a corner that satisfies the (P3) constraints within
-    // tolerance.  Otherwise the players genuinely cannot reach any
-    // agreement inside the application requirements.
-    auto corner_ok = [&](const OperatingPoint& c) {
-      return c.energy <= std::min(req_.e_budget, e_worst) * (1 + 1e-9) &&
-             c.latency <= std::min(req_.l_max, l_worst) * (1 + 1e-9);
-    };
-    if (corner_ok(out.p2) || corner_ok(out.p1)) {
-      EDB_WARN("NBS search degenerate for " << model_.name()
-                                            << "; using a corner agreement");
-      out.nbs = corner_ok(out.p2) ? out.p2 : out.p1;
-      out.nash_product = 0.0;
-      return out;
-    }
-    return p3_infeasible_error(model_.name());
+    return corner_or_infeasible();
   }
 
   stats.absorb(stats_of(*r));

@@ -371,7 +371,7 @@ struct TuningServer::Impl {
         // close from flush_output once everything drained.
         conn->peer_eof = true;
         epoll_event ev{};
-        ev.events = conn->want_write ? EPOLLOUT : 0;
+        ev.events = conn->want_write ? EPOLLOUT : 0u;
         ev.data.fd = conn->fd;
         ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
         flush_output(w, conn);
@@ -578,7 +578,7 @@ struct TuningServer::Impl {
     conn->close_after_flush = true;
     // Stop reading: nothing after a protocol violation is trusted.
     epoll_event ev{};
-    ev.events = conn->want_write ? EPOLLOUT : 0;
+    ev.events = conn->want_write ? EPOLLOUT : 0u;
     ev.data.fd = conn->fd;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
     flush_output(w, conn);
