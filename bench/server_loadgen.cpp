@@ -25,7 +25,7 @@
 // and every response must be an answer (availability 1.0 — the bench
 // server runs without admission limits).  Results land in
 // BENCH_server.json, including the server-side obs.* block
-// (service.queue.depth high watermark, server.request.latency) and the
+// (service.queue.depth high watermark, service.latency) and the
 // merged client histogram.
 //
 //   $ ./server_loadgen [queries] [distinct] [workers] [baseline.json]

@@ -12,17 +12,16 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "service/dispatcher.h"
 
 namespace edb::server {
 
@@ -67,18 +66,17 @@ struct Connection {
 
 using ConnPtr = std::shared_ptr<Connection>;
 
-struct ServeJob {
+// The dispatcher's routing tag: the response slot a query's answer fills.
+struct SlotRoute {
   ConnPtr conn;
   std::uint64_t req = 0;  // connection slot index
   std::uint64_t seq = 0;  // client sequence number, echoed back
-  service::TuningQuery query;
-  std::chrono::steady_clock::time_point admitted;
 };
 
+using Dispatcher = service::Dispatcher<SlotRoute>;
+
 struct Completion {
-  ConnPtr conn;
-  std::uint64_t req;
-  std::uint64_t seq;
+  SlotRoute route;
   Expected<service::TuningResult> result;
 };
 
@@ -111,38 +109,14 @@ std::string errno_message(const char* what) {
 
 struct TuningServer::Impl {
   explicit Impl(const ServerOptions& o)
-      : opts(o),
-        core(service::CoreOptions{o.engine, o.cache_capacity, o.cache_shards,
-                                  o.resilience.degrade}),
-        bucket(o.resilience.rate_limit_qps, o.resilience.rate_burst),
-        tenants(o.resilience.tenant_limits),
-        queue_depth(obs::Registry::global().gauge("service.queue.depth")),
-        latency_hist(
-            obs::Registry::global().histogram("server.request.latency")) {}
+      : opts(o), dispatcher(o, std::bind_front(&Impl::complete, this)) {}
 
   ServerOptions opts;
-  service::ServiceCore core;
-  service::TokenBucket bucket;
-  service::TenantLimiter tenants;
-
-  // Always-on observability (direct registry handles — the macros would
-  // compile away in EDB_OBS=OFF builds, and these two back the bench's
-  // obs.* block).
-  obs::Gauge& queue_depth;
-  obs::Histogram& latency_hist;
 
   int listen_fd = -1;
   std::uint16_t bound_port = 0;
   std::thread acceptor;
   std::vector<std::unique_ptr<Worker>> workers;
-  std::thread serve_thread;
-
-  // Admission queue feeding the serve thread.
-  std::mutex serve_mutex;
-  std::condition_variable serve_cv;
-  std::deque<ServeJob> serve_queue;
-  bool stopping = false;    // under serve_mutex: no new admissions
-  bool serve_stop = false;  // under serve_mutex: serve thread may exit
 
   std::atomic<bool> draining{false};      // workers: stop reading input
   std::atomic<bool> shutdown_now{false};  // workers: close immediately
@@ -153,9 +127,12 @@ struct TuningServer::Impl {
 
   std::atomic<std::size_t> accepted{0};
   std::atomic<std::size_t> open_conns{0};
-  std::atomic<std::size_t> queries{0};
-  std::atomic<std::size_t> shed{0};
   std::atomic<std::size_t> protocol_errors{0};
+
+  // Last member: its serve thread calls complete(), which reads the
+  // workers and flags above, so it is constructed last and destroyed
+  // first.
+  Dispatcher dispatcher;
 
   // ------------------------------------------------------------ accept --
 
@@ -167,12 +144,7 @@ struct TuningServer::Impl {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         return;  // listener shut down (EINVAL) or broken: stop accepting
       }
-      bool reject;
-      {
-        std::lock_guard<std::mutex> lock(serve_mutex);
-        reject = stopping;
-      }
-      if (reject || open_conns.load() >= opts.max_connections) {
+      if (draining.load() || open_conns.load() >= opts.max_connections) {
         ::close(fd);
         continue;
       }
@@ -193,59 +165,29 @@ struct TuningServer::Impl {
 
   // ------------------------------------------------------------- serve --
 
-  void serve_loop() {
-    for (;;) {
-      std::vector<ServeJob> batch;
+  // The dispatcher's completion callback (serve thread): groups a batch's
+  // answers per worker — one lock + one wake per worker per batch, not
+  // per query.
+  void complete(std::vector<SlotRoute>& routes,
+                std::vector<Expected<service::TuningResult>>& results) {
+    if (shutdown_now.load()) return;  // connections are closing
+    std::vector<std::vector<Completion>> per_worker(workers.size());
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      if (routes[i].conn->closed.load()) continue;
+      const auto wi = static_cast<std::size_t>(routes[i].conn->worker);
+      per_worker[wi].push_back(
+          Completion{std::move(routes[i]), std::move(results[i])});
+    }
+    for (std::size_t wi = 0; wi < workers.size(); ++wi) {
+      if (per_worker[wi].empty()) continue;
+      Worker& w = *workers[wi];
       {
-        std::unique_lock<std::mutex> lock(serve_mutex);
-        serve_cv.wait(lock,
-                      [this] { return serve_stop || !serve_queue.empty(); });
-        if (serve_queue.empty() && serve_stop) return;
-        const std::size_t take =
-            std::min(serve_queue.size(),
-                     std::max<std::size_t>(1, opts.max_batch));
-        batch.reserve(take);
-        for (std::size_t i = 0; i < take; ++i) {
-          batch.push_back(std::move(serve_queue.front()));
-          serve_queue.pop_front();
+        std::lock_guard<std::mutex> lock(w.mutex);
+        for (Completion& c : per_worker[wi]) {
+          w.completions.push_back(std::move(c));
         }
-        queue_depth.set(static_cast<std::int64_t>(serve_queue.size()));
       }
-
-      if (shutdown_now.load()) {
-        // Connections are closing; results would be undeliverable.
-        continue;
-      }
-
-      std::vector<service::TuningQuery> qs;
-      qs.reserve(batch.size());
-      for (const ServeJob& j : batch) qs.push_back(j.query);
-      auto results = core.serve(qs);
-
-      const auto now = std::chrono::steady_clock::now();
-      // Group completions per worker: one lock + one wake per worker per
-      // batch, not per query.
-      std::vector<std::vector<Completion>> per_worker(workers.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        ServeJob& j = batch[i];
-        latency_hist.record(
-            std::chrono::duration<double>(now - j.admitted).count());
-        if (j.conn->closed.load()) continue;
-        per_worker[static_cast<std::size_t>(j.conn->worker)].push_back(
-            Completion{std::move(j.conn), j.req, j.seq,
-                       std::move(results[i])});
-      }
-      for (std::size_t wi = 0; wi < workers.size(); ++wi) {
-        if (per_worker[wi].empty()) continue;
-        Worker& w = *workers[wi];
-        {
-          std::lock_guard<std::mutex> lock(w.mutex);
-          for (Completion& c : per_worker[wi]) {
-            w.completions.push_back(std::move(c));
-          }
-        }
-        wake(w);
-      }
+      wake(w);
     }
   }
 
@@ -271,7 +213,10 @@ struct TuningServer::Impl {
         }
         const auto it = w.conns.find(fd);
         if (it == w.conns.end()) continue;  // closed earlier this round
-        handle_io(w, it->second, events[i].events);
+        // A copy, not the map's entry: closing erases that entry while
+        // handle_io is still using the connection.
+        const ConnPtr conn = it->second;
+        handle_io(w, conn, events[i].events);
       }
       if (woken) {
         drain_inboxes(w);
@@ -316,18 +261,12 @@ struct TuningServer::Impl {
     // Deliver results, then flush each touched connection once.
     std::vector<ConnPtr> touched;
     for (Completion& c : completions) {
-      if (c.conn->closed.load()) continue;
-      const std::uint64_t idx = c.req - c.conn->front_req;
-      EDB_ASSERT(idx < c.conn->pending.size(),
-                 "completion for an unknown response slot");
-      Connection::Slot& slot = c.conn->pending[static_cast<std::size_t>(idx)];
-      slot.bytes = c.conn->mode == Connection::Mode::kJson
-                       ? json_response_line(c.result, c.seq)
-                       : encode_response(c.result, c.seq);
-      slot.ready = true;
-      if (touched.empty() || touched.back() != c.conn) {
-        touched.push_back(c.conn);
-      }
+      const ConnPtr& conn = c.route.conn;
+      if (conn->closed.load()) continue;
+      fill_slot(c.route, conn->mode == Connection::Mode::kJson
+                             ? json_response_line(c.result, c.route.seq)
+                             : encode_response(c.result, c.route.seq));
+      if (touched.empty() || touched.back() != conn) touched.push_back(conn);
     }
     for (ConnPtr& conn : touched) {
       if (!conn->closed.load()) flush_output(w, conn);
@@ -508,58 +447,40 @@ struct TuningServer::Impl {
     conn->json_line.erase(0, start);
   }
 
-  // Runs admission control and either forwards the query to the serve
-  // thread or answers its slot immediately with a shed error.
+  // Claims the query's response slot, then admits it; a rejection fills
+  // that slot in place (on this worker thread, inside admit()).
   void admit_query(const ConnPtr& conn, service::TuningQuery query,
                    std::uint64_t seq) {
     query.tenant = conn->tenant;
-    const char* shed_reason = nullptr;
-    if (!bucket.try_acquire()) {
-      shed_reason = "admission rate limit exceeded";
-    } else if (!tenants.try_acquire(query.tenant)) {
-      shed_reason = "per-tenant rate limit exceeded";
-    }
-    if (shed_reason == nullptr) {
-      std::lock_guard<std::mutex> lock(serve_mutex);
-      if (stopping) {
-        push_local_response(
-            conn, error_response(conn, ErrorCode::kUnavailable,
-                                 "server shutting down", seq));
-        service::count_service_error(ErrorCode::kUnavailable);
-        return;
-      }
-      if (opts.resilience.max_queue > 0 &&
-          serve_queue.size() >= opts.resilience.max_queue) {
-        shed_reason = "serve queue full";
-      } else {
-        const std::uint64_t req = conn->next_req++;
-        conn->pending.push_back(Connection::Slot{});
-        serve_queue.push_back(ServeJob{conn, req, seq, std::move(query),
-                                       std::chrono::steady_clock::now()});
-        queue_depth.set(static_cast<std::int64_t>(serve_queue.size()));
-        queries.fetch_add(1);
-        serve_cv.notify_one();
-        return;
-      }
-    }
-    service::count_service_error(ErrorCode::kResourceExhausted);
-    service::count_shed(query.tenant);
-    shed.fetch_add(1);
-    push_local_response(conn,
-                        error_response(conn, ErrorCode::kResourceExhausted,
-                                       shed_reason, seq));
+    const std::uint64_t req = conn->next_req++;
+    conn->pending.push_back(Connection::Slot{});
+    std::vector<Dispatcher::Job> jobs;
+    jobs.push_back({std::move(query), SlotRoute{conn, req, seq}});
+    dispatcher.admit(std::move(jobs), [this](SlotRoute& route, Error error) {
+      fill_slot(route, error_frame(*route.conn,
+                                   {false, error.code, std::move(error.message)},
+                                   route.seq));
+    });
   }
 
-  std::string error_response(const ConnPtr& conn, ErrorCode code,
-                             std::string message, std::uint64_t seq) {
-    const WireError err{false, code, std::move(message)};
-    return conn->mode == Connection::Mode::kJson
-               ? json_error_line(err, seq)
-               : encode_error(err, seq);
+  // Fills a claimed response slot (worker thread only).
+  void fill_slot(const SlotRoute& route, std::string bytes) {
+    Connection& conn = *route.conn;
+    const std::uint64_t idx = route.req - conn.front_req;
+    EDB_ASSERT(idx < conn.pending.size(), "unknown response slot");
+    Connection::Slot& slot = conn.pending[static_cast<std::size_t>(idx)];
+    slot.bytes = std::move(bytes);
+    slot.ready = true;
   }
 
-  // Claims the next response slot and fills it immediately (HELLO_OK,
-  // shed and validation errors — anything answered without the core).
+  static std::string error_frame(const Connection& conn, const WireError& err,
+                                 std::uint64_t seq) {
+    return conn.mode == Connection::Mode::kJson ? json_error_line(err, seq)
+                                                : encode_error(err, seq);
+  }
+
+  // Claims the next response slot and fills it immediately (HELLO_OK and
+  // fatal errors — answers that never reach the dispatcher).
   void push_local_response(const ConnPtr& conn, std::string bytes) {
     conn->next_req++;
     conn->pending.push_back(Connection::Slot{true, std::move(bytes)});
@@ -571,10 +492,8 @@ struct TuningServer::Impl {
                    std::string message, std::uint64_t seq) {
     protocol_errors.fetch_add(1);
     service::count_service_error(code);
-    const WireError err{true, code, std::move(message)};
-    push_local_response(conn, conn->mode == Connection::Mode::kJson
-                                  ? json_error_line(err, seq)
-                                  : encode_error(err, seq));
+    push_local_response(conn,
+                        error_frame(*conn, {true, code, std::move(message)}, seq));
     conn->close_after_flush = true;
     // Stop reading: nothing after a protocol violation is trusted.
     epoll_event ev{};
@@ -728,7 +647,6 @@ struct TuningServer::Impl {
       Worker* wp = w.get();
       wp->thread = std::thread([this, wp] { worker_loop(*wp); });
     }
-    serve_thread = std::thread([this] { serve_loop(); });
     acceptor = std::thread([this] { acceptor_loop(); });
     return true;
   }
@@ -739,25 +657,11 @@ struct TuningServer::Impl {
       if (!started || stopped) return;
       stopped = true;
     }
-    {
-      std::lock_guard<std::mutex> lock(serve_mutex);
-      stopping = true;
-    }
+    if (!drain) shutdown_now.store(true);
+    draining.store(true);
     ::shutdown(listen_fd, SHUT_RDWR);
     if (acceptor.joinable()) acceptor.join();
-
-    if (!drain) {
-      shutdown_now.store(true);
-      core.cancel();
-    }
-    draining.store(true);
-    {
-      std::lock_guard<std::mutex> lock(serve_mutex);
-      serve_stop = true;
-      if (!drain) serve_queue.clear();
-    }
-    serve_cv.notify_all();
-    if (serve_thread.joinable()) serve_thread.join();
+    dispatcher.shutdown(drain);
 
     for (auto& w : workers) wake(*w);
     for (auto& w : workers) {
@@ -769,7 +673,6 @@ struct TuningServer::Impl {
       ::close(listen_fd);
       listen_fd = -1;
     }
-    queue_depth.set(0);
   }
 };
 
@@ -790,8 +693,9 @@ ServerStats TuningServer::stats() const {
   ServerStats s;
   s.accepted = impl_->accepted.load();
   s.connections = impl_->open_conns.load();
-  s.queries = impl_->queries.load();
-  s.shed = impl_->shed.load();
+  const service::ServiceStats d = impl_->dispatcher.stats();
+  s.queries = d.admitted;
+  s.shed = d.shed;
   s.protocol_errors = impl_->protocol_errors.load();
   return s;
 }

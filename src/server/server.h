@@ -10,38 +10,33 @@
 //                   so per-connection state is single-threaded and the
 //                   response order a client observes is its own request
 //                   order, independent of N.  Workers decode frames off
-//                   per-connection input rings (readv scatter-gather),
-//                   run admission control, and forward admitted queries
-//                   to the serve thread; completed answers come back on
+//                   per-connection input rings (readv scatter-gather)
+//                   and admit queries to the dispatcher; completed
+//                   answers come back, one batch at a time, on
 //                   a per-worker completion queue (eventfd wake), are
 //                   encoded into per-connection output rings and drained
 //                   with writev — the write-coalescing half: responses
 //                   that complete together leave in one syscall.
-//   serve thread  — the single caller of ServiceCore::serve().  Drains
-//                   the shared admission queue up to max_batch queries
-//                   per invocation, so pipelined clients and concurrent
-//                   connections feed the batch planner real batches and
-//                   get cross-connection dedup/warm-chaining for free
-//                   (same micro-batching contract as the in-process
-//                   TuningService dispatcher).
+//   serve thread  — the shared serving shell's (service/dispatcher.h):
+//                   the only caller of ServiceCore::serve(), so pipelined
+//                   clients and concurrent connections feed the batch
+//                   planner real batches and get cross-connection
+//                   dedup/warm-chaining for free.
 //
-// Admission (service/resilience.h, same surface as the in-process tier):
-// global token bucket, per-tenant buckets keyed by the HELLO tenant, and
-// the queue bound, checked in that order on the worker thread; a shed
-// query answers its seq with a non-fatal kResourceExhausted ERROR frame
-// — the wire spelling of the in-process shed ticket.  The serve queue
-// depth is mirrored to the "service.queue.depth" gauge (high watermark
-// in the registry snapshot) and per-request serve latency to
-// "server.request.latency" — both recorded directly on the registry, so
-// they exist even in EDB_OBS=OFF builds.
+// Admission, latency accounting and shutdown order are the dispatcher's,
+// identical to the in-process tier.  A worker claims a query's response
+// slot, then admits it with the HELLO tenant; a rejected query fills its
+// slot in place with a non-fatal ERROR frame (kResourceExhausted when
+// shed, kUnavailable after shutdown) — the wire spelling of the
+// in-process failed ticket.
 //
 // Protocol violations (bad magic, unknown type, oversized or truncated
 // frame, undecodable body) answer with a fatal ERROR frame and close
 // after flushing; they never crash the server or affect other
-// connections.  shutdown(drain=true) stops accepting, lets every
-// admitted query finish and every output ring drain, then closes with a
-// graceful FIN (shutdown(SHUT_WR) before close); drain=false cancels the
-// core cooperatively and closes immediately.
+// connections.  shutdown(drain=true) lets every admitted query finish and
+// every output ring drain, then closes with a graceful FIN
+// (shutdown(SHUT_WR) before close); drain=false closes every connection
+// at once and delivers nothing more.
 //
 // Determinism: the event loop adds no numeric work — queries cross the
 // wire bit-exactly (server/wire.h) and answers come from the same
@@ -59,25 +54,18 @@
 
 #include "server/wire.h"
 #include "service/core.h"
-#include "service/resilience.h"
 #include "util/error.h"
 
 namespace edb::server {
 
-struct ServerOptions {
+// The serving pipeline's options (engine, cache, max_batch, resilience)
+// plus the listener and wire limits.
+struct ServerOptions : service::ServiceOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; port() reports the bound one
   int workers = 1;         // epoll worker loops
   int backlog = 128;
 
-  // Serving pipeline (mirrors service::ServiceOptions).
-  core::EngineOptions engine;
-  std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 16;
-  std::size_t max_batch = 64;  // queries per ServiceCore::serve call
-  service::ResilienceOptions resilience;
-
-  // Wire limits.
   std::uint32_t max_frame = kMaxFrame;       // one frame's payload bytes
   std::size_t max_output_buffer = 8u << 20;  // per-connection out ring cap
   std::size_t max_connections = 1024;
@@ -104,10 +92,9 @@ class TuningServer {
   Expected<bool> start();
 
   // Stops accepting.  drain=true: admitted queries finish, output rings
-  // drain, connections get a graceful FIN.  drain=false: the in-flight
-  // batch is cancelled cooperatively, queued queries are dropped,
-  // connections close immediately.  Idempotent; blocks until all
-  // threads have exited.
+  // drain, connections get a graceful FIN.  drain=false: connections
+  // close immediately and the dispatcher cancels its queued and in-flight
+  // work.  Idempotent; blocks until all threads have exited.
   void shutdown(bool drain);
 
   // The bound TCP port (after start(); the ephemeral answer when

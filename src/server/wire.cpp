@@ -404,13 +404,17 @@ struct JsonCursor {
   }
   double number_token() {
     skip_ws();
+    // strtod reads up to a terminator the view need not have: parse a
+    // copy of the bytes before the next delimiter (npos - pos clamps).
+    const std::string tok(
+        s.substr(pos, s.find_first_of(",}] \t\r\n", pos) - pos));
     char* end = nullptr;
-    const double v = std::strtod(s.data() + pos, &end);
-    if (end == s.data() + pos) {
+    const double v = std::strtod(tok.c_str(), &end);
+    if (end == tok.c_str()) {
       ok = false;
       return 0;
     }
-    pos = static_cast<std::size_t>(end - s.data());
+    pos += static_cast<std::size_t>(end - tok.c_str());
     return v;
   }
 };

@@ -3,26 +3,18 @@
 // ServiceCore is the part of the tuning service every front door shares —
 // the value-preserving result cache, the batch planner's dedup/coalesce/
 // warm-chain pipeline and the scenario engine it fans misses through —
-// with no dispatcher, no tickets, no sockets and no admission control.
-// Two thin dispatch layers sit on top:
-//
-//   TuningService (service/service.h) — the in-process API: a dispatcher
-//     thread micro-batches concurrent submitters onto serve() and hands
-//     results back through tickets;
-//   TuningServer (server/server.h)    — the socket tier: epoll worker
-//     loops decode wire frames and micro-batch connections onto serve(),
-//     one serve thread per server.
-//
-// Both layers feed whole batches, so the planner's cross-request dedup
-// and warm-chain grouping behave identically whether queries arrive from
-// ten threads or ten thousand sockets; benches and tests that want the
-// pipeline without any dispatch machinery call serve() directly.
+// with no threads, no tickets, no sockets and no admission control.  The
+// one serving shell in front of it is service::Dispatcher
+// (service/dispatcher.h), which both front doors — TuningService
+// (service/service.h) and TuningServer (server/server.h) — wrap.  Benches
+// and tests that want the pipeline without any dispatch machinery call
+// serve() directly.
 //
 // Thread-safety: NOT thread-safe.  Exactly one thread may call serve()
 // at a time (the planner mutates state and enters the engine's
-// deterministic pool); the owning dispatch layer provides that
-// serialization.  cancel()/cancelled() are the exception — any thread
-// may trip the cooperative-cancellation token (shutdown paths do).
+// deterministic pool); the dispatcher's serve thread is that thread.
+// cancel() is the exception — any thread may trip the cooperative-
+// cancellation token (shutdown paths do).
 //
 // Determinism: serve() is value-preserving — every result is
 // bit-identical to a cold sequential core::run_sweep over the same
@@ -31,21 +23,49 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <vector>
 
 #include "core/engine.h"
 #include "service/cache.h"
 #include "service/planner.h"
+#include "service/resilience.h"
 
 namespace edb::service {
 
-// The transport-independent slice of ServiceOptions (service/service.h
-// keeps the full set and forwards these).
 struct CoreOptions {
   core::EngineOptions engine;         // miss-path engine configuration
   std::size_t cache_capacity = 4096;  // protocol outcomes; 0 = no caching
   std::size_t cache_shards = 16;
-  bool degrade = true;  // serve stale/coarse instead of transient errors
+  // Degradation ladder (service/resilience.h): serve stale/coarse answers
+  // instead of transient miss-path errors.
+  bool degrade = true;
+};
+
+// Everything a front door configures about serving (the socket tier's
+// ServerOptions extends it with listener and wire limits).
+struct ServiceOptions : CoreOptions {
+  std::size_t max_batch = 64;  // queries per ServiceCore::serve call
+  // Admission control; the defaults admit everything (unbounded queue,
+  // no limiter).
+  ResilienceOptions resilience;
+};
+
+struct ServiceStats {
+  CacheStats cache;
+  PlannerStats planner;
+  std::size_t submitted = 0;
+  std::size_t admitted = 0;  // reached the queue (submitted minus rejected)
+  std::size_t completed = 0;
+  std::size_t in_flight = 0;
+  std::size_t shed = 0;  // admissions rejected (queue bound / rate limit)
+  std::size_t latency_samples = 0;
+  double p50_ms = 0;  // serving latency percentiles, admit -> done
+  double p95_ms = 0;
+  double p99_ms = 0;
+  double p999_ms = 0;
+  double queue_wait_p50_ms = 0;  // the queue-wait share, admit -> batch start
+  double queue_wait_p99_ms = 0;
 };
 
 class ServiceCore {
@@ -64,7 +84,6 @@ class ServiceCore {
   // miss-path solve: in-flight batches return kCancelled at the next
   // solver stage boundary.  Callable from any thread; irreversible.
   void cancel() { cancel_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return cancel_.load(std::memory_order_relaxed); }
 
   CacheStats cache_stats() const { return cache_.stats(); }
   // Valid between serve() calls only (same exclusion as serve itself).

@@ -99,7 +99,7 @@ class BatchPlanner {
   // (core::SolveControl); the pointee must outlive the planner.  Set once
   // at service construction, before any batch runs.
   void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
-  // Degradation ladder on/off (ResilienceOptions::degrade).  When off,
+  // Degradation ladder on/off (CoreOptions::degrade).  When off,
   // transient miss-path failures fail the whole query with their own code.
   void set_degrade(bool degrade) { degrade_ = degrade; }
 

@@ -72,10 +72,8 @@ void count_degraded(ResultQuality quality) {
       .add(1);
 }
 
-void count_shed() { obs::Registry::global().counter("service.shed").add(1); }
-
 void count_shed(std::string_view tenant) {
-  count_shed();
+  obs::Registry::global().counter("service.shed").add(1);
   obs::Registry::global()
       .counter(std::string("service.shed.") +
                std::string(tenant.empty() ? kDefaultTenant : tenant))

@@ -3,10 +3,9 @@
 // Three concerns live here, all exercised by the fault-injection framework
 // (util/fault.h) and gated by bench/chaos_service:
 //
-//   admission control — a bounded submit queue plus a wall-clock token
-//     bucket.  Work the service cannot absorb is shed *at the front door*
-//     with kResourceExhausted, so queue time never masquerades as solve
-//     time and the dispatcher never drowns.
+//   admission control — the limits and the wall-clock token buckets that
+//     enforce them; the dispatcher (service/dispatcher.h) applies them at
+//     the front door, shedding with kResourceExhausted.
 //
 //   degradation ladder — when the miss path fails transiently (injected
 //     fault, deadline blow-out), the planner serves the best answer it can
@@ -73,8 +72,6 @@ struct ResilienceOptions {
   double rate_burst = 64;
   // Per-tenant token buckets layered under the global one (empty = off).
   std::vector<TenantLimit> tenant_limits;
-  // Serve stale/coarse answers instead of transient miss-path errors.
-  bool degrade = true;
 };
 
 // Wall-clock token bucket.  try_acquire() is thread-safe; tokens refill
@@ -106,7 +103,6 @@ class TenantLimiter {
   // Normalises an empty tenant to kDefaultTenant, then charges that
   // tenant's bucket.  True when admitted (or the tenant is unlimited).
   bool try_acquire(std::string_view tenant);
-  bool enabled() const { return !buckets_.empty(); }
 
  private:
   std::unordered_map<std::string, std::unique_ptr<TokenBucket>> buckets_;
@@ -119,11 +115,10 @@ void count_service_error(ErrorCode code);
 std::uint64_t service_error_count(ErrorCode code);
 
 // Degradation/shed accounting ("service.degraded.stale",
-// "service.degraded.coarse", "service.shed").  The tenant overload also
-// counts into "service.shed.<tenant>" (empty = kDefaultTenant), so
-// per-tenant shed rates are first-class registry metrics.
+// "service.degraded.coarse", "service.shed").  A shed also counts into
+// "service.shed.<tenant>" (empty = kDefaultTenant), so per-tenant shed
+// rates are first-class registry metrics.
 void count_degraded(ResultQuality quality);
-void count_shed();
 void count_shed(std::string_view tenant);
 
 }  // namespace edb::service

@@ -5,45 +5,19 @@
 // Synchronous callers use query()/query_batch(); asynchronous callers
 // submit() a query, keep the Ticket, and poll()/wait() for the result.
 //
-// Threading model: TuningService is the in-process dispatch layer over
-// the transport-free ServiceCore (service/core.h) — the socket tier
-// (server/server.h) is the other one.  A single dispatcher thread owns
-// the core (the engine's deterministic thread pool must not be entered
-// concurrently; parallelism on the miss path comes from the engine
-// fanning sweep chains across its own pool).  Submitters enqueue work
-// and block on their tickets.  The dispatcher drains the queue in
-// arrival order, up to `max_batch` queries per core invocation, so
-// concurrent submitters get cross-request dedup and warm-chain grouping
-// for free — the batch planner is the same whether one caller sends a
-// vector or ten callers race.
+// A TuningService is a Dispatcher (service/dispatcher.h: admission
+// order, micro-batching, latency accounting, shutdown) whose routing tag
+// is the ticket, so concurrent submitters get cross-request dedup and
+// warm-chain grouping for free.  A query the dispatcher rejects (shed,
+// shut down) comes back as an immediately-failed ticket; the tenant for
+// per-tenant limits is TuningQuery::tenant.  stats() is the dispatcher's;
+// metrics_text() / metrics_json() render the process-wide registry.
 //
-// Stats() snapshots cache hit/miss/eviction/negative-hit counters (read
-// off the obs metrics registry — the cache records straight onto it),
-// planner grouping counters, in-flight depth and p50/p95/p99/p99.9
-// serving latency (submit -> done, util/latency.h).  metrics_text() /
-// metrics_json() render the whole process-wide registry — every
-// solver/engine/service/sim metric — for dashboards and bench JSON.
-//
-// Admission control (service/resilience.h): when ResilienceOptions bound
-// the queue or rate-limit admissions (globally or per tenant — keyed by
-// TuningQuery::tenant, empty = the default tenant), submissions the
-// service cannot absorb come back as immediately-failed
-// kResourceExhausted tickets — shedding at the front door instead of
-// queueing without bound.  On the
-// miss path, transient failures and deadline blow-outs are served down
-// the degradation ladder (stale, then coarse; TuningResult::quality says
-// which) unless degradation is disabled.
-//
-// Thread-safety: query(), query_batch(), submit(), poll(), wait(),
-// shutdown() and stats() may all be called concurrently from any number
-// of threads; the dispatcher serializes planner/engine access
-// internally.  Tickets are copyable across threads; wait() may be called
-// repeatedly on any copy.  After shutdown() new submissions come back as
-// immediately-failed kUnavailable tickets.  The only exclusions are
-// construction and destruction: the destructor must not race a submitter
-// (it drains already-enqueued queries, then exits) — a server that
-// cannot guarantee that calls shutdown() first, after which racing
-// submitters get failed tickets instead of undefined behaviour.
+// Thread-safety: every member may be called concurrently from any number
+// of threads.  Tickets are copyable across threads; wait() may be called
+// repeatedly on any copy.  The destructor must not race a submitter — a
+// server that cannot guarantee that calls shutdown() first, after which
+// racing submitters get failed tickets instead of undefined behaviour.
 //
 // Determinism: serving is value-preserving — every result is
 // bit-identical to a cold sequential core::run_sweep over the same
@@ -56,37 +30,12 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.h"
-#include "service/cache.h"
-#include "service/planner.h"
-#include "util/latency.h"
+#include "service/core.h"
 
 namespace edb::service {
 
-struct ServiceOptions {
-  core::EngineOptions engine;         // miss-path engine configuration
-  std::size_t cache_capacity = 4096;  // protocol outcomes; 0 = no caching
-  std::size_t cache_shards = 16;
-  std::size_t max_batch = 64;  // queries per planner invocation
-  // Admission control + degradation ladder (service/resilience.h);
-  // defaults keep the historical behaviour (unbounded queue, no limiter,
-  // degradation on — which is invisible until something fails).
-  ResilienceOptions resilience;
-};
-
-struct ServiceStats {
-  CacheStats cache;
-  PlannerStats planner;
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t in_flight = 0;
-  std::size_t shed = 0;  // admissions rejected (queue bound / rate limit)
-  std::size_t latency_samples = 0;
-  double p50_ms = 0;  // serving latency percentiles, submit -> done
-  double p95_ms = 0;
-  double p99_ms = 0;
-  double p999_ms = 0;
-};
+template <class Route>
+class Dispatcher;
 
 namespace internal {
 struct TicketState;
@@ -107,20 +56,11 @@ class Ticket {
 class TuningService {
  public:
   explicit TuningService(ServiceOptions opts = {});
-  // Equivalent to shutdown(/*drain=*/true) when not already shut down:
-  // already-submitted queries finish, then the dispatcher exits.
-  ~TuningService();
+  ~TuningService();  // shutdown(/*drain=*/true)
 
-  // Stops accepting new work.  drain=true: every already-enqueued query
-  // finishes normally before the dispatcher exits.  drain=false: queued
-  // queries are failed with kCancelled, the in-flight batch is cancelled
-  // cooperatively (its solves return kCancelled at the next stage
-  // boundary), then the dispatcher exits.  Idempotent; safe to call
-  // while submitters are still active — their submissions after the stop
-  // come back as immediately-failed kUnavailable tickets instead of
-  // aborting (the destructor-vs-submitter exclusion still applies to
-  // destruction itself, as for any object).  Blocks until the
-  // dispatcher has exited.
+  // Dispatcher::shutdown: stops accepting; drain=true answers every
+  // queued query, drain=false fails them kCancelled and cancels the
+  // in-flight batch cooperatively.  Idempotent; blocks until settled.
   void shutdown(bool drain);
 
   TuningService(const TuningService&) = delete;
@@ -143,7 +83,6 @@ class TuningService {
   Expected<TuningResult> wait(const Ticket& t) const;
 
   ServiceStats stats() const;
-  const ServiceOptions& options() const { return opts_; }
 
   // Process-wide metrics registry snapshot (obs/metrics.h), rendered as
   // an aligned console table / flat JSON object.  Static: the registry is
@@ -152,9 +91,10 @@ class TuningService {
   static std::string metrics_json();
 
  private:
-  struct Impl;
-  ServiceOptions opts_;
-  std::unique_ptr<Impl> impl_;
+  std::vector<Ticket> enqueue(std::vector<TuningQuery> qs);
+
+  std::unique_ptr<Dispatcher<std::shared_ptr<internal::TicketState>>>
+      dispatcher_;
 };
 
 }  // namespace edb::service

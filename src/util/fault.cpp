@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
+#include <mutex>
 #include <thread>
 
 #include "util/rng.h"
@@ -22,11 +24,14 @@ std::uint64_t fnv1a64(std::string_view s) {
   return h;
 }
 
-// The active plan, published via atomic pointer.  Superseded plans leak:
-// installs happen at test/bench setup rate and a concurrent inject() may
-// still be reading the old plan, so freeing would need an epoch scheme
-// the use case does not justify.
+// The active plan, published via atomic pointer.  A concurrent inject()
+// may still be reading a superseded plan, so every installed plan lives
+// until exit in g_installed (never destroyed, so no exit-time reader can
+// see it freed); installs happen at test/bench setup rate, so retaining
+// them is cheaper than an epoch scheme.
 std::atomic<const FaultPlan*> g_plan{nullptr};
+std::mutex g_installed_mutex;
+auto* const g_installed = new std::deque<FaultPlan>();  // stable addresses
 
 bool parse_rate(std::string_view text, double* out) {
   char* end = nullptr;
@@ -172,13 +177,15 @@ Action FaultPlan::evaluate(std::string_view site, std::uint64_t key,
 }
 
 void install(FaultPlan plan) {
-  g_plan.store(new FaultPlan(std::move(plan)), std::memory_order_release);
+  std::lock_guard<std::mutex> lock(g_installed_mutex);
+  g_plan.store(&g_installed->emplace_back(std::move(plan)),
+               std::memory_order_release);
 }
 
 void uninstall() { g_plan.store(nullptr, std::memory_order_release); }
 
 bool active() {
-  return g_plan.load(std::memory_order_relaxed) != nullptr;
+  return g_plan.load(std::memory_order_acquire) != nullptr;
 }
 
 bool install_from_env() {
@@ -192,7 +199,7 @@ bool install_from_env() {
 
 Action inject(std::string_view site, std::uint64_t key,
               std::uint32_t attempt) {
-  const FaultPlan* plan = g_plan.load(std::memory_order_relaxed);
+  const FaultPlan* plan = g_plan.load(std::memory_order_acquire);
   if (!plan) return Action{};
   return plan->evaluate(site, key, attempt);
 }

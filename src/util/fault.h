@@ -38,13 +38,13 @@
 // site; a stall rate may carry an `@<number>ms` duration suffix
 // (default 1 ms).
 //
-// Cost when no plan is installed: inject() is one relaxed atomic load
+// Cost when no plan is installed: inject() is one acquire atomic load
 // and a predictable branch — the injection sites are dormant, not
 // compiled out, and the serving benches gate that this is unmeasurable.
 //
 // Thread-safety: parse() and evaluate() are pure; install()/uninstall()
 // may race inject() freely (the active plan is published through an
-// atomic pointer; superseded plans are intentionally leaked, installs
+// atomic pointer; superseded plans are kept alive until exit, installs
 // are test/bench-rate events).
 #pragma once
 
@@ -115,7 +115,7 @@ bool active();
 bool install_from_env();
 
 // The hot-path entry: evaluates the active plan, or returns kNone after
-// one relaxed atomic load when no plan is installed.
+// one acquire atomic load when no plan is installed.
 Action inject(std::string_view site, std::uint64_t key,
               std::uint32_t attempt = 0);
 

@@ -2,9 +2,9 @@
 // TCP connections against an in-process TuningServer on an ephemeral
 // localhost port.  Covers the handshake, the byte-identity contract
 // (wire RESULT == encoded in-process ServiceCore answer), pipelined
-// response ordering, per-tenant admission shed on the wire, the fatal
-// path for malformed frames, the JSON debug mode over a raw socket, and
-// graceful drain shutdown.
+// response ordering, admission shed on the wire (global bucket, tenant
+// bucket, queue bound), the fatal path for malformed frames, the JSON
+// debug mode over a raw socket, and drain and no-drain shutdown.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -25,6 +25,7 @@
 #include "server/server.h"
 #include "service/core.h"
 #include "service/resilience.h"
+#include "util/fault.h"
 
 namespace edb::server {
 namespace {
@@ -166,6 +167,133 @@ TEST(ServerSocket, PerTenantLimitShedsOnTheWire) {
   EXPECT_GE(counter_value("service.shed.noisy"), shed_before + 1);
   EXPECT_EQ(srv.stats().shed, 1u);
   srv.shutdown(/*drain=*/true);
+}
+
+TEST(ServerSocket, GlobalTokenBucketShedsOnTheWire) {
+  ServerOptions opts = test_options(1);
+  opts.resilience.rate_limit_qps = 1e-9;  // the burst and nothing more
+  opts.resilience.rate_burst = 1;
+  TuningServer srv(opts);
+  ASSERT_TRUE(srv.start().ok());
+
+  WireClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", srv.port()).ok());
+  ASSERT_TRUE(client.query(test_query(4.0), 1).ok());
+
+  client.queue_query(test_query(5.0), 2);
+  ASSERT_TRUE(client.flush().ok());
+  auto resp = client.next_response();
+  ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+  EXPECT_EQ(resp->seq, 2u);
+  ASSERT_TRUE(resp->error.has_value());
+  EXPECT_EQ(resp->error->code, ErrorCode::kResourceExhausted);
+  EXPECT_EQ(resp->error->message, "admission rate limit exceeded");
+  EXPECT_FALSE(resp->error->fatal);
+  EXPECT_TRUE(client.connected());
+
+  const auto stats = srv.stats();
+  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.shed, 1u);
+  srv.shutdown(/*drain=*/true);
+}
+
+// Serializes the serve thread behind a stall on every query, so a
+// pipelined burst outruns it; clears the plan on scope exit.
+struct StallEveryDispatch {
+  explicit StallEveryDispatch(const char* spec) {
+    fault::install(fault::FaultPlan::parse(spec).take());
+  }
+  ~StallEveryDispatch() { fault::uninstall(); }
+};
+
+TEST(ServerSocket, QueueBoundShedsOnTheWire) {
+  ServerOptions opts = test_options(1);
+  opts.max_batch = 1;
+  opts.resilience.max_queue = 1;
+  TuningServer srv(opts);
+  ASSERT_TRUE(srv.start().ok());
+  const StallEveryDispatch stall("service.dispatch:stall=1@300ms");
+
+  // One write of 6 queries: the worker admits them microseconds apart,
+  // while the serve thread can hold at most one (stalled) in flight and
+  // the bound one more in the queue — so at least 4 are shed.
+  const int n = 6;
+  WireClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", srv.port()).ok());
+  for (int i = 0; i < n; ++i) {
+    client.queue_query(test_query(3.0 + 0.5 * i), static_cast<std::uint64_t>(i));
+  }
+  ASSERT_TRUE(client.flush().ok());
+
+  std::size_t served = 0, shed = 0;
+  for (int i = 0; i < n; ++i) {
+    auto resp = client.next_response();
+    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+    EXPECT_EQ(resp->seq, static_cast<std::uint64_t>(i));
+    if (resp->result.has_value()) {
+      ++served;
+      continue;
+    }
+    ASSERT_TRUE(resp->error.has_value());
+    EXPECT_EQ(resp->error->code, ErrorCode::kResourceExhausted);
+    EXPECT_EQ(resp->error->message, "submit queue full");
+    EXPECT_FALSE(resp->error->fatal);
+    ++shed;
+  }
+  EXPECT_GE(served, 1u);
+  EXPECT_GE(shed, static_cast<std::size_t>(n - 2));
+  EXPECT_EQ(srv.stats().shed, shed);
+  EXPECT_EQ(srv.stats().queries, served);
+  srv.shutdown(/*drain=*/true);
+}
+
+TEST(ServerSocket, NoDrainShutdownUnderStallIsPromptAndClosesConnections) {
+  ServerOptions opts = test_options(2);
+  opts.max_batch = 1;
+  TuningServer srv(opts);
+  ASSERT_TRUE(srv.start().ok());
+  const StallEveryDispatch stall("service.dispatch:stall=1@100ms");
+  const std::uint64_t cancelled_before =
+      counter_value("service.errors.cancelled");
+
+  // 16 queries at >= 100 ms each: a drain would take >= 1.6 s.
+  const int n = 16;
+  WireClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", srv.port()).ok());
+  for (int i = 0; i < n; ++i) {
+    client.queue_query(test_query(2.0 + 0.25 * i), static_cast<std::uint64_t>(i));
+  }
+  ASSERT_TRUE(client.flush().ok());
+  for (int i = 0; i < 1000 && srv.stats().queries < static_cast<std::size_t>(n);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(srv.stats().queries, static_cast<std::size_t>(n));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  srv.shutdown(/*drain=*/false);
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_LT(secs, 1.0) << "no-drain shutdown waited for queued work";
+  EXPECT_EQ(srv.stats().connections, 0u);
+  // Queued queries were cancelled, not served.
+  EXPECT_GE(counter_value("service.errors.cancelled"), cancelled_before + 1);
+
+  // The client sees an in-order prefix of answers (possibly empty), then
+  // the close — never a frame for a cancelled query.
+  int answered = 0;
+  for (;;) {
+    auto resp = client.next_response();
+    if (!resp.ok()) {
+      EXPECT_EQ(resp.error().code, ErrorCode::kUnavailable);
+      break;
+    }
+    EXPECT_EQ(resp->seq, static_cast<std::uint64_t>(answered));
+    EXPECT_TRUE(resp->result.has_value());
+    ++answered;
+  }
+  EXPECT_LT(answered, n);
 }
 
 TEST(ServerSocket, MalformedFrameGetsFatalErrorAndClose) {
@@ -339,10 +467,10 @@ TEST(ServerSocket, ServerLatencyHistogramRecordsServes) {
   WireClient client;
   ASSERT_TRUE(client.connect("127.0.0.1", srv.port()).ok());
   const auto before =
-      obs::Registry::global().histogram("server.request.latency").merged();
+      obs::Registry::global().histogram("service.latency").merged();
   ASSERT_TRUE(client.query(test_query(4.5), 1).ok());
   const auto after =
-      obs::Registry::global().histogram("server.request.latency").merged();
+      obs::Registry::global().histogram("service.latency").merged();
   EXPECT_GE(after.count(), before.count() + 1);
   srv.shutdown(/*drain=*/true);
 }

@@ -3,10 +3,12 @@
 // a ByteRing, a malformed-frame corpus (truncations, oversized counts,
 // out-of-range enum bytes, bad magic — every one must come back as a
 // clean error, never a crash or over-read; CI runs this binary under
-// ASan), and the JSON debug-mode parser.
+// ASan), the JSON debug-mode parser, and a deterministic mutation loop
+// that feeds byte-flipped, truncated and extended frames to every decoder.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -317,6 +319,207 @@ TEST(WireMalformed, OversizedProtocolCount) {
   auto r = decode_query(body);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------- mutation loop --
+//
+// A deterministic stand-in for a coverage fuzzer: splitmix-seeded
+// mutations (byte flips, boundary bytes, truncation, extension) of valid
+// frames and of the malformed corpus, fed to next_frame and every
+// decoder.  Each input sits in a heap block of exactly its size, so an
+// over-read is an ASan report, not a silent read of a terminator.
+
+class Mutator {
+ public:
+  explicit Mutator(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t next() { return state_ = splitmix64(state_); }
+  std::size_t below(std::size_t n) { return n == 0 ? 0 : next() % n; }
+
+  std::string mutate(std::string s) {
+    const std::size_t ops = 1 + below(3);
+    for (std::size_t k = 0; k < ops; ++k) {
+      switch (below(4)) {
+        case 0:  // flip bits in one byte
+          if (!s.empty()) s[below(s.size())] ^= static_cast<char>(1 + below(255));
+          break;
+        case 1: {  // a boundary byte, where counts and enums live
+          static constexpr unsigned char kEdges[] = {0x00, 0x01, 0x7f,
+                                                     0x80, 0xfe, 0xff};
+          if (!s.empty()) {
+            s[below(s.size())] = static_cast<char>(kEdges[below(6)]);
+          }
+          break;
+        }
+        case 2:  // truncate
+          s.resize(below(s.size() + 1));
+          break;
+        default:  // extend with random bytes
+          for (std::size_t n = 1 + below(16); n > 0; --n) {
+            s.push_back(static_cast<char>(next()));
+          }
+      }
+    }
+    return s;
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+// Bytes in a block of exactly their size (no terminator to lean on).
+struct ExactBuffer {
+  explicit ExactBuffer(const std::string& s)
+      : data(std::make_unique<char[]>(s.size() + !s.size())), size(s.size()) {
+    std::memcpy(data.get(), s.data(), s.size());
+  }
+  std::string_view view() const { return {data.get(), size}; }
+  std::unique_ptr<char[]> data;
+  std::size_t size;
+};
+
+struct Outcomes {
+  std::size_t ok = 0;
+  std::size_t rejected = 0;
+};
+
+// Runs one decoder on `body`; a value must survive encode -> decode ->
+// encode unchanged, an error must be the documented kInvalidArgument.
+template <typename Decode, typename Encode>
+void check_decoder(std::string_view body, Decode decode, Encode encode,
+                   Outcomes* out) {
+  auto r = decode(body);
+  if (!r.ok()) {
+    EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument);
+    ++out->rejected;
+    return;
+  }
+  ++out->ok;
+  const std::string once = encode(*r);
+  auto again = decode(std::string_view(once).substr(13));
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(encode(*again), once);
+}
+
+void feed_all_decoders(std::string_view body, Outcomes* out) {
+  check_decoder(body, decode_hello, encode_hello, out);
+  check_decoder(body, decode_query,
+                [](const service::TuningQuery& q) { return encode_query(q, 0); },
+                out);
+  check_decoder(body, decode_result,
+                [](const service::TuningResult& r) { return encode_result(r, 0); },
+                out);
+  check_decoder(body, decode_error,
+                [](const WireError& e) { return encode_error(e, 0); }, out);
+}
+
+TEST(WireMutation, MutatedFramesDecodeCleanlyOrFailCleanly) {
+  Rng rng(20260812);
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 4; ++i) {
+    corpus.push_back(encode_query(random_query(rng), i));
+    corpus.push_back(encode_result(random_result(rng), i));
+  }
+  Hello json_hello;
+  json_hello.mode = WireMode::kJson;
+  json_hello.tenant = "t";
+  corpus.push_back(encode_hello(Hello{}));
+  corpus.push_back(encode_hello(json_hello));
+  corpus.push_back(encode_hello_ok());
+  corpus.push_back(encode_error(WireError{true, ErrorCode::kInternal, "x"}, 9));
+  // The malformed corpus above: out-of-range enums, a 65535-protocol
+  // count, bad magic, an unknown type byte, a short and an oversized len.
+  {
+    service::TuningQuery q = random_query(rng);
+    q.scenario.context.arrivals = static_cast<net::ArrivalProcess>(9);
+    corpus.push_back(encode_query(q, 0));
+    service::TuningResult r = random_result(rng);
+    r.quality = static_cast<service::ResultQuality>(17);
+    corpus.push_back(encode_result(r, 0));
+    service::TuningQuery empty;
+    empty.scenario = core::Scenario::paper_default();
+    std::string many = encode_query(empty, 0);
+    many[many.size() - 18] = static_cast<char>(0xff);
+    many[many.size() - 17] = static_cast<char>(0xff);
+    corpus.push_back(many);
+    std::string magic = encode_hello(Hello{});
+    magic[13] = 'X';
+    corpus.push_back(magic);
+    std::string type = frame(MsgType::kQuery, 0, "body");
+    type[4] = 0x09;
+    corpus.push_back(type);
+    ByteWriter shortw;
+    shortw.u32(5);
+    shortw.u8(0x03);
+    shortw.u32(0);
+    corpus.push_back(shortw.take());
+    ByteWriter big;
+    big.u32(kMaxFrame + 1);
+    corpus.push_back(big.take());
+  }
+
+  Mutator m(0x5eed'f00dULL);
+  Outcomes frames, bodies;
+  std::size_t statuses[4] = {};
+  for (int it = 0; it < 20000; ++it) {
+    const std::string input = m.mutate(corpus[m.below(corpus.size())]);
+    const ExactBuffer buf(input);
+
+    // The frame layer: pull frames until it wants more or refuses.
+    ByteRing ring(16);
+    ASSERT_TRUE(ring.append(buf.data.get(), buf.size, 1u << 22));
+    const std::uint32_t max_frame = m.below(4) == 0 ? 64 : kMaxFrame;
+    for (;;) {
+      FrameView fv;
+      const FrameStatus st = next_frame(ring, max_frame, &fv);
+      ++statuses[static_cast<int>(st)];
+      if (st != FrameStatus::kFrame) {
+        EXPECT_LE(ring.size(), buf.size);
+        break;
+      }
+      const ExactBuffer body(fv.body);
+      feed_all_decoders(body.view(), &frames);
+    }
+    // The decoders straight on the (possibly mis-framed) body bytes.
+    if (buf.size >= 13) {
+      feed_all_decoders(buf.view().substr(13), &bodies);
+    }
+    if (HasFatalFailure()) return;
+  }
+  // The loop reached every outcome, not just the first error branch.
+  for (std::size_t n : statuses) EXPECT_GT(n, 0u);
+  EXPECT_GT(frames.ok, 0u);
+  EXPECT_GT(frames.rejected, 0u);
+  EXPECT_GT(bodies.ok, 0u);
+}
+
+TEST(WireMutation, MutatedJsonLinesParseCleanlyOrFailCleanly) {
+  const std::vector<std::string> corpus = {
+      "{\"hello\": 1, \"tenant\": \"ops\"}",
+      "{\"seq\": 9, \"lmax\": 3.25, \"ebudget\": 0.05, \"alpha\": 0.75, "
+      "\"depth\": 4, \"density\": 9.5, \"fs\": 1e-4, \"eval_budget\": 7, "
+      "\"protocols\": [\"X-MAC\", \"LMAC\"]}",
+      "{\"lmax\": 0x1.9p-5, \"protocols\": []}",
+      "{\"tenant\": \"a\\\"b\\\\c\\/d\\n\"}",
+      "{\"lmaks\":3}",
+      "{\"lmax\":3} extra",
+      "{\"protocols\": 3}",
+      "{\"lmax\": }",
+  };
+  Mutator m(0x15'0a'11ULL);
+  Outcomes out;
+  for (int it = 0; it < 20000; ++it) {
+    const ExactBuffer line(m.mutate(corpus[m.below(corpus.size())]));
+    auto r = parse_json_request(line.view());
+    if (r.ok()) {
+      ++out.ok;
+    } else {
+      EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument);
+      ++out.rejected;
+    }
+  }
+  EXPECT_GT(out.ok, 0u);
+  EXPECT_GT(out.rejected, 0u);
 }
 
 // ------------------------------------------------------- JSON debug mode --

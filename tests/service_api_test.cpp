@@ -111,6 +111,7 @@ TEST(ServiceApiTest, StatsTrackServing) {
   service.query(xmac_query());
   const auto stats = service.stats();
   EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.admitted, 2u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_EQ(stats.latency_samples, 2u);
@@ -118,6 +119,10 @@ TEST(ServiceApiTest, StatsTrackServing) {
   EXPECT_LE(stats.p50_ms, stats.p95_ms);
   EXPECT_LE(stats.p95_ms, stats.p99_ms);
   EXPECT_LE(stats.p99_ms, stats.p999_ms);
+  // Queue wait is the admit -> batch-start share of admit -> done: a
+  // first cold solve dwarfs it.
+  EXPECT_LE(stats.queue_wait_p50_ms, stats.p50_ms);
+  EXPECT_LE(stats.queue_wait_p99_ms, stats.p99_ms);
 }
 
 TEST(ServiceApiTest, CacheStatsEqualRegistryCounterDeltas) {

@@ -50,7 +50,7 @@ void install_plan(const char* spec) {
 
 TEST_F(ResilienceTest, TinyEvalBudgetTripsDeadlineWhenDegradationIsOff) {
   ServiceOptions opts = small_opts();
-  opts.resilience.degrade = false;
+  opts.degrade = false;
   TuningService service(opts);
   TuningQuery q = xmac_query();
   q.options.eval_budget = 10;  // stage 1 alone costs thousands of evals
@@ -184,7 +184,7 @@ TEST_F(ResilienceTest, ColdMissPathFaultIsServedCoarse) {
 
 TEST_F(ResilienceTest, TransientFailuresAreNeverNegativelyCached) {
   ServiceOptions opts = small_opts();
-  opts.resilience.degrade = false;  // surface the raw transient code
+  opts.degrade = false;  // surface the raw transient code
   TuningService service(opts);
   install_plan("planner.solve:fail=1");
   auto r = service.query(xmac_query());
