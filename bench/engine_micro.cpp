@@ -1,15 +1,16 @@
 // Scenario-engine microbench: the acceptance run for the parallel engine.
 //
-// Solves a 4-protocol x 40-cell Lmax sweep twice:
+// Solves a 40-cell Lmax sweep of every registered protocol twice:
 //
-//   baseline — the seed's exact path: SequentialExecutor, cold solves,
-//              no memoization (what core::run_sweep did before the engine);
+//   baseline — the seed's exact path: SequentialExecutor, cold solves
+//              (what core::run_sweep runs);
 //   engine   — ParallelExecutor (4 threads by default), warm-started
-//              cells, memoized model evaluations.
+//              cells.
 //
 // It then cross-checks the two runs cell-for-cell (identical feasibility
 // flags, agreements within 1e-9 relative) and reports the wall-clock
-// speedup.  Exit code is non-zero when the runs disagree.
+// speedup, plus each protocol's cold and warm sweep timed on its own.
+// Exit code is non-zero when the runs disagree.
 //
 //   $ ./engine_micro [threads] [cells]
 //
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_json.h"
@@ -45,8 +47,7 @@ int main(int argc, char** argv) {
   int threads = argc > 1 ? std::atoi(argv[1]) : 4;
   if (threads <= 0) threads = ThreadPool::hardware_threads();
   const int n_cells = std::max(2, argc > 2 ? std::atoi(argv[2]) : 40);
-  const std::vector<std::string> protocols = {"X-MAC", "DMAC", "LMAC",
-                                              "B-MAC"};
+  const std::vector<std::string> protocols = mac::registered_protocols();
 
   core::Scenario scenario = core::Scenario::paper_default();
   std::vector<std::unique_ptr<mac::AnalyticMacModel>> models;
@@ -69,22 +70,38 @@ int main(int argc, char** argv) {
   // EDB_TRACE_OUT=<path> captures fan/solver spans (EDB_OBS builds).
   obs::begin_env_trace();
 
+  // The sequential baseline runs one sweep at a time, so timing each
+  // sweep separately costs nothing and splits the total per protocol.
   core::ScenarioEngine baseline(core::EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = false,
-      .memoize = false});
-  const double t0 = now_ms();
-  auto seq = baseline.run_sweeps(jobs);
-  const double t_seq = now_ms() - t0;
-  std::printf("baseline (sequential, cold, unmemoized): %8.1f ms\n", t_seq);
+      .threads = 1, .parallel = false, .warm_start = false});
+  std::vector<core::SweepResult> seq;
+  std::vector<double> cold_ms;
+  for (const auto& job : jobs) {
+    const double t = now_ms();
+    seq.push_back(baseline.run_sweep(job));
+    cold_ms.push_back(now_ms() - t);
+  }
+  double t_seq = 0.0;
+  for (double t : cold_ms) t_seq += t;
+  std::printf("baseline (sequential, cold): %8.1f ms\n", t_seq);
 
   core::ScenarioEngine engine(core::EngineOptions{
-      .threads = threads, .parallel = true, .warm_start = true,
-      .memoize = true});
+      .threads = threads, .parallel = true, .warm_start = true});
   const double t1 = now_ms();
   auto par = engine.run_sweeps(jobs);
   const double t_par = now_ms() - t1;
-  std::printf("engine   (%d threads, warm, memoized)  : %8.1f ms\n", threads,
-              t_par);
+  std::printf("engine   (%d threads, warm)  : %8.1f ms\n", threads, t_par);
+
+  // Per-protocol warm sweep: one chain, so one thread.
+  std::vector<double> warm_ms;
+  std::printf("  %-8s %10s %10s\n", "protocol", "cold ms", "warm ms");
+  for (std::size_t p = 0; p < jobs.size(); ++p) {
+    const double t = now_ms();
+    engine.run_sweep(jobs[p]);
+    warm_ms.push_back(now_ms() - t);
+    std::printf("  %-8s %10.1f %10.1f\n", protocols[p].c_str(), cold_ms[p],
+                warm_ms[p]);
+  }
 
   // Cross-check: identical feasibility flags, agreements within 1e-9.
   int mismatches = 0;
@@ -122,6 +139,10 @@ int main(int argc, char** argv) {
   json.integer("cells", n_cells);
   json.number("baseline_ms", t_seq);
   json.number("engine_ms", t_par);
+  for (std::size_t p = 0; p < protocols.size(); ++p) {
+    json.number(("baseline_ms." + protocols[p]).c_str(), cold_ms[p]);
+    json.number(("engine_ms." + protocols[p]).c_str(), warm_ms[p]);
+  }
   json.number("speedup", t_seq / t_par);
   json.number("worst_rel_diff", worst_rel);
   json.integer("mismatches", mismatches);

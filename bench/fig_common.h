@@ -79,7 +79,7 @@ inline int run_figure(const std::string& protocol, core::SweepKind kind,
   std::printf("\nNash-bargaining trade-off points:\n");
   core::ScenarioEngine engine(core::EngineOptions{
       .threads = threads, .parallel = threads > 1,
-      .warm_start = threads <= 1, .memoize = true});
+      .warm_start = threads <= 1});
   const core::SweepResult sweep = engine.run_sweep(
       core::SweepJob{model.get(), scenario.requirements, kind,
                      core::paper_sweep_values(kind)});

@@ -1,14 +1,20 @@
 // google-benchmark timings of one analytic E(X)/L(X) evaluation per
-// protocol — the inner-loop cost every solver pays.
+// protocol through the scalar entry points, and of one evaluate_batch call
+// over a 1,024-point block — the call the solvers actually make.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "mac/registry.h"
 
 namespace {
 
 using namespace edb;
+
+// One benchmark row per registered protocol.
+const int kLastProtocol =
+    static_cast<int>(mac::registered_protocols().size()) - 1;
 
 void BM_Energy(benchmark::State& state) {
   const auto protocols = mac::registered_protocols();
@@ -20,7 +26,7 @@ void BM_Energy(benchmark::State& state) {
   }
   state.SetLabel(name);
 }
-BENCHMARK(BM_Energy)->DenseRange(0, 4);
+BENCHMARK(BM_Energy)->DenseRange(0, kLastProtocol);
 
 void BM_Latency(benchmark::State& state) {
   const auto protocols = mac::registered_protocols();
@@ -32,7 +38,7 @@ void BM_Latency(benchmark::State& state) {
   }
   state.SetLabel(name);
 }
-BENCHMARK(BM_Latency)->DenseRange(0, 4);
+BENCHMARK(BM_Latency)->DenseRange(0, kLastProtocol);
 
 void BM_FeasibilityMargin(benchmark::State& state) {
   const auto protocols = mac::registered_protocols();
@@ -44,7 +50,33 @@ void BM_FeasibilityMargin(benchmark::State& state) {
   }
   state.SetLabel(name);
 }
-BENCHMARK(BM_FeasibilityMargin)->DenseRange(0, 4);
+BENCHMARK(BM_FeasibilityMargin)->DenseRange(0, kLastProtocol);
+
+void BM_EvaluateBatch(benchmark::State& state) {
+  constexpr std::size_t kBlock = 1024;
+  const auto protocols = mac::registered_protocols();
+  const auto& name = protocols[state.range(0)];
+  auto model = mac::make_model(name, mac::ModelContext{}).take();
+  // A diagonal walk through the box, packed row-major.
+  const auto& space = model->params();
+  std::vector<double> xs;
+  for (std::size_t k = 0; k < kBlock; ++k) {
+    for (std::size_t a = 0; a < space.dim(); ++a) {
+      const auto& info = space.info(a);
+      xs.push_back(info.lo + (info.hi - info.lo) * k / (kBlock - 1));
+    }
+  }
+  std::vector<double> e(kBlock), l(kBlock), m(kBlock);
+  for (auto _ : state) {
+    model->evaluate_batch(xs.data(), kBlock, e.data(), l.data(), m.data());
+    benchmark::DoNotOptimize(e.data());
+    benchmark::DoNotOptimize(l.data());
+    benchmark::DoNotOptimize(m.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBlock);
+  state.SetLabel(name);
+}
+BENCHMARK(BM_EvaluateBatch)->DenseRange(0, kLastProtocol);
 
 void BM_EnergyDeepRing(benchmark::State& state) {
   // Scaling in ring depth (the per-ring max in energy()).

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
 
   // Per-case timing on the engine's sequential executor.
   core::ScenarioEngine sequential(core::EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = false, .memoize = true});
+      .threads = 1, .parallel = false, .warm_start = false});
   double total_seq_ms = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto start = std::chrono::steady_clock::now();
@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
 
   // The same batch fanned across the parallel executor.
   core::ScenarioEngine parallel(core::EngineOptions{
-      .threads = threads, .parallel = true, .warm_start = false,
-      .memoize = true});
+      .threads = threads, .parallel = true, .warm_start = false});
   const auto start = std::chrono::steady_clock::now();
   auto batch = parallel.solve_batch(jobs);
   const double par_ms = std::chrono::duration<double, std::milli>(

@@ -2,7 +2,7 @@
 // stack (opt descent + grid stages -> batched fence -> mac SIMD kernels).
 //
 // Runs repeated cold bargaining solves (fresh EnergyDelayGame, no warm
-// start, no memoization — the service's uncached path) for the three
+// start — the service's uncached path) for the three
 // paper models and self-times them, like engine_micro (no google-benchmark
 // dependency).  Per model and overall it reports
 //

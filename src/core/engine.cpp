@@ -6,29 +6,7 @@
 #include <optional>
 #include <utility>
 
-#include "mac/memo.h"
-
 namespace edb::core {
-
-namespace {
-
-// Scoped memo wrap: resolves to the wrapped model when memoization is on,
-// the bare model otherwise.  One instance per task/thread — the cache is
-// unsynchronised by design (mac/memo.h).  Models with a native batch
-// kernel are never wrapped even when memoization is requested: for them a
-// re-evaluation is cheaper than a hash lookup, and the memo is
-// value-preserving by construction, so skipping it changes cost only.
-struct MemoScope {
-  MemoScope(const mac::AnalyticMacModel& inner, bool memoize) {
-    const bool wrap = memoize && !inner.has_batch_kernel();
-    if (wrap) memo.emplace(inner);
-    model = wrap ? &*memo : &inner;
-  }
-  std::optional<mac::MemoizedMacModel> memo;
-  const mac::AnalyticMacModel* model;
-};
-
-}  // namespace
 
 ScenarioEngine::ScenarioEngine(EngineOptions opts)
     : opts_(opts), executor_(engine::make_executor(opts.threads,
@@ -46,7 +24,6 @@ Expected<BargainingOutcome> ScenarioEngine::solve_one(
     const mac::AnalyticMacModel& model, const AppRequirements& req,
     double alpha, const SolveHints& hints,
     const SolveControl& control) const {
-  // `model` is already memo-wrapped by the caller when opts_.memoize is on.
   EnergyDelayGame game(model, req);
   game.set_control(control);
   // solve_weighted(0.5, ...) is exactly solve(...), so the default alpha
@@ -95,8 +72,6 @@ SweepResult ScenarioEngine::sweep_skeleton(const SweepJob& job) const {
 // warm-chain outcomes is invisible in the results.
 void ScenarioEngine::sweep_chain(const SweepJob& job,
                                  SweepResult& result) const {
-  MemoScope scope(*job.model, opts_.memoize);
-  const mac::AnalyticMacModel* m = scope.model;
   auto& cells = result.cells;
   const std::size_t n = cells.size();
 
@@ -107,7 +82,7 @@ void ScenarioEngine::sweep_chain(const SweepJob& job,
   bool transient = false;
   auto probe = [&](std::size_t j) {
     SolveHints cold;
-    solve_cell(*m, job, cells[j], cold);
+    solve_cell(job, cells[j], cold);
     if (!cells[j].feasible() && is_transient(cells[j].infeasible_code)) {
       transient = true;
     }
@@ -141,7 +116,7 @@ void ScenarioEngine::sweep_chain(const SweepJob& job,
         continue;
       }
       SolveHints cold;
-      solve_cell(*m, job, cells[j], cold);
+      solve_cell(job, cells[j], cold);
     }
     return;
   }
@@ -155,15 +130,15 @@ void ScenarioEngine::sweep_chain(const SweepJob& job,
   std::optional<ProtocolEnvelope> env;
   for (std::size_t j = 0; j < frontier && j < n; ++j) {
     if (cells[j].feasible() || !cells[j].infeasible_reason.empty()) continue;
-    if (!env) env = protocol_envelope(*m);
+    if (!env) env = protocol_envelope(*job.model);
     AppRequirements req = job.base;
     (job.kind == SweepKind::kLmax ? req.l_max : req.e_budget) =
         cells[j].value;
     Error reason = env->l_min >= req.l_max
-                       ? p1_infeasible_error(m->name())
+                       ? p1_infeasible_error(job.model->name())
                        : env->e_min >= req.e_budget
-                             ? p2_infeasible_error(m->name())
-                             : p3_infeasible_error(m->name());
+                             ? p2_infeasible_error(job.model->name())
+                             : p3_infeasible_error(job.model->name());
     cells[j].infeasible_reason = reason.to_string();
     cells[j].infeasible_code = reason.code;
   }
@@ -178,12 +153,11 @@ void ScenarioEngine::sweep_chain(const SweepJob& job,
       hints = SolveHints{o.p1.x, o.p2.x, o.nbs.x, /*trusted=*/true};
       continue;
     }
-    solve_cell(*m, job, cells[j], hints);
+    solve_cell(job, cells[j], hints);
   }
 }
 
-void ScenarioEngine::solve_cell(const mac::AnalyticMacModel& model,
-                                const SweepJob& job, SweepCell& cell,
+void ScenarioEngine::solve_cell(const SweepJob& job, SweepCell& cell,
                                 SolveHints& hints) const {
   AppRequirements req = job.base;
   if (job.kind == SweepKind::kLmax) {
@@ -191,7 +165,7 @@ void ScenarioEngine::solve_cell(const mac::AnalyticMacModel& model,
   } else {
     req.e_budget = cell.value;
   }
-  auto outcome = solve_one(model, req, job.alpha, hints, job.control);
+  auto outcome = solve_one(*job.model, req, job.alpha, hints, job.control);
   if (outcome.ok()) {
     if (opts_.warm_start) {
       hints = SolveHints{outcome->p1.x, outcome->p2.x, outcome->nbs.x,
@@ -214,8 +188,7 @@ std::vector<Expected<BargainingOutcome>> ScenarioEngine::solve_batch(
                        make_error(ErrorCode::kInternal, "not solved")));
   engine::fan_apply(*executor_, jobs.size(), [&](std::size_t i) {
     EDB_ASSERT(jobs[i].model != nullptr, "solve job needs a model");
-    MemoScope scope(*jobs[i].model, opts_.memoize);
-    out[i] = solve_one(*scope.model, jobs[i].req, jobs[i].alpha,
+    out[i] = solve_one(*jobs[i].model, jobs[i].req, jobs[i].alpha,
                        SolveHints{}, jobs[i].control);
   });
   return out;
@@ -294,11 +267,7 @@ std::vector<SweepResult> ScenarioEngine::run_sweeps(
 
   if (opts_.warm_start) {
     // One chained task per sweep: cell i+1 is seeded from cell i, so cells
-    // of a sweep stay on one thread; sweeps fan across the executor.  The
-    // memo cache is shared by the whole chain — E(X), L(X) and the
-    // feasibility margin do not depend on the swept requirement, so
-    // neighbouring cells (identical solver trajectories on saturated
-    // plateaus) re-hit each other's evaluations.
+    // of a sweep stay on one thread; sweeps fan across the executor.
     engine::fan_apply(*executor_, jobs.size(), [&](std::size_t i) {
       sweep_chain(jobs[i], results[i]);
     });
@@ -306,10 +275,7 @@ std::vector<SweepResult> ScenarioEngine::run_sweeps(
   }
 
   // Cold cells are fully independent: flatten every cell of every sweep
-  // into one task list so small sweep batches still fill the pool.  Each
-  // cell gets its own cache (a shared one would make results depend on
-  // which cells ran on which thread — it wouldn't change values, but the
-  // cold path exists to reproduce the seed exactly, caches included).
+  // into one task list so small sweep batches still fill the pool.
   std::vector<std::pair<std::size_t, std::size_t>> flat;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     for (std::size_t j = 0; j < results[i].cells.size(); ++j) {
@@ -318,9 +284,8 @@ std::vector<SweepResult> ScenarioEngine::run_sweeps(
   }
   engine::fan_apply(*executor_, flat.size(), [&](std::size_t k) {
     const auto [i, j] = flat[k];
-    MemoScope scope(*jobs[i].model, opts_.memoize);
     SolveHints hints;
-    solve_cell(*scope.model, jobs[i], results[i].cells[j], hints);
+    solve_cell(jobs[i], results[i].cells[j], hints);
   });
   return results;
 }

@@ -9,8 +9,8 @@
 // computed, never *what* goes in it, so a parallel run and a sequential
 // run of the same jobs produce bit-identical results.
 //
-// Two further accelerations, both optional and both value-preserving
-// within the solver cross-check tolerance (DESIGN.md §2):
+// One further acceleration, optional and value-preserving within the
+// solver cross-check tolerance (DESIGN.md §2):
 //
 //   warm_start — inside one sweep, cell i+1's P1/P2/P4 solves are seeded
 //     from cell i's operating points (the agreement moves continuously
@@ -21,13 +21,12 @@
 //     which is exactly the multi-protocol shape of the paper's figure
 //     pipelines.
 //
-//   memoize — each cell's solve runs against a mac::MemoizedMacModel, so
-//     repeated E(X)/L(X)/margin evaluations (P4 recomputes all of them in
-//     its objective and slacks; the grid oracle shares its first-round
-//     lattice across P1/P2/P4) become hash hits.  Bit-identical values.
+// Every model evaluates through its native batch kernel
+// (mac::AnalyticMacModel::evaluate_batch), so the engine adds no
+// evaluation cache of its own.
 //
 // The strictly sequential path survives as SequentialExecutor — an engine
-// configured {.parallel = false, .warm_start = false, .memoize = false}
+// configured {.parallel = false, .warm_start = false}
 // is exactly what core::run_sweep runs, and every other configuration
 // produces bit-identical feasibility flags and outcomes over the same
 // cells.  A warm chain does not solve the cells below the feasibility
@@ -64,11 +63,6 @@ struct EngineOptions {
   int threads = 0;         // ParallelExecutor width; 0 = hardware threads
   bool parallel = true;    // false => SequentialExecutor
   bool warm_start = true;  // chain cells within a sweep (trusted seeds)
-  // Per-cell MemoizedMacModel for models WITHOUT a native batch kernel
-  // (mac::AnalyticMacModel::has_batch_kernel).  Kernel models are cheaper
-  // to re-evaluate than to hash, so they are never wrapped; the memo is
-  // value-preserving, so the skip affects cost only, never results.
-  bool memoize = true;
 };
 
 // One independent bargaining solve.  The model must outlive the call.
@@ -124,10 +118,10 @@ struct SweepPlan {
 // Groups point queries into warm-startable sweep chains: queries sharing a
 // model, a budget and a bargaining power differ only in Lmax, which is
 // exactly the shape sweep_chain accelerates (ascending values, monotone
-// frontier, seeded neighbours, one memo cache).  Duplicate queries
-// collapse onto one cell.  Grouping is deterministic (groups in
-// first-appearance order, values ascending) and value-preserving: each
-// cell is solved exactly as a sweep over the same values would solve it.
+// frontier, seeded neighbours).  Duplicate queries collapse onto one
+// cell.  Grouping is deterministic (groups in first-appearance order,
+// values ascending) and value-preserving: each cell is solved exactly as
+// a sweep over the same values would solve it.
 SweepPlan plan_point_queries(const std::vector<PointQuery>& queries);
 
 class ScenarioEngine {
@@ -163,9 +157,8 @@ class ScenarioEngine {
   SweepResult sweep_skeleton(const SweepJob& job) const;
   // Warm-started whole-sweep evaluation (frontier search + seed chain).
   void sweep_chain(const SweepJob& job, SweepResult& result) const;
-  // `model` is the job's model, possibly memo-wrapped by the caller.
-  void solve_cell(const mac::AnalyticMacModel& model, const SweepJob& job,
-                  SweepCell& cell, SolveHints& hints) const;
+  void solve_cell(const SweepJob& job, SweepCell& cell,
+                  SolveHints& hints) const;
 
   EngineOptions opts_;
   std::unique_ptr<Executor> executor_;

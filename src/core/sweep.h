@@ -50,9 +50,9 @@ struct SweepResult {
 
 // Runs the sweep.  `model` must outlive the call.  Values must be positive
 // and ascending.  This is the compatibility entry point: it routes through
-// the scenario engine (core/engine.h) configured as sequential, cold,
-// unmemoized — the engine's reference configuration, bit-identical to any
-// other engine configuration over the same values.  (The solver pipeline
+// the scenario engine (core/engine.h) configured as sequential and cold —
+// the engine's reference configuration, bit-identical to any other engine
+// configuration over the same values.  (The solver pipeline
 // itself evolves across PRs, so numbers are pinned to the current
 // dual_solve, not to historic output.)  Callers that want parallel
 // fan-out or warm-started cells construct a ScenarioEngine themselves.

@@ -39,11 +39,29 @@ class BmacModel final : public AnalyticMacModel {
   PowerBreakdown power_at_ring(const std::vector<double>& x,
                                int d) const override;
   double hop_latency(const std::vector<double>& x, int d) const override;
-  double feasibility_margin(const std::vector<double>& x) const override;
+
+  // Scalar loop over a point block with the invariants hoisted;
+  // bit-identical to the scalar entry points (mac/model.h batch contract).
+  void evaluate_batch(const double* xs, std::size_t n, double* energies,
+                      double* latencies, double* margins) const override;
 
  private:
+  double protocol_margin(const std::vector<double>& x) const override;
+
+  // Batch-kernel invariants, precomputed once at construction with the
+  // scalar path's expressions.
+  struct Ring {
+    double f_out = 0, f_in = 0, f_bg = 0;
+  };
+  struct BatchCoeffs {
+    double cs_num = 0, t_data = 0, tx_data = 0, rx_data = 0, fsum = 0;
+    std::vector<Ring> rings;  // index d-1
+  };
+
   BmacConfig cfg_;
   ParamSpace space_;
+  BatchCoeffs bc_;
+  UniformQueue queue_;
 };
 
 }  // namespace edb::mac

@@ -239,7 +239,7 @@ void DmacModel::evaluate_batch(const double* xs, std::size_t n,
   }
 }
 
-double DmacModel::feasibility_margin(const std::vector<double>& x) const {
+double DmacModel::protocol_margin(const std::vector<double>& x) const {
   check_params(x);
   const double t_cycle = x[0];
   const net::RingTraffic traffic = ctx_.traffic();
@@ -252,11 +252,7 @@ double DmacModel::feasibility_margin(const std::vector<double>& x) const {
   const double needed = (ctx_.ring.depth + 1) * slot_width();
   const double m_schedule = (t_cycle - needed) / t_cycle;
 
-  const double m_v1 = std::min(m_capacity, m_schedule);
-  if (ctx_.model_version == ModelVersion::kV2Queueing) {
-    return std::min(m_v1, stability_margin(x));
-  }
-  return m_v1;
+  return std::min(m_capacity, m_schedule);
 }
 
 }  // namespace edb::mac

@@ -66,13 +66,11 @@ class DmacModel final : public AnalyticMacModel {
   // v1 capacity margin guards, not to backlog drain: chained slots need
   // the packet already waiting at successive depths.)
   double service_time(const std::vector<double>& x) const override;
-  double feasibility_margin(const std::vector<double>& x) const override;
 
   // SoA tight loop over a point block; bit-identical to the scalar entry
   // points (mac/model.h batch contract).
   void evaluate_batch(const double* xs, std::size_t n, double* energies,
                       double* latencies, double* margins) const override;
-  bool has_batch_kernel() const override { return true; }
 
   const DmacConfig& config() const { return cfg_; }
 
@@ -80,6 +78,8 @@ class DmacModel final : public AnalyticMacModel {
   double slot_width() const;
 
  private:
+  double protocol_margin(const std::vector<double>& x) const override;
+
   // Batch-kernel invariants, precomputed once at construction (ctx and
   // cfg are immutable afterwards) with the scalar path's expressions.
   struct BatchCoeffs {

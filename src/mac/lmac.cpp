@@ -249,7 +249,7 @@ void LmacModel::evaluate_batch(const double* xs, std::size_t n,
   }
 }
 
-double LmacModel::feasibility_margin(const std::vector<double>& x) const {
+double LmacModel::protocol_margin(const std::vector<double>& x) const {
   check_params(x);
   const double t_slot = x[0];
   const net::RingTraffic traffic = ctx_.traffic();
@@ -260,11 +260,7 @@ double LmacModel::feasibility_margin(const std::vector<double>& x) const {
   const double load = traffic.f_out(1) * frame_length(x);
   const double m_capacity = 1.0 - load;
 
-  const double m_v1 = std::min(m_fit, m_capacity);
-  if (ctx_.model_version == ModelVersion::kV2Queueing) {
-    return std::min(m_v1, stability_margin(x));
-  }
-  return m_v1;
+  return std::min(m_fit, m_capacity);
 }
 
 }  // namespace edb::mac

@@ -65,13 +65,11 @@ class LmacModel final : public AnalyticMacModel {
   // not the single-node frame that service_time() reports.
   double ring_service_quantum(const std::vector<double>& x,
                               int d) const override;
-  double feasibility_margin(const std::vector<double>& x) const override;
 
   // SoA tight loop over a point block; bit-identical to the scalar entry
   // points (mac/model.h batch contract).
   void evaluate_batch(const double* xs, std::size_t n, double* energies,
                       double* latencies, double* margins) const override;
-  bool has_batch_kernel() const override { return true; }
 
   const LmacConfig& config() const { return cfg_; }
 
@@ -82,6 +80,8 @@ class LmacModel final : public AnalyticMacModel {
   double min_slot_width() const;
 
  private:
+  double protocol_margin(const std::vector<double>& x) const override;
+
   // Batch-kernel invariants, precomputed once at construction (ctx and
   // cfg are immutable afterwards) with the scalar path's expressions.
   struct BatchCoeffs {

@@ -90,9 +90,9 @@ double AnalyticMacModel::ring_service_quantum(const std::vector<double>& x,
   return service_time(x);
 }
 
-// NOTE: the batch kernels (xmac/dmac/lmac.cpp) replicate this function's
-// association order term by term; any change here must be mirrored there
-// or the hex-float parity tests fail.
+// NOTE: the batch kernels (UniformQueue below, dmac/lmac/xmac.cpp)
+// replicate this function's association order term by term; any change
+// here must be mirrored there or the hex-float parity tests fail.
 double AnalyticMacModel::queueing_delay(const std::vector<double>& x) const {
   const double qk = 0.5 * ctx_.traffic_model().squared_cv();
   const net::RingTraffic traffic = ctx_.traffic();
@@ -115,9 +115,19 @@ double AnalyticMacModel::queueing_delay(const std::vector<double>& x) const {
   return q;
 }
 
+double AnalyticMacModel::feasibility_margin(
+    const std::vector<double>& x) const {
+  const double m = protocol_margin(x);
+  if (ctx_.model_version == ModelVersion::kV2Queueing) {
+    return std::min(m, stability_margin(x));
+  }
+  return m;
+}
+
 double AnalyticMacModel::stability_margin(const std::vector<double>& x) const {
   // ring_load is maximal at ring 1 while the TDMA quantum shrinks outward,
-  // so the ring-1 utilization bounds them all for every paper protocol.
+  // so the ring-1 utilization bounds them all for every registered
+  // protocol.
   const double rho =
       ctx_.traffic().ring_load(1) * ring_service_quantum(x, 1);
   return (kQueueStabilityCap - rho) / kQueueStabilityCap;
@@ -188,20 +198,35 @@ double AnalyticMacModel::latency(const std::vector<double>& x) const {
   return total;
 }
 
-void AnalyticMacModel::evaluate_batch(const double* xs, std::size_t n,
-                                      double* energies, double* latencies,
-                                      double* margins) const {
-  // Fallback: a scalar loop through the virtual entry points, so every
-  // model (and decorator) satisfies the batch contract by construction.
-  // One scratch vector is reused across the block.
-  std::vector<double> x(params().dim());
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* p = xs + i * x.size();
-    x.assign(p, p + x.size());
-    if (energies) energies[i] = energy(x);
-    if (latencies) latencies[i] = latency(x);
-    if (margins) margins[i] = feasibility_margin(x);
+AnalyticMacModel::UniformQueue::UniformQueue(const ModelContext& ctx)
+    : v2(ctx.model_version == ModelVersion::kV2Queueing),
+      burst(ctx.arrivals == net::ArrivalProcess::kBursty),
+      qk(0.5 * ctx.traffic_model().squared_cv()),
+      bfac(ctx.burst_factor),
+      half_t_on(0.5 * ((bfac - 1.0) / bfac * (1.0 / ctx.fs))) {
+  const net::RingTraffic traffic = ctx.traffic();
+  for (int d = 1; d <= ctx.ring.depth; ++d) {
+    load.push_back(traffic.ring_load(d));
   }
+}
+
+double AnalyticMacModel::UniformQueue::delay(double s) const {
+  double q = 0.0;
+  for (const double l : load) {
+    const double rho = l * s;
+    q += qk * rho * s / (1.0 - rho);
+  }
+  if (burst) {
+    const double rho1 = load[0] * s;
+    const double w = std::max(0.0, 1.0 - 1.0 / (bfac * rho1));
+    q += w * half_t_on;
+  }
+  return q;
+}
+
+double AnalyticMacModel::UniformQueue::stability(double s) const {
+  const double rho = load[0] * s;
+  return (kQueueStabilityCap - rho) / kQueueStabilityCap;
 }
 
 }  // namespace edb::mac

@@ -192,25 +192,24 @@ class AnalyticMacModel {
   double queueing_delay(const std::vector<double>& x) const;
 
   // Signed feasibility slack: > 0 strictly feasible, <= 0 infeasible.
-  // Units are normalised so that -1 is "badly infeasible".
-  virtual double feasibility_margin(const std::vector<double>& x) const = 0;
+  // Units are normalised so that -1 is "badly infeasible".  This is
+  // protocol_margin(x), and under kV2Queueing its min with
+  // stability_margin(x) (DESIGN.md §9).
+  double feasibility_margin(const std::vector<double>& x) const;
 
   bool feasible(const std::vector<double>& x) const {
     return feasibility_margin(x) > 0.0;
   }
 
   // E(X): joules per energy epoch at the bottleneck ring (max over rings).
-  // Virtual so decorators (mac::MemoizedMacModel) can cache the scan over
-  // rings; overrides must return exactly the base value for the same x.
-  virtual double energy(const std::vector<double>& x) const;
+  double energy(const std::vector<double>& x) const;
   // Per-ring epoch energy decomposition [J].
   PowerBreakdown energy_breakdown(const std::vector<double>& x, int d) const;
   // Index of the ring with maximal power draw.
   int bottleneck_ring(const std::vector<double>& x) const;
 
   // L(X): worst-case expected e2e delay [s] (source wait + D hop latencies).
-  // Virtual for the same decorator hook as energy().
-  virtual double latency(const std::vector<double>& x) const;
+  double latency(const std::vector<double>& x) const;
 
   // Block-oracle entry point (opt/batch.h): evaluates a contiguous block
   // of n parameter vectors, packed row-major (xs = n * params().dim()
@@ -221,23 +220,15 @@ class AnalyticMacModel {
   //
   // Contract: for every point i, energies[i] / latencies[i] / margins[i]
   // are bit-identical to energy(x_i) / latency(x_i) /
-  // feasibility_margin(x_i).  The base implementation is a scalar loop
-  // over those virtuals (so every model and decorator satisfies the
-  // contract by construction); the hot paper models override it with SoA
-  // tight loops that hoist the per-call invariants and keep the per-point
-  // arithmetic in the scalar evaluation order
+  // feasibility_margin(x_i).  Every model implements it as a native
+  // kernel: invariants (airtimes, per-ring traffic rates, the kV2Queueing
+  // constants) are precomputed once at construction, and the per-point
+  // arithmetic keeps the scalar evaluation order
   // (tests/mac_batch_parity_test.cpp asserts the hex-float equality).
+  // The scalar entry points above stay the independent reference.
   virtual void evaluate_batch(const double* xs, std::size_t n,
                               double* energies, double* latencies,
-                              double* margins) const;
-
-  // True when evaluate_batch is a native SoA kernel (constant-hoisted
-  // tight loop) rather than the scalar-loop fallback.  Consumers use this
-  // as a cost signal: re-evaluating a kernel model is cheaper than a hash
-  // lookup, so the scenario engine skips memoization for kernel models
-  // (core/engine.h) — a pure cost decision, values are identical either
-  // way.
-  virtual bool has_batch_kernel() const { return false; }
+                              double* margins) const = 0;
 
   const ModelContext& context() const { return ctx_; }
 
@@ -249,12 +240,32 @@ class AnalyticMacModel {
   // evaluate_batch overrides (mirrors the scalar path's per-call check).
   void check_block(const double* xs, std::size_t n) const;
 
+  // The protocol's own constraints (duty cycle, per-cycle capacity, slot
+  // sizing) as a signed slack: the kV1 feasibility margin.
+  virtual double protocol_margin(const std::vector<double>& x) const = 0;
+
   // Signed slack of the kV2Queueing stability fence at the bottleneck
   // ring: (kQueueStabilityCap - rho_1) / kQueueStabilityCap with
-  // rho_1 = ring_load(1) * ring_service_quantum(x, 1).  Derived
-  // feasibility_margin overrides fold it in (min with the protocol's own
-  // v1 margin) when the context selects kV2Queueing.
+  // rho_1 = ring_load(1) * ring_service_quantum(x, 1).
+  // feasibility_margin folds it in; every batch kernel must fold it into
+  // its margins the same way.
   double stability_margin(const std::vector<double>& x) const;
+
+  // The kV2Queueing constants of a batch kernel whose ring service
+  // quantum s is one value for every ring (the ring_service_quantum
+  // default: B-MAC, SCP-MAC, S-MAC, WiseMAC).  delay(s) and
+  // stability(s) are queueing_delay and stability_margin at that
+  // quantum, in the scalar association order.
+  struct UniformQueue {
+    explicit UniformQueue(const ModelContext& ctx);
+    double delay(double s) const;
+    double stability(double s) const;
+
+    bool v2 = false;
+    bool burst = false;
+    double qk = 0, bfac = 0, half_t_on = 0;
+    std::vector<double> load;  // ring_load(d), index d-1
+  };
 
   ModelContext ctx_;
 };

@@ -41,14 +41,34 @@ class ScpmacModel final : public AnalyticMacModel {
   PowerBreakdown power_at_ring(const std::vector<double>& x,
                                int d) const override;
   double hop_latency(const std::vector<double>& x, int d) const override;
-  double feasibility_margin(const std::vector<double>& x) const override;
+
+  // Scalar loop over a point block with the invariants hoisted;
+  // bit-identical to the scalar entry points (mac/model.h batch contract).
+  void evaluate_batch(const double* xs, std::size_t n, double* energies,
+                      double* latencies, double* margins) const override;
 
   // Wake-up tone duration [s].
   double tone_duration() const;
 
  private:
+  double protocol_margin(const std::vector<double>& x) const override;
+
+  // Batch-kernel invariants, precomputed once at construction with the
+  // scalar path's expressions.  Only the polling term and the poll wait
+  // depend on Tp; every other power term is a per-ring constant.
+  struct Ring {
+    double tx = 0, rx = 0, ovr = 0;
+  };
+  struct BatchCoeffs {
+    double cs_num = 0, t_tone = 0, t_data = 0, t_ack = 0;
+    double stx = 0, srx = 0, m_util = 0, two_per_pkt = 0;
+    std::vector<Ring> rings;  // index d-1
+  };
+
   ScpmacConfig cfg_;
   ParamSpace space_;
+  BatchCoeffs bc_;
+  UniformQueue queue_;
 };
 
 }  // namespace edb::mac

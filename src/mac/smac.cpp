@@ -5,7 +5,7 @@
 namespace edb::mac {
 
 SmacModel::SmacModel(ModelContext ctx, SmacConfig cfg)
-    : AnalyticMacModel(std::move(ctx)), cfg_(cfg) {
+    : AnalyticMacModel(std::move(ctx)), cfg_(cfg), queue_(ctx_) {
   EDB_ASSERT(cfg_.t_cycle_min > 0 && cfg_.t_cycle_min < cfg_.t_cycle_max,
              "S-MAC cycle bounds invalid");
   // The active-window box depends on the derived exchange duration; build
@@ -17,6 +17,24 @@ SmacModel::SmacModel(ModelContext ctx, SmacConfig cfg)
              "no feasible window under the 25% duty ceiling");
   space_ = ParamSpace({{"T", cfg_.t_cycle_min, cfg_.t_cycle_max, "s"},
                        {"w", min_window(), cfg_.w_max, "s"}});
+
+  const auto& r = ctx_.radio;
+  const auto& p = ctx_.packet;
+  const net::RingTraffic traffic = ctx_.traffic();
+  bc_.w_min = min_window();
+  bc_.half_cw = 0.5 * cfg_.t_cw;
+  bc_.t_data = p.data_airtime(r);
+  bc_.stx_num = p.sync_airtime(r) * r.p_tx;
+  bc_.srx_num = ctx_.ring.density * p.sync_airtime(r) * r.p_rx;
+  bc_.f_out1 = traffic.f_out(1);
+  for (int d = 1; d <= ctx_.ring.depth; ++d) {
+    bc_.rings.push_back(
+        {traffic.f_out(d) * (0.5 * cfg_.t_cw * r.p_rx +
+                             p.data_airtime(r) * r.p_tx +
+                             p.ack_airtime(r) * r.p_rx),
+         traffic.f_in(d) * p.ack_airtime(r) * r.p_tx,
+         traffic.f_bg(d) * r.airtime(p.header_bytes * 8) * r.p_rx});
+  }
 }
 
 double SmacModel::min_window() const {
@@ -72,7 +90,7 @@ double SmacModel::source_wait(const std::vector<double>&) const {
   return 0.0;
 }
 
-double SmacModel::feasibility_margin(const std::vector<double>& x) const {
+double SmacModel::protocol_margin(const std::vector<double>& x) const {
   check_params(x);
   const double t_cycle = x[0];
   const double w = x[1];
@@ -83,6 +101,47 @@ double SmacModel::feasibility_margin(const std::vector<double>& x) const {
   const double load = traffic.f_out(1) * t_cycle;
   const double m_capacity = (cfg_.k_chain - load) / cfg_.k_chain;
   return std::min({m_window, m_duty, m_capacity});
+}
+
+void SmacModel::evaluate_batch(const double* xs, std::size_t n,
+                               double* energies, double* latencies,
+                               double* margins) const {
+  check_block(xs, n);
+  const BatchCoeffs& c = bc_;
+  const double p_rx = ctx_.radio.p_rx;
+  const double p_sleep = ctx_.radio.p_sleep;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t_cycle = xs[2 * i];
+    const double w = xs[2 * i + 1];
+    // hop_latency(x, d), the same for every ring and the ring service
+    // quantum of the kV2Queueing term.
+    const double hop = 0.5 * t_cycle / (w / c.w_min) + c.half_cw + c.t_data;
+    if (energies) {
+      const double cs = (w / t_cycle) * p_rx;
+      const double stx = c.stx_num / (cfg_.k_sync * t_cycle);
+      const double srx = c.srx_num / (cfg_.k_sync * t_cycle);
+      double worst = 0.0;
+      for (const Ring& g : c.rings) {
+        // PowerBreakdown::total() order.
+        worst = std::max(worst, cs + g.tx + g.rx + g.ovr + stx + srx + p_sleep);
+      }
+      energies[i] = worst * ctx_.energy_epoch;
+    }
+    if (latencies) {
+      double total = 0.0;  // source_wait() is 0 for S-MAC
+      for (std::size_t d = 0; d < c.rings.size(); ++d) total += hop;
+      if (queue_.v2) total += queue_.delay(hop);
+      latencies[i] = total;
+    }
+    if (margins) {
+      const double m_window = (w - c.w_min) / std::max(w, 1e-12);
+      const double m_duty = (0.25 * t_cycle - w) / (0.25 * t_cycle);
+      const double load = c.f_out1 * t_cycle;
+      const double m_capacity = (cfg_.k_chain - load) / cfg_.k_chain;
+      const double m_v1 = std::min({m_window, m_duty, m_capacity});
+      margins[i] = queue_.v2 ? std::min(m_v1, queue_.stability(hop)) : m_v1;
+    }
+  }
 }
 
 }  // namespace edb::mac

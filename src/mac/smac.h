@@ -53,7 +53,11 @@ class SmacModel final : public AnalyticMacModel {
                                int d) const override;
   double hop_latency(const std::vector<double>& x, int d) const override;
   double source_wait(const std::vector<double>& x) const override;
-  double feasibility_margin(const std::vector<double>& x) const override;
+
+  // Scalar loop over a point block with the invariants hoisted;
+  // bit-identical to the scalar entry points (mac/model.h batch contract).
+  void evaluate_batch(const double* xs, std::size_t n, double* energies,
+                      double* latencies, double* margins) const override;
 
   const SmacConfig& config() const { return cfg_; }
 
@@ -61,8 +65,24 @@ class SmacModel final : public AnalyticMacModel {
   double min_window() const;
 
  private:
+  double protocol_margin(const std::vector<double>& x) const override;
+
+  // Batch-kernel invariants, precomputed once at construction with the
+  // scalar path's expressions.  The traffic terms are per-ring constants;
+  // the window, SYNC and latency terms depend on (T, w).
+  struct Ring {
+    double tx = 0, rx = 0, ovr = 0;
+  };
+  struct BatchCoeffs {
+    double w_min = 0, half_cw = 0, t_data = 0;
+    double stx_num = 0, srx_num = 0, f_out1 = 0;
+    std::vector<Ring> rings;  // index d-1
+  };
+
   SmacConfig cfg_;
   ParamSpace space_;
+  BatchCoeffs bc_;
+  UniformQueue queue_;
 };
 
 }  // namespace edb::mac

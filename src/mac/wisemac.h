@@ -45,14 +45,35 @@ class WisemacModel final : public AnalyticMacModel {
   PowerBreakdown power_at_ring(const std::vector<double>& x,
                                int d) const override;
   double hop_latency(const std::vector<double>& x, int d) const override;
-  double feasibility_margin(const std::vector<double>& x) const override;
+
+  // Scalar loop over a point block with the invariants hoisted;
+  // bit-identical to the scalar entry points (mac/model.h batch contract).
+  void evaluate_batch(const double* xs, std::size_t n, double* energies,
+                      double* latencies, double* margins) const override;
 
   // Drift-sized preamble on a ring-d node's uplink under parameters x [s].
   double preamble_duration(const std::vector<double>& x, int d) const;
 
  private:
+  double protocol_margin(const std::vector<double>& x) const override;
+
+  // Batch-kernel invariants, precomputed once at construction with the
+  // scalar path's expressions.  pre_cap is the drift bound on the
+  // preamble, which preamble_duration caps at Tw.
+  struct Ring {
+    double f_out = 0, f_in = 0, f_bg = 0, pre_cap = 0;
+  };
+  struct BatchCoeffs {
+    double cs_num = 0, t_data = 0, t_ack = 0, t_hdr = 0;
+    double tx_data = 0, tx_ack = 0, rx_data = 0, rx_ack = 0;
+    double fsum = 0, four_data = 0;
+    std::vector<Ring> rings;  // index d-1
+  };
+
   WisemacConfig cfg_;
   ParamSpace space_;
+  BatchCoeffs bc_;
+  UniformQueue queue_;
 };
 
 }  // namespace edb::mac

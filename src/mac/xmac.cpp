@@ -258,7 +258,7 @@ void XmacModel::evaluate_batch(const double* xs, std::size_t n,
   }
 }
 
-double XmacModel::feasibility_margin(const std::vector<double>& x) const {
+double XmacModel::protocol_margin(const std::vector<double>& x) const {
   check_params(x);
   const double tw = x[0];
   const auto& r = ctx_.radio;
@@ -276,11 +276,7 @@ double XmacModel::feasibility_margin(const std::vector<double>& x) const {
   // The strobe train must contain at least two strobes per wake interval.
   const double m_strobe = (tw - 2.0 * strobe_period()) / tw;
 
-  const double m_v1 = std::min(m_util, m_strobe);
-  if (ctx_.model_version == ModelVersion::kV2Queueing) {
-    return std::min(m_v1, stability_margin(x));
-  }
-  return m_v1;
+  return std::min(m_util, m_strobe);
 }
 
 }  // namespace edb::mac

@@ -54,7 +54,6 @@ class XmacModel final : public AnalyticMacModel {
   PowerBreakdown power_at_ring(const std::vector<double>& x,
                                int d) const override;
   double hop_latency(const std::vector<double>& x, int d) const override;
-  double feasibility_margin(const std::vector<double>& x) const override;
 
   // SoA tight loop over a point block: per-call invariants (airtimes,
   // strobe geometry, per-ring traffic rates) hoisted once, per-point
@@ -62,7 +61,6 @@ class XmacModel final : public AnalyticMacModel {
   // entry points (mac/model.h batch contract).
   void evaluate_batch(const double* xs, std::size_t n, double* energies,
                       double* latencies, double* margins) const override;
-  bool has_batch_kernel() const override { return true; }
 
   const XmacConfig& config() const { return cfg_; }
 
@@ -70,6 +68,8 @@ class XmacModel final : public AnalyticMacModel {
   double strobe_period() const;
 
  private:
+  double protocol_margin(const std::vector<double>& x) const override;
+
   // Invariants of the batch kernel, precomputed once at construction
   // (ctx and cfg are immutable afterwards).  Each field is evaluated with
   // the scalar path's exact expression so the kernel's per-point

@@ -5,22 +5,18 @@
 #include <memory>
 #include <vector>
 
-#include "mac/memo.h"
 #include "mac/registry.h"
 
 namespace edb::core {
 namespace {
 
-EngineOptions sequential_opts(bool warm, bool memo) {
-  return EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = warm, .memoize = memo};
+EngineOptions sequential_opts(bool warm) {
+  return EngineOptions{.threads = 1, .parallel = false, .warm_start = warm};
 }
 
-EngineOptions parallel_opts(int threads, bool warm, bool memo) {
-  return EngineOptions{.threads = threads,
-                       .parallel = true,
-                       .warm_start = warm,
-                       .memoize = memo};
+EngineOptions parallel_opts(int threads, bool warm) {
+  return EngineOptions{
+      .threads = threads, .parallel = true, .warm_start = warm};
 }
 
 class EngineTest : public ::testing::Test {
@@ -67,8 +63,8 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, ParallelSweepMatchesSequentialCellForCell) {
-  ScenarioEngine sequential(sequential_opts(true, true));
-  ScenarioEngine parallel(parallel_opts(4, true, true));
+  ScenarioEngine sequential(sequential_opts(true));
+  ScenarioEngine parallel(parallel_opts(4, true));
   auto seq = sequential.run_sweeps(jobs_);
   auto par = parallel.run_sweeps(jobs_);
   ASSERT_EQ(seq.size(), par.size());
@@ -80,16 +76,16 @@ TEST_F(EngineTest, ParallelSweepMatchesSequentialCellForCell) {
 TEST_F(EngineTest, ColdParallelCellsMatchSequential) {
   // Without warm start every cell is its own task; partitioning across
   // threads must still not change anything.
-  ScenarioEngine sequential(sequential_opts(false, false));
-  ScenarioEngine parallel(parallel_opts(3, false, false));
+  ScenarioEngine sequential(sequential_opts(false));
+  ScenarioEngine parallel(parallel_opts(3, false));
   auto seq = sequential.run_sweeps({jobs_[0]});
   auto par = parallel.run_sweeps({jobs_[0]});
   expect_identical(seq[0], par[0]);
 }
 
 TEST_F(EngineTest, WarmStartNoWorseNashProductThanCold) {
-  ScenarioEngine warm(sequential_opts(true, true));
-  ScenarioEngine cold(sequential_opts(false, false));
+  ScenarioEngine warm(sequential_opts(true));
+  ScenarioEngine cold(sequential_opts(false));
   for (const auto& job : jobs_) {
     auto w = warm.run_sweep(job);
     auto c = cold.run_sweep(job);
@@ -109,7 +105,7 @@ TEST_F(EngineTest, LegacyRunSweepMatchesEngine) {
   auto legacy = run_sweep(*models_[0], scenario_.requirements,
                           SweepKind::kLmax,
                           paper_sweep_values(SweepKind::kLmax));
-  ScenarioEngine cold(sequential_opts(false, false));
+  ScenarioEngine cold(sequential_opts(false));
   auto engine = cold.run_sweep(jobs_[0]);
   expect_identical(legacy, engine);
 }
@@ -119,7 +115,7 @@ TEST_F(EngineTest, SolveBatchMatchesDirectSolves) {
   for (const auto& m : models_) {
     jobs.push_back(SolveJob{m.get(), scenario_.requirements});
   }
-  ScenarioEngine engine(parallel_opts(2, true, true));
+  ScenarioEngine engine(parallel_opts(2, true));
   auto batch = engine.solve_batch(jobs);
   ASSERT_EQ(batch.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -137,8 +133,8 @@ TEST_F(EngineTest, BudgetSweepFrontierSearchMatchesCold) {
   // requirement axis.
   SweepJob job{models_[1].get(), scenario_.requirements, SweepKind::kBudget,
                paper_sweep_values(SweepKind::kBudget)};
-  ScenarioEngine warm(sequential_opts(true, true));
-  ScenarioEngine cold(sequential_opts(false, false));
+  ScenarioEngine warm(sequential_opts(true));
+  ScenarioEngine cold(sequential_opts(false));
   auto w = warm.run_sweep(job);
   auto c = cold.run_sweep(job);
   ASSERT_EQ(w.cells.size(), c.cells.size());
@@ -172,8 +168,8 @@ TEST_F(EngineTest, WarmChainInfeasibleReasonsMatchColdPerCell) {
   for (int i = 0; i < 12; ++i) values.push_back(1.0 + 5.0 * i / 11.0);
   SweepJob job{models_[1].get(), scenario_.requirements, SweepKind::kLmax,
                values};
-  ScenarioEngine warm(sequential_opts(true, true));
-  ScenarioEngine cold(sequential_opts(false, false));
+  ScenarioEngine warm(sequential_opts(true));
+  ScenarioEngine cold(sequential_opts(false));
   auto w = warm.run_sweep(job);
   auto c = cold.run_sweep(job);
   ASSERT_EQ(w.cells.size(), c.cells.size());
@@ -196,8 +192,8 @@ TEST_F(EngineTest, AllInfeasibleSweepDerivesMixedReasons) {
   // below it (P1 territory), the rest above (P2 territory).
   std::vector<double> values = {0.05, 0.1, 0.5, 1.5, 3.0, 4.5, 6.0};
   SweepJob job{models_[1].get(), req, SweepKind::kLmax, values};
-  ScenarioEngine warm(sequential_opts(true, true));
-  ScenarioEngine cold(sequential_opts(false, false));
+  ScenarioEngine warm(sequential_opts(true));
+  ScenarioEngine cold(sequential_opts(false));
   auto w = warm.run_sweep(job);
   auto c = cold.run_sweep(job);
   std::size_t p1_cells = 0, p2_cells = 0;
@@ -275,7 +271,7 @@ TEST(PlanPointQueriesTest, PlannedCellsSolveLikeAStandaloneSweep) {
   const SweepPlan plan = plan_point_queries(queries);
   ASSERT_EQ(plan.jobs.size(), 1u);
 
-  ScenarioEngine engine(sequential_opts(true, true));
+  ScenarioEngine engine(sequential_opts(true));
   auto results = engine.run_sweeps(plan.jobs);
   auto reference = run_sweep(*model, scenario.requirements, SweepKind::kLmax,
                              {4.0, 5.0, 6.0});
@@ -287,26 +283,6 @@ TEST(PlanPointQueriesTest, PlannedCellsSolveLikeAStandaloneSweep) {
     EXPECT_EQ(results[0].cells[i].outcome->nbs.latency,
               reference.cells[i].outcome->nbs.latency);
   }
-}
-
-TEST(MemoizedModelTest, TransparentAndCaching) {
-  Scenario scenario = Scenario::paper_default();
-  auto model = mac::make_model("X-MAC", scenario.context).take();
-  mac::MemoizedMacModel memo(*model);
-
-  const auto x = model->params().midpoint();
-  EXPECT_EQ(memo.energy(x), model->energy(x));
-  EXPECT_EQ(memo.latency(x), model->latency(x));
-  EXPECT_EQ(memo.feasibility_margin(x), model->feasibility_margin(x));
-  const std::size_t misses = memo.misses();
-  EXPECT_EQ(memo.hits(), 0u);
-
-  // Same point again: all hits, same values.
-  EXPECT_EQ(memo.energy(x), model->energy(x));
-  EXPECT_EQ(memo.latency(x), model->latency(x));
-  EXPECT_EQ(memo.feasibility_margin(x), model->feasibility_margin(x));
-  EXPECT_EQ(memo.misses(), misses);
-  EXPECT_EQ(memo.hits(), 3u);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Batch-contract parity for the MAC models: evaluate_batch must return
-// bit-identical values to the scalar entry points — for the SoA kernel
-// overrides (X-MAC, DMAC, LMAC), for the scalar-loop fallback the other
-// protocols inherit, and through the memoizing decorator — over the paper
-// calibration and a catalog sample of deployment contexts.  On top of the
-// raw metrics, the zooming grid driven by a model-backed block oracle
-// must reproduce the scalar-oracle solve exactly (x, value, evaluations).
+// Batch-contract parity for the MAC models: every registered protocol's
+// native evaluate_batch kernel must return bit-identical values to its
+// scalar entry points, over the paper calibration and a catalog sample of
+// deployment contexts, at both model versions.  On top of the raw
+// metrics, the zooming grid driven by a model-backed block oracle must
+// reproduce the scalar-oracle solve exactly (x, value, evaluations).
 #include "mac/model.h"
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 
 #include "catalog/catalog.h"
 #include "core/game_framework.h"
-#include "mac/memo.h"
 #include "mac/registry.h"
 #include "opt/batch.h"
 #include "opt/bounds.h"
@@ -38,7 +36,8 @@ namespace {
 }
 
 // Deterministic sample of points inside the model's box: a lattice per
-// axis (the solvers' access pattern) plus uniform draws.
+// axis (the solvers' access pattern), a cartesian lattice for boxes of
+// two or more dimensions, plus uniform draws.
 std::vector<std::vector<double>> sample_points(const mac::AnalyticMacModel& m,
                                                int lattice_n, int random_n) {
   const auto lo = m.params().lower();
@@ -49,12 +48,30 @@ std::vector<std::vector<double>> sample_points(const mac::AnalyticMacModel& m,
   for (std::size_t i = 0; i < dim; ++i) {
     axes[i] = linspace(lo[i], hi[i], lattice_n);
   }
-  // Diagonal walk through the axes (full cartesian products get large for
-  // the 2-D S-MAC; the diagonal still touches every axis value).
+  // Diagonal walk through the axes: touches every axis value.
   for (int k = 0; k < lattice_n; ++k) {
     std::vector<double> x(dim);
     for (std::size_t i = 0; i < dim; ++i) x[i] = axes[i][k];
     points.push_back(std::move(x));
+  }
+  // Cartesian lattice (the 2-D S-MAC box): corners, edges and the
+  // off-diagonal interior the diagonal walk never visits, including the
+  // points where its coupled constraints bind.
+  if (dim > 1) {
+    constexpr int kCart = 17;
+    std::vector<std::vector<double>> cart(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      cart[i] = linspace(lo[i], hi[i], kCart);
+    }
+    std::vector<int> idx(dim, 0);
+    for (;;) {
+      std::vector<double> x(dim);
+      for (std::size_t i = 0; i < dim; ++i) x[i] = cart[i][idx[i]];
+      points.push_back(std::move(x));
+      std::size_t i = 0;
+      while (i < dim && ++idx[i] == kCart) idx[i++] = 0;
+      if (i == dim) break;
+    }
   }
   Rng rng(0xba7c4ULL);
   for (int k = 0; k < random_n; ++k) {
@@ -86,10 +103,16 @@ void expect_batch_parity(const mac::AnalyticMacModel& model,
         << label << " margin @ point " << i;
   }
 
-  // Selective outputs: a margins-only call must produce the same margins.
-  std::vector<double> m_only(n);
+  // Selective outputs: a call asking for one metric (the fenced solvers
+  // ask for margins first, then one raw metric) stores the same bits as
+  // the call asking for all three.
+  std::vector<double> e_only(n), l_only(n), m_only(n);
+  model.evaluate_batch(xs.data(), n, e_only.data(), nullptr, nullptr);
+  model.evaluate_batch(xs.data(), n, nullptr, l_only.data(), nullptr);
   model.evaluate_batch(xs.data(), n, nullptr, nullptr, m_only.data());
   for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(bits_eq(e_only[i], e[i])) << label << " energies-only " << i;
+    EXPECT_TRUE(bits_eq(l_only[i], l[i])) << label << " latencies-only " << i;
     EXPECT_TRUE(bits_eq(m_only[i], m[i])) << label << " margins-only " << i;
   }
 
@@ -109,15 +132,6 @@ TEST(MacBatchParity, AllProtocolsPaperCalibration) {
     auto model = mac::make_model(name, ctx);
     ASSERT_TRUE(model.ok()) << name;
     expect_batch_parity(**model, name);
-  }
-}
-
-TEST(MacBatchParity, PaperModelsAdvertiseKernels) {
-  const mac::ModelContext ctx;
-  for (const auto& name : mac::paper_protocols()) {
-    auto model = mac::make_model(name, ctx);
-    ASSERT_TRUE(model.ok()) << name;
-    EXPECT_TRUE((*model)->has_batch_kernel()) << name;
   }
 }
 
@@ -164,7 +178,7 @@ TEST(MacBatchParity, KV2CatalogSampleContexts) {
     ctx.model_version = mac::ModelVersion::kV2Queueing;
     ctx.arrivals = net::ArrivalProcess::kBursty;
     ctx.burst_factor = 4.0;
-    for (const auto& name : mac::paper_protocols()) {
+    for (const auto& name : mac::registered_protocols()) {
       auto model = mac::make_model(name, ctx);
       if (!model.ok()) continue;  // not every protocol fits every context
       expect_batch_parity(**model, sc.id() + "/" + name + " kV2");
@@ -189,37 +203,12 @@ TEST(MacBatchParity, CatalogSampleContexts) {
   }
 }
 
-TEST(MacBatchParity, MemoizedDecoratorMatchesAndCaches) {
-  const mac::ModelContext ctx;
-  for (const auto& name : mac::paper_protocols()) {
-    auto inner = mac::make_model(name, ctx).take();
-    mac::MemoizedMacModel memo(*inner);
-    expect_batch_parity(memo, name + " (memo)");
-    EXPECT_GT(memo.misses(), 0u);
-    // A second pass over the same points is served from the cache with
-    // identical values.
-    const auto points = sample_points(memo, 9, 0);
-    std::vector<double> xs;
-    for (const auto& p : points) xs.insert(xs.end(), p.begin(), p.end());
-    std::vector<double> e1(points.size()), e2(points.size());
-    memo.evaluate_batch(xs.data(), points.size(), e1.data(), nullptr,
-                        nullptr);
-    const std::size_t hits_before = memo.hits();
-    memo.evaluate_batch(xs.data(), points.size(), e2.data(), nullptr,
-                        nullptr);
-    EXPECT_GE(memo.hits(), hits_before + points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      EXPECT_TRUE(bits_eq(e1[i], e2[i]));
-    }
-  }
-}
-
 TEST(MacBatchParity, GridRefineScalarVsModelBatchOracle) {
   // End-to-end solver parity: the zooming grid over a model-backed block
   // oracle returns the same x/value/evaluations as over the scalar
-  // oracle, for each paper model and each metric.
+  // oracle, for each registered model and each metric.
   const mac::ModelContext ctx;
-  for (const auto& name : mac::paper_protocols()) {
+  for (const auto& name : mac::registered_protocols()) {
     auto model = mac::make_model(name, ctx).take();
     const opt::Box box(model->params().lower(), model->params().upper());
     const opt::GridOptions opts{.points_per_dim = 65, .rounds = 6,

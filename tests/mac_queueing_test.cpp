@@ -3,7 +3,7 @@
 // vanishing-load limit, the exact v1-plus-queue decomposition, and the
 // utilization-stability fence — saturated operating points must surface
 // as infeasible through the solver's fenced margin stage, never as a
-// finite-but-nonsense latency.
+// finite-but-nonsense latency, for every registered protocol.
 #include "mac/model.h"
 
 #include <gtest/gtest.h>
@@ -211,6 +211,71 @@ TEST(MacQueueing, SaturationReportsInfeasibleThroughTheSolverFence) {
   const auto v2_solve = v2_game.solve_p1();
   ASSERT_FALSE(v2_solve.ok());
   EXPECT_EQ(v2_solve.error().code, ErrorCode::kInfeasible);
+}
+
+TEST(MacQueueing, EveryProtocolFencesDenseDeployments) {
+  // Dense, fast-sampling deployments push the bottleneck ring past the
+  // stability cap over much of every box.  Under kV2Queueing no
+  // margin-feasible point of any registered protocol may sit there, its
+  // latency (scalar and batch) must be positive wherever the margin
+  // admits it, and the delay player's P2 optimum must be a positive
+  // latency.
+  core::AppRequirements req;
+  req.e_budget = 10.0;  // generous: P2 is bounded by the fence alone
+  req.l_max = 1e6;
+  std::size_t fenced = 0;
+  for (const double density : {7.0, 12.0, 20.0}) {
+    for (const auto arrivals :
+         {net::ArrivalProcess::kPeriodic, net::ArrivalProcess::kBursty}) {
+      mac::ModelContext ctx = make_ctx(mac::ModelVersion::kV2Queueing,
+                                       arrivals, 4.0, 2e-3);
+      ctx.ring.density = density;
+      const double load1 = ctx.traffic().ring_load(1);
+      for (const auto& name : mac::registered_protocols()) {
+        auto made = mac::make_model(name, ctx);
+        if (!made.ok()) continue;  // not every protocol fits every context
+        const auto model = std::move(made).take();
+        const auto& space = model->params();
+        // A 33-point lattice per axis, cartesian over the box.
+        std::vector<std::vector<double>> points{{}};
+        for (std::size_t a = 0; a < space.dim(); ++a) {
+          std::vector<std::vector<double>> next;
+          for (const auto& prefix : points) {
+            for (double v : linspace(space.info(a).lo, space.info(a).hi, 33)) {
+              next.push_back(prefix);
+              next.back().push_back(v);
+            }
+          }
+          points = std::move(next);
+        }
+        std::vector<double> xs;
+        for (const auto& x : points) xs.insert(xs.end(), x.begin(), x.end());
+        std::vector<double> lat(points.size()), margin(points.size());
+        model->evaluate_batch(xs.data(), points.size(), nullptr, lat.data(),
+                              margin.data());
+        const std::string label =
+            name + " density " + std::to_string(static_cast<int>(density));
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          const double rho1 = load1 * model->ring_service_quantum(points[i], 1);
+          if (rho1 >= mac::kQueueStabilityCap) ++fenced;
+          if (model->feasibility_margin(points[i]) <= 0.0) continue;
+          EXPECT_LT(rho1, mac::kQueueStabilityCap) << label << " point " << i;
+          EXPECT_GT(model->latency(points[i]), 0.0) << label << " point " << i;
+          EXPECT_GT(margin[i], 0.0) << label << " point " << i;
+          EXPECT_GT(lat[i], 0.0) << label << " point " << i;
+        }
+        core::EnergyDelayGame game(*model, req);
+        const auto p2 = game.solve_p2();
+        if (p2.ok()) {
+          EXPECT_GT(p2.value().latency, 0.0) << label;
+        } else {
+          EXPECT_EQ(p2.error().code, ErrorCode::kInfeasible) << label;
+        }
+      }
+    }
+  }
+  // The contexts really do reach the saturated regime.
+  EXPECT_GT(fenced, 0u);
 }
 
 }  // namespace

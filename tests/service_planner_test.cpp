@@ -14,7 +14,7 @@ namespace {
 // test, and a deterministic single thread keeps failures readable.
 core::EngineOptions test_engine_opts() {
   return core::EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = true, .memoize = true};
+      .threads = 1, .parallel = false, .warm_start = true};
 }
 
 TuningQuery xmac_query(double l_max) {
