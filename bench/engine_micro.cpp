@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   std::printf("== engine_micro: %zu protocols x %d cells ==\n",
               protocols.size(), n_cells);
 
-  // EDB_TRACE_OUT=<path> captures fan/solver spans (EDB_OBS builds).
+  // EDB_TRACE_OUT=<path> captures fan/solver spans.
   obs::begin_env_trace();
 
   // The sequential baseline runs one sweep at a time, so timing each

@@ -68,8 +68,7 @@ int main(int argc, char** argv) {
   const std::vector<service::TuningQuery> mix =
       bench::zipf_mix(pool, n_queries, 20260727, protocols);
 
-  // EDB_TRACE_OUT=<path>: capture the serving run for Perfetto (real
-  // spans only with EDB_OBS=ON; empty-but-valid trace otherwise).
+  // EDB_TRACE_OUT=<path>: capture the serving run's spans for Perfetto.
   obs::begin_env_trace();
 
   // --- served path -------------------------------------------------------
@@ -193,8 +192,8 @@ int main(int argc, char** argv) {
   json.registry(obs::Registry::global().snapshot());
   json.write_file("BENCH_service.json");
 
-  // The registry's own view of the run — cache counters always, the full
-  // solver/engine/service span counters when built with EDB_OBS.
+  // The registry's own view of the run: cache, service, engine, descent
+  // and solver metrics.
   std::printf("\n%s", service::TuningService::metrics_text().c_str());
 
   const std::string trace_path = obs::end_env_trace();

@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
   std::printf("%zu families (cap %zu), R = %d, campaign width %d\n\n",
               cat.families().size(), cap, replications, threads);
 
-  // EDB_TRACE_OUT=<path> captures campaign/replication spans (EDB_OBS
-  // builds) as Chrome trace-event JSON.
+  // EDB_TRACE_OUT=<path> captures campaign/replication spans as Chrome
+  // trace-event JSON.
   obs::begin_env_trace();
 
   const auto start = std::chrono::steady_clock::now();

@@ -112,9 +112,8 @@ int main(int argc, char** argv) {
   std::printf("== solve_cold: %d cold solves per paper model (simd: %s) ==\n",
               repeats, util::simd_backend());
 
-  // EDB_TRACE_OUT=<path> captures the run as Chrome trace-event JSON
-  // (spans only exist in EDB_OBS=ON builds; otherwise the file is a
-  // valid empty trace).
+  // EDB_TRACE_OUT=<path> captures the run's solver spans as Chrome
+  // trace-event JSON.
   obs::begin_env_trace();
 
   bench::BenchJson json;

@@ -8,15 +8,14 @@
 
 namespace edb::engine {
 
-// Observability (obs/obs.h, no-op unless EDB_OBS): every executor wraps
-// the batch in an "engine.fan" span, counts jobs, and maintains an
-// "engine.fan.pending" gauge that decays to 0 as slots complete — queue
-// depth for dashboards, with the gauge max recording the largest batch.
-// Per-job "engine.job" spans time each slot on the thread that ran it.
+// Observability (obs/obs.h): every executor wraps the batch in an
+// "engine.fan" span, counts jobs, and maintains an "engine.fan.pending"
+// gauge that decays to 0 as slots complete — queue depth for dashboards,
+// with the gauge max recording the largest batch.  Per-job "engine.job"
+// spans time each slot on the thread that ran it while tracing is on.
 
 namespace {
 
-#if defined(EDB_OBS)
 template <typename Run>
 void run_instrumented(std::size_t n,
                       const std::function<void(std::size_t)>& fn, Run run) {
@@ -30,15 +29,6 @@ void run_instrumented(std::size_t n,
         EDB_GAUGE_ADD("engine.fan.pending", -1);
       }));
 }
-#else
-// Disabled build: fn passes through untouched — no wrapper lambda, no
-// extra indirection per job.
-template <typename Run>
-void run_instrumented(std::size_t n,
-                      const std::function<void(std::size_t)>& fn, Run run) {
-  run(n, fn);
-}
-#endif
 
 // The "engine.job" injection site with its bounded deterministic
 // retry-with-backoff policy (util/fault.h, DESIGN.md §10).  The fault

@@ -21,10 +21,9 @@
 //                 uninstrumented runs of the deterministic pipelines are
 //                 bit-identical (tests/obs_determinism_test.cpp).
 //
-// The hot-path instrumentation macros (obs/obs.h) compile to nothing
-// unless the build defines EDB_OBS; this registry itself is always
-// available, because some metrics are load-bearing (the service cache's
-// hit/miss counters back TuningService::Stats).
+// Every build records into this registry, through the obs/obs.h macros
+// or through handles a subsystem holds itself.  Some metrics are
+// load-bearing: the service cache's hit/miss counters back ServiceStats.
 #pragma once
 
 #include <array>

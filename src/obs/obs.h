@@ -8,34 +8,29 @@
 //   EDB_GAUGE_ADD("engine.fan.pending", -1);
 //   EDB_RECORD("service.latency", seconds); // histogram sample
 //
-// With EDB_OBS defined (cmake -DEDB_OBS=ON) these expand to registry /
-// tracer calls; metric lookups happen once per call site via a
-// function-local static reference, so the steady-state cost is one
-// striped relaxed fetch_add (counter), one atomic op (gauge), or one
-// uncontended-lock bucket increment (histogram).  Span cost is gated
-// again at runtime by obs::Tracer::set_enabled().
+// Metrics are always recorded: the registry lookup happens once per call
+// site via a function-local static reference, so the steady-state cost is
+// one striped relaxed fetch_add (counter), one atomic op (gauge), or one
+// uncontended-lock bucket increment (histogram).  Spans are gated at
+// runtime: an EDB_SPAN records only while obs::Tracer::enabled(), and
+// otherwise costs one relaxed atomic load.  Sites sit on per-solve,
+// per-batch and per-job boundaries, never per oracle evaluation.
 //
-// Without EDB_OBS every macro expands to ((void)0): no registry lookup,
-// no atomic, no string literal in the binary — the true-zero-cost-off
-// guarantee from DESIGN.md §8.  Either way the instrumented computation
-// is untouched; macro arguments for names must be string literals and
-// value arguments are evaluated exactly once (wrapped in the expansion)
-// in the enabled build and NOT evaluated in the disabled build, so keep
-// them side-effect free.
+// The instrumented computation is untouched (DESIGN.md §8,
+// tests/obs_determinism_test.cpp).  Name arguments must be string
+// literals; value arguments are evaluated exactly once.
 #pragma once
-
-#if defined(EDB_OBS)
 
 #include <cstdint>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#define EDB_OBS_CONCAT_INNER(a, b) a##b
-#define EDB_OBS_CONCAT(a, b) EDB_OBS_CONCAT_INNER(a, b)
+#define EDB_SPAN_CONCAT_INNER(a, b) a##b
+#define EDB_SPAN_CONCAT(a, b) EDB_SPAN_CONCAT_INNER(a, b)
 
 #define EDB_SPAN(name) \
-  ::edb::obs::Span EDB_OBS_CONCAT(edb_obs_span_, __LINE__) { name }
+  ::edb::obs::Span EDB_SPAN_CONCAT(edb_obs_span_, __LINE__) { name }
 
 #define EDB_COUNT(name, n)                                             \
   do {                                                                 \
@@ -64,13 +59,3 @@
         ::edb::obs::Registry::global().histogram(name);                \
     edb_obs_metric.record(static_cast<double>(seconds));               \
   } while (0)
-
-#else  // !EDB_OBS
-
-#define EDB_SPAN(name) ((void)0)
-#define EDB_COUNT(name, n) ((void)0)
-#define EDB_GAUGE_SET(name, v) ((void)0)
-#define EDB_GAUGE_ADD(name, delta) ((void)0)
-#define EDB_RECORD(name, seconds) ((void)0)
-
-#endif  // EDB_OBS

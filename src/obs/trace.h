@@ -22,10 +22,10 @@
 // ("ph":"X") whose nesting Perfetto reconstructs from timestamps, so no
 // begin/end pairing state is kept.
 //
-// Like the metrics macros, EDB_SPAN compiles away entirely without
-// EDB_OBS; the runtime flag below exists so one instrumented binary can
-// compare traced and untraced runs (the determinism tests) and so traces
-// only accumulate when someone wants them.
+// Every build compiles its EDB_SPAN sites in; the runtime flag below is
+// the only switch, so one binary can compare traced and untraced runs
+// (the determinism tests) and traces only accumulate when someone wants
+// them (EDB_TRACE_OUT in the benches).
 #pragma once
 
 #include <cstdint>

@@ -15,9 +15,10 @@
 //
 // The admitted jobs of one call enter the queue together, so a whole
 // query_batch vector reaches the planner as one batch.  Rejections are
-// counted ("service.errors.<code>", "service.shed.<tenant>"), then passed
-// to admit()'s reject callback on the calling thread, after the lock
-// drops.  Shed decisions depend on wall-clock load (service/resilience.h).
+// counted ("service.errors.<code>", TenantLimiter::count_shed), then
+// passed to admit()'s reject callback on the calling thread, after the
+// lock drops.  Shed decisions depend on wall-clock load
+// (service/resilience.h).
 //
 // Threading: the serve thread is ServiceCore::serve's only caller.  It
 // takes up to max_batch jobs in arrival order per call, records each
@@ -113,7 +114,7 @@ class Dispatcher {
     for (auto& [i, error] : rejected) {
       count_service_error(error.code);
       if (error.code == ErrorCode::kResourceExhausted) {
-        count_shed(jobs[i].query.tenant);
+        tenants_.count_shed(jobs[i].query.tenant);
       }
       reject(jobs[i].route, std::move(error));
     }
@@ -251,8 +252,8 @@ class Dispatcher {
   TenantLimiter tenants_;
   const Complete complete_;
 
-  // Process-wide registry handles, recorded in every build (not through
-  // the EDB_OBS macros): benches and tuning_serverd read them.
+  // Process-wide registry handles, looked up once per dispatcher:
+  // benches and tuning_serverd read them.
   obs::Gauge& depth_ = obs::Registry::global().gauge("service.queue.depth");
   obs::Histogram& latency_hist_ =
       obs::Registry::global().histogram("service.latency");

@@ -48,6 +48,15 @@ bool TenantLimiter::try_acquire(std::string_view tenant) {
   return it == buckets_.end() || it->second->try_acquire();
 }
 
+void TenantLimiter::count_shed(std::string_view tenant) const {
+  obs::Registry& registry = obs::Registry::global();
+  registry.counter("service.shed").add(1);
+  const std::string name(tenant.empty() ? kDefaultTenant : tenant);
+  if (name == kDefaultTenant || buckets_.count(name) != 0) {
+    registry.counter("service.shed." + name).add(1);
+  }
+}
+
 namespace {
 
 obs::Counter& error_counter(ErrorCode code) {
@@ -69,14 +78,6 @@ void count_degraded(ResultQuality quality) {
   if (quality == ResultQuality::kFull) return;
   obs::Registry::global()
       .counter(std::string("service.degraded.") + quality_name(quality))
-      .add(1);
-}
-
-void count_shed(std::string_view tenant) {
-  obs::Registry::global().counter("service.shed").add(1);
-  obs::Registry::global()
-      .counter(std::string("service.shed.") +
-               std::string(tenant.empty() ? kDefaultTenant : tenant))
       .add(1);
 }
 

@@ -104,6 +104,12 @@ class TenantLimiter {
   // tenant's bucket.  True when admitted (or the tenant is unlimited).
   bool try_acquire(std::string_view tenant);
 
+  // Counts one shed query into "service.shed" and, when the tenant is
+  // configured here or is kDefaultTenant, into "service.shed.<tenant>".
+  // Other tenant names come from callers and are unbounded, so they get
+  // no registry entry of their own.
+  void count_shed(std::string_view tenant) const;
+
  private:
   std::unordered_map<std::string, std::unique_ptr<TokenBucket>> buckets_;
 };
@@ -114,11 +120,8 @@ class TenantLimiter {
 void count_service_error(ErrorCode code);
 std::uint64_t service_error_count(ErrorCode code);
 
-// Degradation/shed accounting ("service.degraded.stale",
-// "service.degraded.coarse", "service.shed").  A shed also counts into
-// "service.shed.<tenant>" (empty = kDefaultTenant), so per-tenant shed
-// rates are first-class registry metrics.
+// Degradation accounting ("service.degraded.stale",
+// "service.degraded.coarse"); sheds count via TenantLimiter::count_shed.
 void count_degraded(ResultQuality quality);
-void count_shed(std::string_view tenant);
 
 }  // namespace edb::service

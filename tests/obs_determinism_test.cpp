@@ -1,20 +1,25 @@
 // The observability layer's core guarantee: instrumentation observes,
-// it never participates.  Running the deterministic pipelines with the
-// tracer recording vs. silent must produce byte-identical fingerprints,
-// bit-identical solver outputs and identical oracle eval counts.  In an
-// EDB_OBS=ON build this exercises the real spans/counters on the solver,
-// engine, service and sim hot paths; in the default build it pins the
-// same contract for the always-compiled registry plumbing (the cache
-// counters) — both builds run the full suite in CI.
+// it never participates.  Every build records its metrics, and spans are
+// a runtime switch (obs::Tracer::set_enabled), so each case runs the same
+// deterministic pipeline silent and traced and requires byte-identical
+// fingerprints, bit-identical solver outputs and identical oracle eval
+// counts.  Each case also proves the instrumentation was live: the traced
+// run collected the pipeline's spans, the silent run collected none, and
+// the solver counters advanced by exactly the sweep's own solve and eval
+// counts in both runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sweep.h"
 #include "engine/fan.h"
 #include "mac/registry.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/campaign.h"
 
@@ -33,6 +38,16 @@ class ObsDeterminismTest : public ::testing::Test {
     obs::Tracer::clear();
   }
 };
+
+bool collected(std::string_view span) {
+  const auto events = obs::Tracer::collect();
+  return std::any_of(events.begin(), events.end(),
+                     [&](const obs::TraceEvent& e) { return span == e.name; });
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
 
 std::vector<sim::CampaignScenario> small_scenarios() {
   std::vector<sim::CampaignScenario> out;
@@ -70,11 +85,15 @@ std::vector<std::string> campaign_fingerprints() {
 
 TEST_F(ObsDeterminismTest, CampaignFingerprintsByteIdenticalTracedVsSilent) {
   const auto silent = campaign_fingerprints();
+  EXPECT_TRUE(obs::Tracer::collect().empty());
   obs::Tracer::set_enabled(true);
   const auto traced = campaign_fingerprints();
   obs::Tracer::set_enabled(false);
   ASSERT_EQ(silent.size(), 2u);
   EXPECT_EQ(silent, traced);
+  EXPECT_TRUE(collected("sim.campaign"));
+  EXPECT_TRUE(collected("sim.replication"));
+  EXPECT_TRUE(collected("engine.job"));
   // Paranoia: a traced re-run while events are already buffered.
   obs::Tracer::set_enabled(true);
   EXPECT_EQ(campaign_fingerprints(), silent);
@@ -84,14 +103,22 @@ struct SweepObservation {
   std::vector<double> energies;  // bit-compared via ==
   std::vector<double> xs;
   std::vector<long long> evals;
+  std::size_t cells = 0;
+  std::uint64_t solves_counted = 0;  // registry deltas over the sweep
+  std::uint64_t evals_counted = 0;
 };
 
 SweepObservation observe_sweep() {
   const auto scenario = core::Scenario::paper_default();
   auto model = mac::make_model("X-MAC", scenario.context).take();
+  const std::uint64_t solves_before = counter("solver.solves");
+  const std::uint64_t evals_before = counter("solver.oracle.evals");
   auto sweep = core::run_sweep(*model, scenario.requirements,
                                core::SweepKind::kLmax, {4.0, 5.0, 6.0});
   SweepObservation obs;
+  obs.cells = sweep.cells.size();
+  obs.solves_counted = counter("solver.solves") - solves_before;
+  obs.evals_counted = counter("solver.oracle.evals") - evals_before;
   for (const auto& cell : sweep.cells) {
     if (!cell.feasible()) continue;
     obs.energies.push_back(cell.outcome->nbs.energy);
@@ -103,13 +130,26 @@ SweepObservation observe_sweep() {
 
 TEST_F(ObsDeterminismTest, SolverOutputsAndEvalCountsIdenticalTracedVsSilent) {
   const auto silent = observe_sweep();
-  ASSERT_FALSE(silent.energies.empty());
+  EXPECT_TRUE(obs::Tracer::collect().empty());
+  // Every cell bargains (P1, P2 and P4 each solve once), so the counters
+  // must account for exactly three solves and every oracle eval per cell.
+  ASSERT_EQ(silent.evals.size(), silent.cells);
+  ASSERT_EQ(silent.cells, 3u);
   obs::Tracer::set_enabled(true);
   const auto traced = observe_sweep();
   obs::Tracer::set_enabled(false);
   EXPECT_EQ(silent.energies, traced.energies);  // bit-identical doubles
   EXPECT_EQ(silent.xs, traced.xs);
   EXPECT_EQ(silent.evals, traced.evals);  // same oracle call count
+  EXPECT_TRUE(collected("solver.dual_solve"));
+  EXPECT_TRUE(collected("engine.job"));
+
+  const auto evals = static_cast<std::uint64_t>(
+      std::accumulate(silent.evals.begin(), silent.evals.end(), 0LL));
+  for (const SweepObservation* run : {&silent, &traced}) {
+    EXPECT_EQ(run->solves_counted, 3 * run->cells);
+    EXPECT_EQ(run->evals_counted, evals);
+  }
 }
 
 std::vector<std::uint64_t> fan_values() {
@@ -122,11 +162,16 @@ std::vector<std::uint64_t> fan_values() {
 }
 
 TEST_F(ObsDeterminismTest, FanResultsIdenticalTracedVsSilent) {
+  const std::uint64_t jobs_before = counter("engine.fan.jobs");
   const auto silent = fan_values();
+  EXPECT_TRUE(obs::Tracer::collect().empty());
   obs::Tracer::set_enabled(true);
   const auto traced = fan_values();
   obs::Tracer::set_enabled(false);
   EXPECT_EQ(silent, traced);
+  EXPECT_TRUE(collected("engine.fan"));
+  EXPECT_TRUE(collected("engine.job"));
+  EXPECT_EQ(counter("engine.fan.jobs") - jobs_before, 2 * silent.size());
 }
 
 }  // namespace

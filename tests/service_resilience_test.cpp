@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "service/service.h"
 #include "util/fault.h"
 
@@ -144,6 +145,32 @@ TEST_F(ResilienceTest, BoundedQueueShedsWithinOneBatchSubmit) {
     EXPECT_EQ(results[i].error().code, ErrorCode::kResourceExhausted) << i;
   }
   EXPECT_EQ(service.stats().shed, 2u);
+}
+
+TEST_F(ResilienceTest, UnconfiguredTenantShedsAddNoRegistryEntries) {
+  // Tenant names arrive from clients (wire HELLO), so a shed must not
+  // mint a registry entry per name: only service.shed counts these.
+  ServiceOptions opts = small_opts();
+  opts.resilience.rate_limit_qps = 1e-9;  // refill ~never
+  opts.resilience.rate_burst = 1;
+  TuningService service(opts);
+  ASSERT_TRUE(service.query(xmac_query()).ok());  // spends the burst
+
+  obs::Registry& registry = obs::Registry::global();
+  const std::uint64_t shed_before = registry.counter("service.shed").value();
+  const std::size_t entries_before = registry.snapshot().entries.size();
+  constexpr std::size_t kTenants = 1000;
+  std::vector<TuningQuery> qs(kTenants, xmac_query());
+  for (std::size_t i = 0; i < kTenants; ++i) {
+    qs[i].tenant = "hostile-" + std::to_string(i);
+  }
+  for (const auto& r : service.query_batch(qs)) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, ErrorCode::kResourceExhausted);
+  }
+  EXPECT_EQ(service.stats().shed, kTenants);
+  EXPECT_EQ(registry.counter("service.shed").value(), shed_before + kTenants);
+  EXPECT_LE(registry.snapshot().entries.size(), entries_before + 4);
 }
 
 // ----------------------------------------------- degradation ladder --
