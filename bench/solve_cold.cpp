@@ -18,6 +18,14 @@
 //                   miss the other cap, so the empty bargaining set is
 //                   certified without a P4 solve (DESIGN.md §2)
 //
+// and, for every registered protocol, the cost of proving a subproblem
+// infeasible against that protocol's feasible cold solve:
+//
+//   p1_proof_us     cold solve at Lmax = 0.9 l_min (protocol_envelope):
+//                   (P1) is refused by the phase-I certificate
+//   p2_proof_us     cold solve at Ebudget = 0.9 e_min: P1 solves, then
+//                   (P2) is refused by the phase-I certificate
+//
 // plus a descent-vs-grid parity check: one SolverMode::kGridVerify solve
 // per model must select the same operating points (E/L within 1e-6
 // relative) as the production kDescent pipeline — the agreement-point
@@ -38,6 +46,9 @@
 //   - any model's P3 proof exceeds 3x its feasible ms/solve in the same
 //     run or 3x the baseline's p3_proof_us (the penalty multistart these
 //     proofs used to run cost ~70x a feasible solve),
+//   - any protocol's P1 or P2 proof exceeds 3x its feasible cold solve in
+//     the same run or 3x the baseline's p1_proof_us / p2_proof_us (the
+//     penalty multistart behind them cost up to ~90x),
 //   - or the parity check fails (always fatal, baseline or not).
 #include <cctype>
 #include <chrono>
@@ -46,6 +57,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -287,6 +299,75 @@ int main(int argc, char** argv) {
                      "REGRESSION %s: P3 proof %.1f us vs baseline %.1f "
                      "(>3x)\n",
                      name.c_str(), p3_proof_us, base);
+        regressed = true;
+      }
+    }
+  }
+
+  // Infeasibility proofs for every registered protocol, each against that
+  // protocol's own feasible cold solve.
+  for (const auto& name : mac::registered_protocols()) {
+    auto model = mac::make_model(name, scenario.context).take();
+    const core::ProtocolEnvelope env = core::protocol_envelope(*model);
+    core::AppRequirements p1_req = scenario.requirements;
+    p1_req.l_max = 0.9 * env.l_min;
+    core::AppRequirements p2_req = scenario.requirements;
+    p2_req.e_budget = 0.9 * env.e_min;
+
+    // Mean microseconds per cold solve of `req` after one untimed warm-up;
+    // false when a solve does not prove `proves` (nullptr: must solve).
+    auto time_us = [&](const core::AppRequirements& req, const char* proves,
+                       double* us) {
+      core::EnergyDelayGame game(*model, req);
+      auto answered = [&] {
+        auto r = game.solve();
+        if (proves == nullptr) return r.ok();
+        return !r.ok() && r.error().message.find(proves) != std::string::npos;
+      };
+      if (!answered()) return false;
+      const double t0 = now_ms();
+      for (int i = 0; i < repeats; ++i) {
+        if (!answered()) return false;
+      }
+      *us = 1e3 * (now_ms() - t0) / repeats;
+      return true;
+    };
+    double feasible_us = 0, p1_us = 0, p2_us = 0;
+    if (!time_us(scenario.requirements, nullptr, &feasible_us) ||
+        !time_us(p1_req, "(P1)", &p1_us) ||
+        !time_us(p2_req, "(P2)", &p2_us)) {
+      std::fprintf(stderr, "%s: proof pairs did not prove (P1)/(P2)\n",
+                   name.c_str());
+      return 2;
+    }
+    std::printf("%-7s P1 proof %7.1f us, P2 proof %7.1f us  "
+                "(%.2fx / %.2fx a %.1f us feasible solve)\n",
+                name.c_str(), p1_us, p2_us, p1_us / feasible_us,
+                p2_us / feasible_us, feasible_us);
+
+    const std::string tag = field_tag(name);
+    json.number((tag + "_feasible_us").c_str(), feasible_us);
+    json.number((tag + "_p1_proof_us").c_str(), p1_us);
+    json.number((tag + "_p2_proof_us").c_str(), p2_us);
+    if (baseline.empty()) continue;
+    for (const auto& [problem, us] :
+         {std::pair{"p1", p1_us}, std::pair{"p2", p2_us}}) {
+      const std::string key = tag + "_" + problem + "_proof_us";
+      if (us > 3.0 * feasible_us) {
+        std::fprintf(stderr,
+                     "REGRESSION %s: %s proof %.1f us vs feasible %.1f us "
+                     "(>3x)\n",
+                     name.c_str(), problem, us, feasible_us);
+        regressed = true;
+      }
+      double base = 0;
+      if (!json_number(baseline, key, &base)) {
+        std::fprintf(stderr, "warning: baseline lacks %s\n", key.c_str());
+      } else if (us > 3.0 * base) {
+        std::fprintf(stderr,
+                     "REGRESSION %s: %s proof %.1f us vs baseline %.1f "
+                     "(>3x)\n",
+                     name.c_str(), problem, us, base);
         regressed = true;
       }
     }

@@ -265,6 +265,27 @@ std::vector<opt::Constraint> make_scalar_slacks(
   return out;
 }
 
+// The margin-only fence on one metric: E (or L) where the protocol is
+// feasible, +inf elsewhere.  The envelope minimises it, and so does the
+// phase-I search of the subproblem that caps that metric.
+BatchFence metric_fence(const mac::AnalyticMacModel& model, bool energy) {
+  if (energy) {
+    return BatchFence(model, {}, /*raw_uses_e=*/true, /*raw_uses_l=*/false,
+                      [](double e, double) { return e; });
+  }
+  return BatchFence(model, {}, /*raw_uses_e=*/false, /*raw_uses_l=*/true,
+                    [](double, double l) { return l; });
+}
+
+// The feasibility (phase-I) problem of a single-cap subproblem — (P1)'s
+// Lmax, (P2)'s Ebudget: `oracle` is the capped metric's metric_fence.
+// The subproblem is feasible iff that metric's minimum lies strictly
+// below `cap`.  An empty oracle (P4, two caps) skips phase I.
+struct PhaseOne {
+  opt::BatchObjective oracle;
+  double cap = 0;
+};
+
 // Best feasible point across the two solver families of DESIGN.md §2.
 //
 // kDescent (production): a coarse full-box grid scan locates the basin,
@@ -273,9 +294,12 @@ std::vector<opt::Constraint> make_scalar_slacks(
 // any untrusted hint); warm: a single descent from the trusted seed —
 // and a tight anchored grid polish finishes.  When the coarse scan finds
 // no feasible lattice point the fence is +inf almost everywhere and no
-// descent can start, so the cold stage 2 falls back to the
-// exterior-penalty multistart, whose smooth slacks can still crawl into
-// a narrow feasible sliver.
+// descent can start.  A single-cap subproblem then runs phase I: if the
+// capped metric cannot get below its cap anywhere in the protocol's
+// feasible set, the solve is infeasible outright.  Otherwise (and always
+// for P4) the cold stage 2 falls back to the exterior-penalty
+// multistart, whose smooth slacks can still crawl into a narrow feasible
+// sliver.
 //
 // kGridVerify: the original dense-grid + penalty pipeline, verbatim.  It
 // is the independent verifier for the descent path: both modes share the
@@ -300,11 +324,25 @@ Expected<opt::VectorResult> dual_solve(
     const opt::BatchObjective& batch_fence, const opt::Box& box,
     SolverMode mode, const std::vector<double>& seed = {},
     bool trusted = false, const SolveControl& ctl = {},
-    long long spent_before = 0) {
+    long long spent_before = 0, const PhaseOne& phase1 = {}) {
   EDB_SPAN("solver.dual_solve");
   const bool warm = trusted && seed.size() == box.dim();
   const bool coarse = mode == SolverMode::kCoarse;
   const bool use_descent = mode == SolverMode::kDescent || coarse;
+
+  // Total oracle cost of the solve: every stage's evaluations (and block
+  // counters) accumulate here, independent of which candidate wins — the
+  // decision logic below compares values only.  Every exit, answers,
+  // infeasibility and interruptions alike, counts the solve and its spend.
+  opt::VectorResult cost;
+  struct CountOnExit {
+    const opt::VectorResult& cost;
+    ~CountOnExit() {
+      EDB_COUNT("solver.solves", 1);
+      EDB_COUNT("solver.oracle.evals", cost.evaluations);
+      EDB_COUNT("solver.oracle.blocks", cost.blocks);
+    }
+  } count_on_exit{cost};
 
   // Deadline/cancellation checks at stage boundaries (DESIGN.md §10).
   // `spent_stage` is this dual_solve's oracle spend so far; the pipeline's
@@ -344,6 +382,7 @@ Expected<opt::VectorResult> dual_solve(
     return opt::grid_refine_min(batch_fence, box, stage1_opts);
   }();
   const bool grid_ok = !grid.x.empty() && std::isfinite(grid.value);
+  cost.absorb_cost(grid);
 
   // kCoarse — the degradation ladder's quick answer: the stage-1 basin is
   // the whole pipeline.  No budget check on the way out: coarse solves ARE
@@ -354,9 +393,6 @@ Expected<opt::VectorResult> dual_solve(
                         "no feasible point satisfies the constraints");
     }
     grid.converged = true;
-    EDB_COUNT("solver.solves", 1);
-    EDB_COUNT("solver.oracle.evals", grid.evaluations);
-    EDB_COUNT("solver.oracle.blocks", grid.blocks);
     return grid;
   }
   if (auto stop = interrupted(grid.evaluations)) return *stop;
@@ -372,7 +408,8 @@ Expected<opt::VectorResult> dual_solve(
   };
 
   // Exterior-penalty multistart — kGridVerify's cold stage 2, and the
-  // descent pipeline's fallback when stage 1 found nothing feasible.
+  // descent pipeline's fallback when stage 1 found nothing feasible and
+  // phase I did not refuse (a sliver the lattice stepped over, or P4).
   auto penalty_stage2 = [&]() {
     opt::VectorResult r;
     r.value = kInf;
@@ -399,28 +436,44 @@ Expected<opt::VectorResult> dual_solve(
     return r;
   };
 
-  // BDCA multistart — kDescent's cold stage 2.  Seeded from the coarse
-  // incumbent (and any untrusted hint); the seeding lattice keeps the
-  // global cross-check role the penalty multistart played.
-  auto descent_stage2 = [&]() {
+  // BDCA multistart on `f` — kDescent's cold stage 2 on the fence, and
+  // phase I's second step.  Seeded from a scan's incumbent (when it found
+  // one) and any untrusted hint; the seeding lattice keeps the global
+  // cross-check role the penalty multistart played.
+  auto multistart_from = [&](const opt::BatchObjective& f,
+                             const opt::VectorResult& scan) {
     opt::DescentOptions dopts = descent_opts();
-    if (grid_ok) dopts.extra_seeds.push_back(grid.x);
+    if (!scan.x.empty() && std::isfinite(scan.value)) {
+      dopts.extra_seeds.push_back(scan.x);
+    }
     if (!trusted && seed.size() == box.dim()) {
       dopts.extra_seeds.push_back(seed);
     }
-    return opt::bdca_multistart_min(batch_fence, box, dopts);
+    return opt::bdca_multistart_min(f, box, dopts);
   };
+  auto descent_stage2 = [&]() { return multistart_from(batch_fence, grid); };
 
   // Cold stage 2 of the active mode (also the warm path's fallback).
   auto cold_stage2 = [&]() {
     return use_descent && grid_ok ? descent_stage2() : penalty_stage2();
   };
 
-  // Total oracle cost of the solve: every stage's evaluations (and block
-  // counters) accumulate here, independent of which candidate wins — the
-  // decision logic below compares values only.
-  opt::VectorResult cost;
-  cost.absorb_cost(grid);
+  // Phase I — kDescent's feasibility certificate for a single-cap
+  // subproblem whose coarse scan found nothing feasible: minimise the
+  // capped metric over the protocol's own feasible set with the stage-1
+  // lattice, then the BDCA multistart from its incumbent (and any
+  // untrusted hint, so a feasible hint can never be refused).  A minimum
+  // not strictly below the cap answers infeasible; a reachable cap leaves
+  // the decision to the penalty multistart, verbatim.
+  auto phase1_refuses = [&]() {
+    EDB_SPAN("solver.stage2.phase1");
+    auto scan = opt::grid_refine_min(phase1.oracle, box, stage1_opts);
+    cost.absorb_cost(scan);
+    if (scan.value < phase1.cap) return false;
+    auto descent = multistart_from(phase1.oracle, scan);
+    cost.absorb_cost(descent);
+    return !(descent.value < phase1.cap);
+  };
 
   opt::VectorResult cand;
   bool cand_is_warm_descent = false;
@@ -436,6 +489,14 @@ Expected<opt::VectorResult> dual_solve(
       }
       cand_is_warm_descent = true;
     } else {
+      if (use_descent && !grid_ok) {
+        if (phase1.oracle && phase1_refuses()) {
+          EDB_COUNT("solver.phase1_certified", 1);
+          return make_error(ErrorCode::kInfeasible,
+                            "no feasible point satisfies the constraints");
+        }
+        EDB_COUNT("solver.penalty_fallbacks", 1);
+      }
       cand = cold_stage2();
     }
   }
@@ -509,9 +570,6 @@ Expected<opt::VectorResult> dual_solve(
   best.blocks = cost.blocks;
   best.oracle_ns = cost.oracle_ns;
   best.converged = true;
-  EDB_COUNT("solver.solves", 1);
-  EDB_COUNT("solver.oracle.evals", cost.evaluations);
-  EDB_COUNT("solver.oracle.blocks", cost.blocks);
   return best;
 }
 
@@ -542,15 +600,12 @@ ProtocolEnvelope protocol_envelope(const mac::AnalyticMacModel& model) {
   const opt::Box box = model_box(model);
   // The same lattice family as dual_solve's stage 1, refined a little
   // deeper: the envelope feeds threshold comparisons against sweep values,
-  // not optimisation, so ~1e-6-of-the-box accuracy is ample.  Margin-only
-  // batched fences: no requirement slacks, raw metric on feasible lanes.
+  // not optimisation, so ~1e-6-of-the-box accuracy is ample.
   const opt::GridOptions grid_opts{.points_per_dim = 65, .rounds = 8,
                                    .zoom = 0.15};
   ProtocolEnvelope env;
-  BatchFence fence_e(model, {}, /*raw_uses_e=*/true, /*raw_uses_l=*/false,
-                     [](double e, double) { return e; });
-  BatchFence fence_l(model, {}, /*raw_uses_e=*/false, /*raw_uses_l=*/true,
-                     [](double, double l) { return l; });
+  BatchFence fence_e = metric_fence(model, /*energy=*/true);
+  BatchFence fence_l = metric_fence(model, /*energy=*/false);
   auto e = opt::grid_refine_min(fence_e.oracle(), box, grid_opts);
   auto l = opt::grid_refine_min(fence_l.oracle(), box, grid_opts);
   env.e_min = std::isfinite(e.value) ? e.value : kInf;
@@ -604,8 +659,10 @@ Expected<OperatingPoint> EnergyDelayGame::solve_p1(
   std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
   BatchFence batch(model_, mslacks, /*raw_uses_e=*/true,
                    /*raw_uses_l=*/false, raw);
+  BatchFence latency = metric_fence(model_, /*energy=*/false);
   auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, seed, trusted,
-                      control_, stats ? stats->evaluations : 0);
+                      control_, stats ? stats->evaluations : 0,
+                      PhaseOne{latency.oracle(), req_.l_max});
   if (!r.ok()) {
     // Transient codes (deadline, cancellation) describe this attempt, not
     // the problem — they must surface as themselves, never as kInfeasible.
@@ -636,8 +693,10 @@ Expected<OperatingPoint> EnergyDelayGame::solve_p2(
   std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
   BatchFence batch(model_, mslacks, /*raw_uses_e=*/false,
                    /*raw_uses_l=*/true, raw);
+  BatchFence energy = metric_fence(model_, /*energy=*/true);
   auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, seed, trusted,
-                      control_, stats ? stats->evaluations : 0);
+                      control_, stats ? stats->evaluations : 0,
+                      PhaseOne{energy.oracle(), req_.e_budget});
   if (!r.ok()) {
     if (is_transient(r.error().code)) return r.error();
     return p2_infeasible_error(model_.name());

@@ -118,10 +118,10 @@ struct BargainingOutcome {
 };
 
 // Warm-start hints carried between neighbouring solves (core/engine.h).
-// An untrusted seed joins the penalty solver's multistart list for the
-// matching subproblem.  A `trusted` seed (the scenario engine's chain)
-// replaces the penalty multistart with a single fenced descent from the
-// seed — the cost saving behind warm-started sweeps; the shared coarse
+// An untrusted seed joins the cold stage 2's multistart list (descent,
+// phase I or penalty) for the matching subproblem.  A `trusted` seed (the
+// scenario engine's chain) replaces the multistart with a single fenced
+// descent from the seed — the cost saving behind warm-started sweeps; the shared coarse
 // scan and anchored polish of dual_solve keep the result equal to the
 // cold path's (DESIGN.md §2).
 struct SolveHints {

@@ -10,6 +10,12 @@
 // margins and the normalised budget slacks both are), so a final rho of
 // 1e9 pushes violations below ~1e-5 of scale; the returned point is then
 // re-checked and `converged` reflects true feasibility.
+//
+// Callers (core/game_framework.cpp's dual_solve): kGridVerify's cold
+// stage 2, the verifier the production pipeline is gated against, and
+// kDescent's sliver path when the coarse scan found nothing feasible —
+// for (P1)/(P2) only after the phase-I search found the cap reachable.
+// It no longer proves P1/P2 infeasibility in production (DESIGN.md §2).
 #pragma once
 
 #include "opt/bounds.h"

@@ -30,7 +30,7 @@
 #include "core/game_framework.h"
 #include "engine/fan.h"
 #include "mac/registry.h"
-#include "util/fingerprint.h"
+#include "outcome_fingerprint.h"
 
 namespace edb {
 namespace {
@@ -122,21 +122,6 @@ const Table& table() {
   return t;
 }
 
-void put_point(std::string& s, const char* tag,
-               const core::OperatingPoint& p) {
-  for (double x : p.x) fingerprint_put(s, tag, x);
-  fingerprint_put(s, "E", p.energy);
-  fingerprint_put(s, "L", p.latency);
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (unsigned char ch : s) {
-    h ^= ch;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // The (P4) caps and the certificate's condition, restated from the
 // paper's definitions: P4 bargains below (min(Ebudget, Eworst),
 // min(Lmax, Lworst)).
@@ -156,22 +141,8 @@ bool certified(const CellResult& r, const core::AppRequirements& req) {
 
 TEST(P3Certificate, TableOutputMatchesParentFingerprint) {
   const Table& t = table();
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const CellResult& r : t.results) {
-    std::string s;
-    const auto& o = *r.outcome;
-    if (o.ok()) {
-      put_point(s, "p1", o->p1);
-      put_point(s, "p2", o->p2);
-      put_point(s, "nbs", o->nbs);
-      fingerprint_put(s, "nash", o->nash_product);
-    } else {
-      fingerprint_put_u64(s, "code",
-                          static_cast<std::uint64_t>(o.error().code));
-      s += o.error().to_string();
-    }
-    h = fnv1a(h, s + "\n");
-  }
+  std::uint64_t h = kOutcomeFingerprintSeed;
+  for (const CellResult& r : t.results) h = fold_outcome(h, *r.outcome);
   char got[32];
   std::snprintf(got, sizeof got, "0x%016" PRIx64, h);
   EXPECT_EQ(h, kParentFingerprint) << "table fingerprint " << got << " over "

@@ -6,7 +6,7 @@
 // counts.  Each case also proves the instrumentation was live: the traced
 // run collected the pipeline's spans, the silent run collected none, and
 // the solver counters advanced by exactly the sweep's own solve and eval
-// counts in both runs.
+// counts in both runs.  A solve refused as infeasible counts too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/game_framework.h"
 #include "core/sweep.h"
 #include "engine/fan.h"
 #include "mac/registry.h"
@@ -150,6 +151,52 @@ TEST_F(ObsDeterminismTest, SolverOutputsAndEvalCountsIdenticalTracedVsSilent) {
     EXPECT_EQ(run->solves_counted, 3 * run->cells);
     EXPECT_EQ(run->evals_counted, evals);
   }
+}
+
+struct InfeasibleObservation {
+  std::string error;
+  std::uint64_t solves_counted = 0;
+  std::uint64_t evals_counted = 0;
+  std::uint64_t certified_counted = 0;
+};
+
+// A (P2) whose budget sits below the protocol's least reachable energy:
+// the phase-I certificate refuses it, and the refusal still counts.
+InfeasibleObservation observe_infeasible_p2() {
+  const auto scenario = core::Scenario::paper_default();
+  auto model = mac::make_model("LMAC", scenario.context).take();
+  core::AppRequirements req = scenario.requirements;
+  req.e_budget = 0.9 * core::protocol_envelope(*model).e_min;
+  core::EnergyDelayGame game(*model, req);
+  const std::uint64_t solves_before = counter("solver.solves");
+  const std::uint64_t evals_before = counter("solver.oracle.evals");
+  const std::uint64_t certified_before = counter("solver.phase1_certified");
+  const auto r = game.solve_p2();
+  InfeasibleObservation obs;
+  obs.error = r.ok() ? "solved" : r.error().to_string();
+  obs.solves_counted = counter("solver.solves") - solves_before;
+  obs.evals_counted = counter("solver.oracle.evals") - evals_before;
+  obs.certified_counted =
+      counter("solver.phase1_certified") - certified_before;
+  return obs;
+}
+
+TEST_F(ObsDeterminismTest, InfeasibleSolvesCountTracedAndSilent) {
+  const auto silent = observe_infeasible_p2();
+  EXPECT_TRUE(obs::Tracer::collect().empty());
+  obs::Tracer::set_enabled(true);
+  const auto traced = observe_infeasible_p2();
+  obs::Tracer::set_enabled(false);
+  EXPECT_NE(silent.error.find("(P2)"), std::string::npos) << silent.error;
+  EXPECT_EQ(silent.error, traced.error);
+  EXPECT_TRUE(collected("solver.dual_solve"));
+  EXPECT_TRUE(collected("solver.stage2.phase1"));
+  for (const InfeasibleObservation* run : {&silent, &traced}) {
+    EXPECT_EQ(run->solves_counted, 1u);
+    EXPECT_GT(run->evals_counted, 0u);
+    EXPECT_EQ(run->certified_counted, 1u);
+  }
+  EXPECT_EQ(silent.evals_counted, traced.evals_counted);
 }
 
 std::vector<std::uint64_t> fan_values() {
