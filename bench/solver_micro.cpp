@@ -6,7 +6,6 @@
 
 #include "core/game_framework.h"
 #include "mac/registry.h"
-#include "opt/golden.h"
 #include "opt/grid.h"
 #include "opt/nelder_mead.h"
 #include "opt/penalty.h"
@@ -14,15 +13,6 @@
 namespace {
 
 using namespace edb;
-
-void BM_GoldenSection(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = opt::golden_section_min(
-        [](double x) { return 1.0 / x + 0.1 * x; }, 0.01, 100.0);
-    benchmark::DoNotOptimize(r.x);
-  }
-}
-BENCHMARK(BM_GoldenSection);
 
 void BM_GridRefine1D(benchmark::State& state) {
   opt::Box box({0.01}, {100.0});
@@ -56,7 +46,7 @@ void BM_PenaltyConstrained(benchmark::State& state) {
     auto r = opt::constrained_min(
         [](const std::vector<double>& x) { return x[0]; },
         {[](const std::vector<double>& x) { return x[0] - 4.0; }}, box);
-    benchmark::DoNotOptimize(r.ok());
+    benchmark::DoNotOptimize(r.feasible);
   }
 }
 BENCHMARK(BM_PenaltyConstrained);

@@ -33,14 +33,13 @@
 // frontier individually; their infeasible_reason strings are derived per
 // cell from the protocol envelope (min reachable E and L, see
 // core/game_framework.h) by replaying the cold pipeline's P1 -> P2 -> P3
-// failure order as two threshold comparisons, so warm and cold sweeps
-// report identical strings without paying a solve per dead cell.  (The
-// envelope and the cold solver are independent optimisers, so a sweep
-// value landing within solver tolerance of an envelope threshold can in
-// principle read the comparison differently than the cold pipeline
-// decided it; the paper's grids sit orders of magnitude away from the
-// thresholds.  Feasibility flags and outcomes are never affected — only
-// the reason string of an unsolved dead cell.)
+// failure order as two threshold comparisons, without paying a solve per
+// dead cell.  The envelope and the cold solver are independent
+// optimisers, so near a threshold the comparison can name another stage
+// than the cold pipeline would: measured on 8 of 4,828 infeasible
+// servebench ladder cells (DESIGN.md §4).  The paper's grids sit orders of
+// magnitude away from the thresholds.  Feasibility flags and outcomes are
+// never affected — only the reason string of an unsolved dead cell.
 #pragma once
 
 #include <functional>

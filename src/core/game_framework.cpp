@@ -9,7 +9,6 @@
 #include "opt/bounds.h"
 #include "opt/descent.h"
 #include "opt/grid.h"
-#include "opt/nelder_mead.h"
 #include "opt/penalty.h"
 #include "util/log.h"
 #include "util/math.h"
@@ -22,20 +21,6 @@ opt::Box model_box(const mac::AnalyticMacModel& model) {
   return opt::Box(model.params().lower(), model.params().upper());
 }
 
-// Indicator-style objective for the grid oracle: the raw objective inside
-// the feasible region, +inf outside.  Grid search tolerates the
-// discontinuity; the penalty solver gets smooth slacks instead.
-opt::Objective fenced(opt::Objective raw,
-                      std::vector<opt::Constraint> slacks) {
-  return [raw = std::move(raw),
-          slacks = std::move(slacks)](const std::vector<double>& x) {
-    for (const auto& s : slacks) {
-      if (s(x) <= 0.0) return kInf;
-    }
-    return raw(x);
-  };
-}
-
 // One requirement slack of the batched fence: every requirement in this
 // framework is a cap on one metric, normalised by the cap —
 // slack(v) = (cap - v) / cap, feasible when > 0.  Keeping the combine as
@@ -46,7 +31,10 @@ struct MetricSlack {
   double cap = 0;            // requirement cap on that metric (> 0)
 };
 
-// Batched counterpart of fenced() for the grid oracles (opt/batch.h).
+// Indicator-style objective for the grid and descent oracles
+// (opt/batch.h): the raw objective inside the feasible region, +inf
+// outside.  Grid search and the fenced descent tolerate the
+// discontinuity; the penalty solver gets smooth slacks instead.
 //
 // Every objective and slack in this framework depends on x only through
 // the metric triple (E(x), L(x), margin(x)), so the fence vectorizes as
@@ -190,14 +178,13 @@ SolveStats stats_of(const opt::VectorResult& r) {
   return SolveStats{r.evaluations, r.blocks, r.oracle_ns};
 }
 
-// Fused point evaluation for the scalar solver stages (the penalty
-// multistart and the warm Nelder-Mead descent — sequential by nature, so
-// they cannot take whole blocks).  A problem's objective and slack
-// lambdas all evaluate the model at the same x back-to-back; routing them
-// through one shared PointMetrics makes that a single
-// evaluate_batch(n = 1) call per distinct point — the three metrics share
-// the kernel's hoisted invariants — with bitwise-repeat calls served from
-// the cached triple.  The models are deterministic, so reuse is
+// Fused point evaluation for the penalty multistart, the one scalar
+// solver stage (sequential by nature, so it cannot take whole blocks).  A
+// problem's objective and slack lambdas all evaluate the model at the
+// same x back-to-back; routing them through one shared PointMetrics makes
+// that a single evaluate_batch(n = 1) call per distinct point — the three
+// metrics share the kernel's hoisted invariants — with bitwise-repeat
+// calls served from the cached triple.  The models are deterministic, so reuse is
 // bit-identical to re-evaluation.
 class PointMetrics {
  public:
@@ -234,11 +221,10 @@ class PointMetrics {
 };
 
 // Scalar oracles derived from the SAME spec the BatchFence runs on, so
-// the sequential stages (penalty multistart, warm Nelder-Mead descent)
-// and the batched grid stages can never drift apart: every slack/raw
-// combine exists exactly once, and both flavours read the model through
-// the same metric plumbing.  `metrics` must outlive the returned
-// lambdas (both live on the solve's stack frame).
+// the penalty multistart and the batched grid stages can never drift
+// apart: every slack/raw combine exists exactly once, and both flavours
+// read the model through the same metric plumbing.  `metrics` must
+// outlive the returned lambdas (both live on the solve's stack frame).
 opt::Objective make_scalar_objective(
     PointMetrics& metrics, bool raw_uses_e, bool raw_uses_l,
     std::function<double(double, double)> raw) {
@@ -301,14 +287,16 @@ struct PhaseOne {
 // multistart, whose smooth slacks can still crawl into a narrow feasible
 // sliver.
 //
-// kGridVerify: the original dense-grid + penalty pipeline, verbatim.  It
+// kGridVerify: the original dense-grid + penalty pipeline, cold only.  It
 // is the independent verifier for the descent path: both modes share the
 // stage-1 lattice family and the stage-3 anchored polish, so at the
 // agreement points they must select the same operating point with
 // objectives equal within tolerance (tests/opt_descent_test.cpp,
-// bench/solve_cold.cpp).
+// bench/solve_cold.cpp).  A trusted seed does not change its path: by the
+// path-independence contract below its warm answer is its cold one, so it
+// runs the cold pipeline (without the seed) every time.
 //
-// Path independence (both modes): cold and warm paths share stage 1
+// Path independence (kDescent): cold and warm paths share stage 1
 // verbatim and end in the same stage-3 polish anchored at stage 1's
 // incumbent, and stage 2 can only override the polished point by a
 // macroscopic margin.  When the warm stage 2 *does* claim such a margin
@@ -326,9 +314,10 @@ Expected<opt::VectorResult> dual_solve(
     bool trusted = false, const SolveControl& ctl = {},
     long long spent_before = 0, const PhaseOne& phase1 = {}) {
   EDB_SPAN("solver.dual_solve");
-  const bool warm = trusted && seed.size() == box.dim();
   const bool coarse = mode == SolverMode::kCoarse;
   const bool use_descent = mode == SolverMode::kDescent || coarse;
+  const bool warm =
+      mode == SolverMode::kDescent && trusted && seed.size() == box.dim();
 
   // Total oracle cost of the solve: every stage's evaluations (and block
   // counters) accumulate here, independent of which candidate wins — the
@@ -362,10 +351,6 @@ Expected<opt::VectorResult> dual_solve(
     return std::nullopt;
   };
   if (auto stop = interrupted(0)) return *stop;
-  // The scalar fence survives for the sequential kGridVerify stage-2
-  // descent; every other stage runs on the batched counterpart
-  // (bit-identical values, one oracle call per block).
-  opt::Objective fence = fenced(raw, slacks);
 
   // Stage 1 — coarse global scan, IDENTICAL in the cold and warm paths:
   // the full-box zooming grid locates the optimum's basin.  Running the
@@ -407,31 +392,30 @@ Expected<opt::VectorResult> dual_solve(
     return d;
   };
 
-  // Exterior-penalty multistart — kGridVerify's cold stage 2, and the
-  // descent pipeline's fallback when stage 1 found nothing feasible and
-  // phase I did not refuse (a sliver the lattice stepped over, or P4).
+  // Exterior-penalty multistart — kGridVerify's stage 2, and the descent
+  // pipeline's fallback when stage 1 found nothing feasible and phase I
+  // did not refuse (a sliver the lattice stepped over, or P4).  Its evals
+  // count whether or not it finds a point.
   auto penalty_stage2 = [&]() {
     opt::VectorResult r;
     r.value = kInf;
     opt::PenaltyOptions pen_opts;
-    // Only an *untrusted* seed joins the multistart: when this runs as the
-    // warm path's fallback it must reproduce the cold path's stage 2
-    // exactly, and a trusted seed is not part of that.
+    // Only an *untrusted* seed joins the multistart: the cold stage 2 of a
+    // trusted solve (kGridVerify's, or the warm path's fallback) must be
+    // the one a seedless solve runs, and a trusted seed is not part of it.
     if (!trusted && seed.size() == box.dim()) {
       pen_opts.extra_seeds.push_back(seed);
     }
-    auto pen = opt::constrained_min(raw, slacks, box, pen_opts);
-    if (pen.ok() && pen->feasible) {
-      // Re-check against the fence (penalty tolerates tiny violations).
-      bool strictly_ok = true;
-      for (const auto& s : slacks) {
-        if (s(pen->x) <= 0.0) strictly_ok = false;
-      }
-      if (strictly_ok) {
-        r.x = pen->x;
-        r.value = pen->value;
-        r.evaluations = pen->evaluations;
-      }
+    const auto pen = opt::constrained_min(raw, slacks, box, pen_opts);
+    r.evaluations = pen.evaluations;
+    // Re-check against the fence (penalty tolerates tiny violations).
+    const bool strictly_ok =
+        pen.feasible &&
+        std::all_of(slacks.begin(), slacks.end(),
+                    [&](const opt::Constraint& s) { return s(pen.x) > 0.0; });
+    if (strictly_ok) {
+      r.x = pen.x;
+      r.value = pen.value;
     }
     return r;
   };
@@ -475,19 +459,16 @@ Expected<opt::VectorResult> dual_solve(
     return !(descent.value < phase1.cap);
   };
 
+  // A warm solve descends from its seed only inside a basin stage 1
+  // found; otherwise it runs the cold stage 2.
+  const bool warm_descent = warm && grid_ok;
   opt::VectorResult cand;
-  bool cand_is_warm_descent = false;
   {
     EDB_SPAN("solver.stage2");
-    if (warm && grid_ok) {
+    if (warm_descent) {
       // The fence keeps the descent strictly feasible.
-      if (use_descent) {
-        cand = opt::bdca_descend(batch_fence, box, box.clamp(seed),
-                                 descent_opts());
-      } else {
-        cand = opt::nelder_mead_min(fence, box, box.clamp(seed), {});
-      }
-      cand_is_warm_descent = true;
+      cand = opt::bdca_descend(batch_fence, box, box.clamp(seed),
+                               descent_opts());
     } else {
       if (use_descent && !grid_ok) {
         if (phase1.oracle && phase1_refuses()) {
@@ -554,7 +535,7 @@ Expected<opt::VectorResult> dual_solve(
            1e-6 * std::max(std::abs(incumbent.value),
                            std::abs(challenger.value));
   };
-  if (cand_ok && macro_better(cand, best) && cand_is_warm_descent) {
+  if (cand_ok && macro_better(cand, best) && warm_descent) {
     // The warm descent claims a basin the coarse scan missed.  Decide the
     // rare case with the cold machinery so the warm path cannot override
     // the polished point where the cold path would not have.
@@ -571,6 +552,56 @@ Expected<opt::VectorResult> dual_solve(
   best.oracle_ns = cost.oracle_ns;
   best.converged = true;
   return best;
+}
+
+OperatingPoint operating_point(const mac::AnalyticMacModel& model,
+                               std::vector<double> x) {
+  OperatingPoint p;
+  p.energy = model.energy(x);
+  p.latency = model.latency(x);
+  p.x = std::move(x);
+  return p;
+}
+
+// (P1) and (P2) are one problem with the players' roles swapped: minimise
+// your own metric under a cap on the other's — E under Lmax for the
+// energy player, L under Ebudget for the delay player.
+enum class Subproblem { kP1, kP2 };
+
+// `stats`, when non-null, accumulates the dual_solve's oracle cost.
+Expected<OperatingPoint> solve_capped(const mac::AnalyticMacModel& model,
+                                      const AppRequirements& req,
+                                      Subproblem problem, SolverMode mode,
+                                      const SolveControl& ctl,
+                                      const std::vector<double>& seed,
+                                      bool trusted, SolveStats* stats) {
+  const bool p1 = problem == Subproblem::kP1;
+  const double cap = p1 ? req.l_max : req.e_budget;
+  // One spec drives both oracle flavours (see make_scalar_objective).
+  const std::vector<MetricSlack> mslacks = {
+      {/*uses_energy=*/!p1, /*cap=*/cap}};
+  const std::function<double(double, double)> raw =
+      [p1](double e, double l) { return p1 ? e : l; };
+  PointMetrics metrics(model);
+  opt::Objective obj = make_scalar_objective(metrics, /*raw_uses_e=*/p1,
+                                             /*raw_uses_l=*/!p1, raw);
+  std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
+  BatchFence batch(model, mslacks, /*raw_uses_e=*/p1, /*raw_uses_l=*/!p1,
+                   raw);
+  // Phase I minimises the capped metric.
+  BatchFence capped = metric_fence(model, /*energy=*/!p1);
+  auto r = dual_solve(obj, slacks, batch.oracle(), model_box(model), mode,
+                      seed, trusted, ctl, stats ? stats->evaluations : 0,
+                      PhaseOne{capped.oracle(), cap});
+  if (!r.ok()) {
+    // Transient codes (deadline, cancellation) describe this attempt, not
+    // the problem — they must surface as themselves, never as kInfeasible.
+    if (is_transient(r.error().code)) return r.error();
+    return p1 ? p1_infeasible_error(model.name())
+              : p2_infeasible_error(model.name());
+  }
+  if (stats) stats->absorb(stats_of(*r));
+  return operating_point(model, r->x);
 }
 
 }  // namespace
@@ -631,78 +662,14 @@ EnergyDelayGame::EnergyDelayGame(const mac::AnalyticMacModel& model,
   EDB_ASSERT(req_.validate().ok(), "invalid application requirements");
 }
 
-OperatingPoint EnergyDelayGame::make_point(std::vector<double> x) const {
-  OperatingPoint p;
-  p.energy = model_.energy(x);
-  p.latency = model_.latency(x);
-  p.x = std::move(x);
-  return p;
-}
-
 Expected<OperatingPoint> EnergyDelayGame::solve_p1() const {
-  return solve_p1({}, false);
-}
-
-Expected<OperatingPoint> EnergyDelayGame::solve_p1(
-    const std::vector<double>& seed, bool trusted, SolveStats* stats) const {
-  const opt::Box box = model_box(model_);
-  // One spec drives both oracle flavours (see make_scalar_objective).
-  const std::vector<MetricSlack> mslacks = {
-      {/*uses_energy=*/false, /*cap=*/req_.l_max}};
-  const std::function<double(double, double)> raw = [](double e, double) {
-    return e;
-  };
-  PointMetrics metrics(model_);
-  opt::Objective obj =
-      make_scalar_objective(metrics, /*raw_uses_e=*/true,
-                            /*raw_uses_l=*/false, raw);
-  std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
-  BatchFence batch(model_, mslacks, /*raw_uses_e=*/true,
-                   /*raw_uses_l=*/false, raw);
-  BatchFence latency = metric_fence(model_, /*energy=*/false);
-  auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, seed, trusted,
-                      control_, stats ? stats->evaluations : 0,
-                      PhaseOne{latency.oracle(), req_.l_max});
-  if (!r.ok()) {
-    // Transient codes (deadline, cancellation) describe this attempt, not
-    // the problem — they must surface as themselves, never as kInfeasible.
-    if (is_transient(r.error().code)) return r.error();
-    return p1_infeasible_error(model_.name());
-  }
-  if (stats) stats->absorb(stats_of(*r));
-  return make_point(r->x);
+  return solve_capped(model_, req_, Subproblem::kP1, mode_, control_, {},
+                      false, nullptr);
 }
 
 Expected<OperatingPoint> EnergyDelayGame::solve_p2() const {
-  return solve_p2({}, false);
-}
-
-Expected<OperatingPoint> EnergyDelayGame::solve_p2(
-    const std::vector<double>& seed, bool trusted, SolveStats* stats) const {
-  const opt::Box box = model_box(model_);
-  // One spec drives both oracle flavours (see make_scalar_objective).
-  const std::vector<MetricSlack> mslacks = {
-      {/*uses_energy=*/true, /*cap=*/req_.e_budget}};
-  const std::function<double(double, double)> raw = [](double, double l) {
-    return l;
-  };
-  PointMetrics metrics(model_);
-  opt::Objective obj =
-      make_scalar_objective(metrics, /*raw_uses_e=*/false,
-                            /*raw_uses_l=*/true, raw);
-  std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
-  BatchFence batch(model_, mslacks, /*raw_uses_e=*/false,
-                   /*raw_uses_l=*/true, raw);
-  BatchFence energy = metric_fence(model_, /*energy=*/true);
-  auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, seed, trusted,
-                      control_, stats ? stats->evaluations : 0,
-                      PhaseOne{energy.oracle(), req_.e_budget});
-  if (!r.ok()) {
-    if (is_transient(r.error().code)) return r.error();
-    return p2_infeasible_error(model_.name());
-  }
-  if (stats) stats->absorb(stats_of(*r));
-  return make_point(r->x);
+  return solve_capped(model_, req_, Subproblem::kP2, mode_, control_, {},
+                      false, nullptr);
 }
 
 Expected<BargainingOutcome> EnergyDelayGame::solve() const {
@@ -721,9 +688,11 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
                       "bargaining power alpha must lie in (0, 1)");
   }
   SolveStats stats;
-  auto p1 = solve_p1(hints.p1, hints.trusted, &stats);
+  auto p1 = solve_capped(model_, req_, Subproblem::kP1, mode_, control_,
+                         hints.p1, hints.trusted, &stats);
   if (!p1.ok()) return p1.error();
-  auto p2 = solve_p2(hints.p2, hints.trusted, &stats);
+  auto p2 = solve_capped(model_, req_, Subproblem::kP2, mode_, control_,
+                         hints.p2, hints.trusted, &stats);
   if (!p2.ok()) return p2.error();
 
   BargainingOutcome out;
@@ -819,7 +788,7 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
 
   stats.absorb(stats_of(*r));
   out.stats = stats;
-  out.nbs = make_point(r->x);
+  out.nbs = operating_point(model_, r->x);
   out.nash_product = std::max(0.0, (e_worst - out.nbs.energy) *
                                        (l_worst - out.nbs.latency));
   return out;

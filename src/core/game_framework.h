@@ -19,9 +19,10 @@
 // library's substitute for a convex-programming package (DESIGN.md §2).
 // The production pipeline (SolverMode::kDescent) pairs a coarse grid scan
 // with a BDCA-style boosted descent and a tight anchored polish; the
-// original dense-grid/penalty pipeline survives as
+// original dense-grid/penalty pipeline survives, cold only, as
 // SolverMode::kGridVerify, the independent verifier the descent path is
-// gated against at the agreement points.
+// gated against at the agreement points.  (P1) and (P2) share one
+// implementation: a single-cap subproblem with the metrics swapped.
 #pragma once
 
 #include <atomic>
@@ -40,10 +41,11 @@ namespace edb::core {
 //                 (opt/descent.h), deep polish anchored at the coarse
 //                 incumbent.  ~15x fewer oracle evaluations per solve.
 //   kGridVerify — the dense-grid + exterior-penalty pipeline the descent
-//                 path replaced, retained verbatim as its independent
-//                 verifier: both modes must select the same operating
-//                 point with objectives equal within tolerance, asserted
-//                 by tests/opt_descent_test.cpp and bench/solve_cold.
+//                 path replaced, retained as its independent verifier:
+//                 both modes must select the same operating point with
+//                 objectives equal within tolerance, asserted by
+//                 tests/opt_descent_test.cpp and bench/solve_cold.  It
+//                 always solves cold; trusted hints do not change it.
 enum class SolverMode {
   kDescent,
   kGridVerify,
@@ -119,11 +121,12 @@ struct BargainingOutcome {
 
 // Warm-start hints carried between neighbouring solves (core/engine.h).
 // An untrusted seed joins the cold stage 2's multistart list (descent,
-// phase I or penalty) for the matching subproblem.  A `trusted` seed (the
-// scenario engine's chain) replaces the multistart with a single fenced
-// descent from the seed — the cost saving behind warm-started sweeps; the shared coarse
-// scan and anchored polish of dual_solve keep the result equal to the
-// cold path's (DESIGN.md §2).
+// phase I or penalty) for the matching subproblem.  Under kDescent, a
+// `trusted` seed (the scenario engine's chain) replaces the multistart
+// with a single fenced descent from the seed — the cost saving behind
+// warm-started sweeps; the shared coarse scan and anchored polish of
+// dual_solve keep the result equal to the cold path's (DESIGN.md §2).
+// kGridVerify ignores a trusted seed and solves cold.
 struct SolveHints {
   std::vector<double> p1;   // seed for the energy player's optimum
   std::vector<double> p2;   // seed for the delay player's optimum
@@ -134,8 +137,8 @@ struct SolveHints {
 };
 
 // The pipeline's infeasibility errors, exposed as builders so the scenario
-// engine can derive below-frontier reasons (core/engine.h) byte-identical
-// to the strings a cold solve would attach.
+// engine can derive below-frontier reasons (core/engine.h) in the exact
+// wording a cold solve attaches.
 Error p1_infeasible_error(std::string_view protocol);
 Error p2_infeasible_error(std::string_view protocol);
 Error p3_infeasible_error(std::string_view protocol);
@@ -183,7 +186,6 @@ class EnergyDelayGame {
 
   // Pipeline selection; kDescent is the production default.
   void set_solver_mode(SolverMode mode) { mode_ = mode; }
-  SolverMode solver_mode() const { return mode_; }
 
   // Deadline/cancellation applied to every subsequent solve.  The eval
   // budget spans the full solve_weighted pipeline (P1 + P2 + P4
@@ -193,15 +195,6 @@ class EnergyDelayGame {
   const SolveControl& control() const { return control_; }
 
  private:
-  OperatingPoint make_point(std::vector<double> x) const;
-  // `stats`, when non-null, accumulates the dual_solve's oracle cost.
-  Expected<OperatingPoint> solve_p1(const std::vector<double>& seed,
-                                    bool trusted,
-                                    SolveStats* stats = nullptr) const;
-  Expected<OperatingPoint> solve_p2(const std::vector<double>& seed,
-                                    bool trusted,
-                                    SolveStats* stats = nullptr) const;
-
   const mac::AnalyticMacModel& model_;
   AppRequirements req_;
   SolverMode mode_ = SolverMode::kDescent;

@@ -1,6 +1,6 @@
 #include "opt/bounds.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/math.h"
 
@@ -41,12 +41,6 @@ std::vector<double> Box::sample(Rng& rng) const {
   std::vector<double> out(dim());
   for (std::size_t i = 0; i < dim(); ++i) out[i] = rng.uniform(lo_[i], hi_[i]);
   return out;
-}
-
-double Box::max_width() const {
-  double w = 0;
-  for (std::size_t i = 0; i < dim(); ++i) w = std::max(w, width(i));
-  return w;
 }
 
 }  // namespace edb::opt

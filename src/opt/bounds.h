@@ -25,8 +25,6 @@ class Box {
   bool contains(const std::vector<double>& x, double tol = 1e-12) const;
   // Uniform sample inside the box.
   std::vector<double> sample(Rng& rng) const;
-  // Largest edge length — a natural convergence scale.
-  double max_width() const;
 
  private:
   std::vector<double> lo_, hi_;

@@ -20,7 +20,7 @@ double worst_violation(const std::vector<Constraint>& slacks,
 
 }  // namespace
 
-Expected<ConstrainedResult> constrained_min(
+ConstrainedResult constrained_min(
     const Objective& f, const std::vector<Constraint>& slacks, const Box& box,
     const PenaltyOptions& opts) {
   int evals = 0;
@@ -102,13 +102,8 @@ Expected<ConstrainedResult> constrained_min(
   }
 
   best.evaluations = evals;
-  best.feasible = best.worst_violation <= opts.feasibility_tol;
-  if (best.x.empty() || !best.feasible) {
-    return make_error(ErrorCode::kInfeasible,
-                      "constrained_min: no feasible point found (worst "
-                      "violation " +
-                          std::to_string(best.worst_violation) + ")");
-  }
+  best.feasible = !best.x.empty() &&
+                  best.worst_violation <= opts.feasibility_tol;
   return best;
 }
 

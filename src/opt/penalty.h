@@ -9,19 +9,20 @@
 // Constraint slacks should be scaled to O(1) (the MAC models' feasibility
 // margins and the normalised budget slacks both are), so a final rho of
 // 1e9 pushes violations below ~1e-5 of scale; the returned point is then
-// re-checked and `converged` reflects true feasibility.
+// re-checked and `feasible` reflects true feasibility.
 //
-// Callers (core/game_framework.cpp's dual_solve): kGridVerify's cold
-// stage 2, the verifier the production pipeline is gated against, and
-// kDescent's sliver path when the coarse scan found nothing feasible —
-// for (P1)/(P2) only after the phase-I search found the cap reachable.
-// It no longer proves P1/P2 infeasibility in production (DESIGN.md §2).
+// The one caller is core/game_framework.cpp's dual_solve: kGridVerify's
+// stage 2 (the verifier the production pipeline is gated against, always
+// run cold), and kDescent's sliver path when the coarse scan found
+// nothing feasible — for (P1)/(P2) only after the phase-I search found
+// the cap reachable.  It no longer proves P1/P2 infeasibility in
+// production (DESIGN.md §2).  This multistart is the only user of
+// opt/nelder_mead.
 #pragma once
 
 #include "opt/bounds.h"
 #include "opt/nelder_mead.h"
 #include "opt/types.h"
-#include "util/error.h"
 
 namespace edb::opt {
 
@@ -46,9 +47,10 @@ struct ConstrainedResult {
   bool feasible = false;
 };
 
-// Returns the best point found; an error only if no feasible point was
-// located at all (worst_violation > tol everywhere tried).
-Expected<ConstrainedResult> constrained_min(
+// Returns the best point found, with its full evaluation count whether or
+// not it is feasible: `feasible` is false when no point within
+// feasibility_tol was located (worst_violation > tol everywhere tried).
+ConstrainedResult constrained_min(
     const Objective& f, const std::vector<Constraint>& slacks, const Box& box,
     const PenaltyOptions& opts = {});
 

@@ -13,13 +13,6 @@ using Objective = std::function<double(const std::vector<double>&)>;
 // (This matches mac::AnalyticMacModel::feasibility_margin.)
 using Constraint = std::function<double(const std::vector<double>&)>;
 
-struct ScalarResult {
-  double x = 0;
-  double value = 0;
-  int evaluations = 0;
-  bool converged = false;
-};
-
 struct VectorResult {
   std::vector<double> x;
   double value = 0;

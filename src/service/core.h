@@ -16,10 +16,12 @@
 // cancel() is the exception — any thread may trip the cooperative-
 // cancellation token (shutdown paths do).
 //
-// Determinism: serve() is value-preserving — every result is
-// bit-identical to a cold sequential core::run_sweep over the same
-// canonical inputs (DESIGN.md §4), which is what makes the server tier's
-// wire-vs-in-process byte-identity gate possible (DESIGN.md §11).
+// Determinism: serve() is value-preserving — every result's outcomes and
+// feasibility flags are bit-identical to a cold sequential core::run_sweep
+// over the same canonical inputs, which is what makes the server tier's
+// wire-vs-in-process byte-identity gate possible (DESIGN.md §11).  A
+// warm-chained dead cell's infeasibility reason is envelope-derived and
+// can name another stage than the cold pipeline's (rare; DESIGN.md §4).
 #pragma once
 
 #include <atomic>

@@ -19,10 +19,13 @@
 // server that cannot guarantee that calls shutdown() first, after which
 // racing submitters get failed tickets instead of undefined behaviour.
 //
-// Determinism: serving is value-preserving — every result is
-// bit-identical to a cold sequential core::run_sweep over the same
-// canonical inputs, whatever mix of cache hits, batch order, thread
-// count or sync/async entry produced it (DESIGN.md §4).
+// Determinism: serving is value-preserving — every result's outcomes and
+// feasibility flags are bit-identical to a cold sequential core::run_sweep
+// over the same canonical inputs, whatever mix of cache hits, batch order,
+// thread count or sync/async entry produced it.  The infeasibility reason
+// of a warm-chained dead cell is derived from the protocol envelope and
+// can name another stage than the cold pipeline's (8 of 4,828 infeasible
+// cells in one measurement, DESIGN.md §4).
 #pragma once
 
 #include <cstddef>

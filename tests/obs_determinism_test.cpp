@@ -6,7 +6,8 @@
 // counts.  Each case also proves the instrumentation was live: the traced
 // run collected the pipeline's spans, the silent run collected none, and
 // the solver counters advanced by exactly the sweep's own solve and eval
-// counts in both runs.  A solve refused as infeasible counts too.
+// counts in both runs.  A solve refused as infeasible counts too, and so
+// do the evals of a penalty multistart that finds no feasible point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "mac/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "opt/penalty.h"
 #include "sim/campaign.h"
 
 namespace edb {
@@ -195,6 +197,79 @@ TEST_F(ObsDeterminismTest, InfeasibleSolvesCountTracedAndSilent) {
     EXPECT_EQ(run->solves_counted, 1u);
     EXPECT_GT(run->evals_counted, 0u);
     EXPECT_EQ(run->certified_counted, 1u);
+  }
+  EXPECT_EQ(silent.evals_counted, traced.evals_counted);
+}
+
+// A (P2) sliver: S-MAC's budget at 1.1 e_min, a rung of the phase-I
+// certificate test's ladder.  The coarse scan finds no feasible point,
+// phase I finds the budget reachable, and the penalty multistart runs.
+// Its optimum sits on the budget, so its answer misses the strict
+// re-check by the penalty's ~1e-8 residual and the solve answers
+// infeasible.  The multistart's evals must count all the same.
+constexpr double kSliverBudget = 1.1;
+
+struct SliverObservation {
+  std::string error;
+  std::uint64_t solves_counted = 0;
+  std::uint64_t evals_counted = 0;
+  std::uint64_t fallbacks_counted = 0;
+  int penalty_evals = 0;  // the multistart's own count, run standalone
+};
+
+SliverObservation observe_failed_penalty_p2() {
+  const auto scenario = core::Scenario::paper_default();
+  auto model = mac::make_model("S-MAC", scenario.context).take();
+  core::AppRequirements req = scenario.requirements;
+  req.e_budget = kSliverBudget * core::protocol_envelope(*model).e_min;
+  core::EnergyDelayGame game(*model, req);
+  const std::uint64_t solves_before = counter("solver.solves");
+  const std::uint64_t evals_before = counter("solver.oracle.evals");
+  const std::uint64_t fallbacks_before = counter("solver.penalty_fallbacks");
+  const auto r = game.solve_p2();
+  SliverObservation obs;
+  obs.error = r.ok() ? "solved" : r.error().to_string();
+  obs.solves_counted = counter("solver.solves") - solves_before;
+  obs.evals_counted = counter("solver.oracle.evals") - evals_before;
+  obs.fallbacks_counted =
+      counter("solver.penalty_fallbacks") - fallbacks_before;
+
+  // The same (P2) handed to the multistart directly: min L subject to the
+  // protocol margin, then the normalised budget slack, in dual_solve's
+  // order.  The scalar model bodies are bit-identical to the batch
+  // kernels, so the multistart takes the same path and eval count.
+  const double cap = req.e_budget;
+  const opt::Box box(model->params().lower(), model->params().upper());
+  obs.penalty_evals =
+      opt::constrained_min(
+          [&](const std::vector<double>& x) { return model->latency(x); },
+          {[&](const std::vector<double>& x) {
+             return model->feasibility_margin(x);
+           },
+           [&](const std::vector<double>& x) {
+             return (cap - model->energy(x)) / cap;
+           }},
+          box)
+          .evaluations;
+  return obs;
+}
+
+TEST_F(ObsDeterminismTest, FailedPenaltyMultistartEvalsCount) {
+  const auto silent = observe_failed_penalty_p2();
+  obs::Tracer::set_enabled(true);
+  const auto traced = observe_failed_penalty_p2();
+  obs::Tracer::set_enabled(false);
+  EXPECT_NE(silent.error.find("(P2)"), std::string::npos) << silent.error;
+  EXPECT_EQ(silent.error, traced.error);
+  ASSERT_GT(silent.penalty_evals, 0);
+  // Besides the multistart, the solve pays at least the first 65 x 65
+  // lattice of its coarse scan and of phase I (S-MAC is 2-D).
+  const std::uint64_t floor =
+      static_cast<std::uint64_t>(silent.penalty_evals) + 2 * 65 * 65;
+  for (const SliverObservation* run : {&silent, &traced}) {
+    EXPECT_EQ(run->solves_counted, 1u);
+    EXPECT_EQ(run->fallbacks_counted, 1u);
+    EXPECT_GE(run->evals_counted, floor);
   }
   EXPECT_EQ(silent.evals_counted, traced.evals_counted);
 }

@@ -2,8 +2,10 @@
 // fenced objectives, bit-stable determinism under shuffled multistart
 // seeds, and — the gate the solver rewire rides on — agreement-point
 // parity between the kDescent production pipeline and the retained
-// kGridVerify dense-grid pipeline on the three paper models, at a
-// fraction of the evaluation budget.
+// kGridVerify dense-grid pipeline on every 1-D model (the three paper
+// models plus B-MAC, SCP-MAC and WiseMAC), at a fraction of the
+// evaluation budget.  S-MAC, the one 2-D model, misses these tolerances
+// (ROADMAP lists its parity baseline); bench/solve_cold reports its gap.
 #include "opt/descent.h"
 
 #include <gtest/gtest.h>
@@ -155,7 +157,7 @@ TEST(BdcaMultistart, AllFencedPoolReportsNotConverged) {
   EXPECT_FALSE(r.converged);
 }
 
-// ---- agreement-point parity: kDescent vs kGridVerify on the paper models
+// ---- agreement-point parity: kDescent vs kGridVerify on the 1-D models
 
 class DescentParityTest : public ::testing::TestWithParam<std::string> {};
 
@@ -210,8 +212,9 @@ TEST_P(DescentParityTest, DescentModeIsDeterministic) {
   EXPECT_TRUE(bits_eq(a.nash_product, b.nash_product)) << GetParam();
 }
 
-INSTANTIATE_TEST_SUITE_P(PaperProtocols, DescentParityTest,
-                         ::testing::Values("X-MAC", "DMAC", "LMAC"),
+INSTANTIATE_TEST_SUITE_P(OneDimensionalProtocols, DescentParityTest,
+                         ::testing::Values("X-MAC", "DMAC", "LMAC", "B-MAC",
+                                           "SCP-MAC", "WiseMAC"),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (char& c : n) {

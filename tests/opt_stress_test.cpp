@@ -1,12 +1,11 @@
-// Solver stress and edge cases beyond the per-solver unit tests: plateaus,
-// higher dimensions, razor-thin feasible bands, and adversarial fences —
-// the failure modes a penalty/Nelder-Mead/grid pipeline is typically bent
-// by in the wild.
+// Solver stress and edge cases beyond the per-solver unit tests: higher
+// dimensions, razor-thin feasible bands, and adversarial fences — the
+// failure modes a penalty/Nelder-Mead/grid pipeline is typically bent by
+// in the wild.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "opt/golden.h"
 #include "opt/grid.h"
 #include "opt/nelder_mead.h"
 #include "opt/penalty.h"
@@ -14,28 +13,6 @@
 
 namespace edb::opt {
 namespace {
-
-TEST(GoldenStress, FlatPlateauTerminates) {
-  // Constant objective: nothing to descend; must still converge in budget.
-  auto r = golden_section_min([](double) { return 1.0; }, 0.0, 1.0);
-  EXPECT_TRUE(r.converged);
-  EXPECT_DOUBLE_EQ(r.value, 1.0);
-}
-
-TEST(GoldenStress, StepFunctionFindsTheLowShelf) {
-  auto r = golden_section_min(
-      [](double x) { return x < 0.6 ? 1.0 : 0.0; }, 0.0, 1.0);
-  EXPECT_GE(r.x, 0.6 - 1e-6);
-}
-
-TEST(GoldenStress, NarrowSpikeWellWithinBracket) {
-  // A steep well of width ~1e-3 around 0.731: golden section is only
-  // guaranteed on unimodal functions, and this one *is* unimodal — just
-  // badly conditioned.
-  auto f = [](double x) { return std::abs(x - 0.731); };
-  auto r = golden_section_min(f, 0.0, 1.0);
-  EXPECT_NEAR(r.x, 0.731, 1e-6);
-}
 
 TEST(NelderMeadStress, SixDimensionalSphere) {
   const std::size_t n = 6;
@@ -88,9 +65,8 @@ TEST(PenaltyStress, RazorThinFeasibleBand) {
           [](const std::vector<double>& x) { return 4.01 - x[0]; },
       },
       box);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->feasible);
-  EXPECT_NEAR(r->x[0], 4.0, 0.02);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_NEAR(r.x[0], 4.0, 0.02);
 }
 
 TEST(PenaltyStress, ActiveConstraintCurvedBoundary) {
@@ -99,9 +75,9 @@ TEST(PenaltyStress, ActiveConstraintCurvedBoundary) {
   auto r = constrained_min(
       [](const std::vector<double>& x) { return x[0] + x[1]; },
       {[](const std::vector<double>& x) { return x[0] * x[1] - 1.0; }}, box);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->value, 2.0, 5e-2);
-  EXPECT_NEAR(r->x[0] * r->x[1], 1.0, 5e-2);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_NEAR(r.value, 2.0, 5e-2);
+  EXPECT_NEAR(r.x[0] * r.x[1], 1.0, 5e-2);
 }
 
 TEST(PenaltyStress, ObjectiveMinimumDeepInsideInfeasibleRegion) {
@@ -113,8 +89,8 @@ TEST(PenaltyStress, ObjectiveMinimumDeepInsideInfeasibleRegion) {
         return (x[0] - 1.0) * (x[0] - 1.0);
       },
       {[](const std::vector<double>& x) { return x[0] - 8.0; }}, box);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r->x[0], 8.0, 1e-2);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_NEAR(r.x[0], 8.0, 1e-2);
 }
 
 TEST(GridStress, ThreeDimensionalRefinement) {
