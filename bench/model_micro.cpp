@@ -1,6 +1,7 @@
 // google-benchmark timings of one analytic E(X)/L(X) evaluation per
 // protocol through the scalar entry points, and of one evaluate_batch call
-// over a 1,024-point block — the call the solvers actually make.
+// — the call the solvers actually make — over the solvers' block lengths
+// and a 1,024-point block.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -52,31 +53,38 @@ void BM_FeasibilityMargin(benchmark::State& state) {
 }
 BENCHMARK(BM_FeasibilityMargin)->DenseRange(0, kLastProtocol);
 
+// Args: protocol index, block length.  Besides 1,024, the block lengths
+// the solvers actually issue: the descent's 1- to 3-point stencils (all
+// of them shorter than one lane block, so they run on the remainder
+// lanes) and the 17/65-point grid lattices.
 void BM_EvaluateBatch(benchmark::State& state) {
-  constexpr std::size_t kBlock = 1024;
+  const std::size_t block = static_cast<std::size_t>(state.range(1));
   const auto protocols = mac::registered_protocols();
   const auto& name = protocols[state.range(0)];
   auto model = mac::make_model(name, mac::ModelContext{}).take();
   // A diagonal walk through the box, packed row-major.
   const auto& space = model->params();
+  const double span = block > 1 ? static_cast<double>(block - 1) : 1.0;
   std::vector<double> xs;
-  for (std::size_t k = 0; k < kBlock; ++k) {
+  for (std::size_t k = 0; k < block; ++k) {
     for (std::size_t a = 0; a < space.dim(); ++a) {
       const auto& info = space.info(a);
-      xs.push_back(info.lo + (info.hi - info.lo) * k / (kBlock - 1));
+      xs.push_back(info.lo + (info.hi - info.lo) * k / span);
     }
   }
-  std::vector<double> e(kBlock), l(kBlock), m(kBlock);
+  std::vector<double> e(block), l(block), m(block);
   for (auto _ : state) {
-    model->evaluate_batch(xs.data(), kBlock, e.data(), l.data(), m.data());
+    model->evaluate_batch(xs.data(), block, e.data(), l.data(), m.data());
     benchmark::DoNotOptimize(e.data());
     benchmark::DoNotOptimize(l.data());
     benchmark::DoNotOptimize(m.data());
   }
-  state.SetItemsProcessed(state.iterations() * kBlock);
+  state.SetItemsProcessed(state.iterations() * block);
   state.SetLabel(name);
 }
-BENCHMARK(BM_EvaluateBatch)->DenseRange(0, kLastProtocol);
+BENCHMARK(BM_EvaluateBatch)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, kLastProtocol, 1),
+                   {1, 2, 3, 17, 65, 1024}});
 
 void BM_EnergyDeepRing(benchmark::State& state) {
   // Scaling in ring depth (the per-ring max in energy()).

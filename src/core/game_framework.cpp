@@ -98,34 +98,22 @@ class BatchFence {
     if (slacks_.empty()) {
       for (std::size_t j = 0; j < m; ++j) survivors_.push_back(j);
     } else {
-      // Slack pass on SIMD lanes: a point survives iff every slack is
-      // > 0, i.e. iff the worst (minimum) slack is.  min-combining in
-      // declaration order keeps every intermediate bit-identical to the
-      // scalar tail, and a failed point's output (+inf) is the same
-      // whichever slack failed first, so dropping the scalar
-      // short-circuit is observationally exact.
-      using util::DoubleLanes;
-      constexpr std::size_t W = DoubleLanes::kWidth;
+      // Slack pass on lanes (util/simd.h for_lanes): a point survives iff
+      // every slack is > 0, i.e. iff the worst (minimum) slack is.  Each
+      // lane slack is bit-identical to make_scalar_slacks', and a failed
+      // point's output (+inf) is the same whichever slack failed first,
+      // so dropping the scalar short-circuit is observationally exact.
       worst_.resize(m);
-      std::size_t j = 0;
-      for (; j + W <= m; j += W) {
-        DoubleLanes worst = DoubleLanes::broadcast(kInf);
+      util::for_lanes(m, [&](auto lanes, std::size_t j) {
+        using L = decltype(lanes);
+        L worst = L::broadcast(kInf);
         for (const auto& s : slacks_) {
           const double* src = s.uses_energy ? e_.data() : l_.data();
-          const DoubleLanes cap = DoubleLanes::broadcast(s.cap);
-          worst = util::min(worst,
-                            (cap - DoubleLanes::load(src + j)) / cap);
+          const L cap = L::broadcast(s.cap);
+          worst = util::min(worst, (cap - L::load(src + j)) / cap);
         }
         worst.store(worst_.data() + j);
-      }
-      for (; j < m; ++j) {
-        double worst = kInf;
-        for (const auto& s : slacks_) {
-          const double v = s.uses_energy ? e_[j] : l_[j];
-          worst = std::min(worst, (s.cap - v) / s.cap);
-        }
-        worst_[j] = worst;
-      }
+      });
       for (std::size_t t = 0; t < m; ++t) {
         if (worst_[t] > 0.0) {
           survivors_.push_back(t);

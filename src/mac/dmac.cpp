@@ -8,7 +8,8 @@ namespace edb::mac {
 
 DmacModel::DmacModel(ModelContext ctx, DmacConfig cfg)
     : AnalyticMacModel(std::move(ctx)), cfg_(cfg),
-      space_({{"T", cfg.t_cycle_min, cfg.t_cycle_max, "s"}}) {
+      space_({{"T", cfg.t_cycle_min, cfg.t_cycle_max, "s"}}),
+      queue_(ctx_) {
   EDB_ASSERT(cfg_.t_cycle_min > 0 && cfg_.t_cycle_min < cfg_.t_cycle_max,
              "DMAC cycle bounds invalid");
   // The staggered schedule needs one slot per ring plus the sink's slot.
@@ -33,20 +34,12 @@ DmacModel::DmacModel(ModelContext ctx, DmacConfig cfg)
             cfg_.sync_period;
   bc_.tx_d.resize(depth);
   bc_.rx_d.resize(depth);
-  bc_.load.resize(depth);
   for (int d = 1; d <= depth; ++d) {
     bc_.tx_d[d - 1] = traffic.f_out(d) * e_tx_pkt;
     bc_.rx_d[d - 1] = traffic.f_in(d) * p.ack_airtime(r) * r.p_tx;
-    bc_.load[d - 1] = traffic.ring_load(d);
   }
   bc_.f_out1 = traffic.f_out(1);
   bc_.needed = (ctx_.ring.depth + 1) * bc_.mu;
-  bc_.v2 = ctx_.model_version == ModelVersion::kV2Queueing;
-  bc_.qk = 0.5 * ctx_.traffic_model().squared_cv();
-  bc_.burst = ctx_.arrivals == net::ArrivalProcess::kBursty;
-  const double b = ctx_.burst_factor;
-  bc_.bfac = b;
-  bc_.half_t_on = 0.5 * ((b - 1.0) / b * (1.0 / ctx_.fs));
 }
 
 namespace {
@@ -124,119 +117,44 @@ void DmacModel::evaluate_batch(const double* xs, std::size_t n,
   const BatchCoeffs& c = bc_;
   const int depth = ctx_.ring.depth;
   const double p_sleep = ctx_.radio.p_sleep;
+  const double epoch = ctx_.energy_epoch;
+  const double k_chain = cfg_.k_chain;
 
-  // SIMD main loop: the scalar expressions below, lane-wise, in the same
-  // association order (util/simd.h lane contract).
-  using util::DoubleLanes;
-  constexpr std::size_t W = DoubleLanes::kWidth;
-  const DoubleLanes half = DoubleLanes::broadcast(0.5);
-  const DoubleLanes sleep_b = DoubleLanes::broadcast(p_sleep);
-  const DoubleLanes stx_b = DoubleLanes::broadcast(c.stx);
-  const DoubleLanes srx_b = DoubleLanes::broadcast(c.srx);
-  const DoubleLanes mu_b = DoubleLanes::broadcast(c.mu);
-
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    const DoubleLanes t_cycle = DoubleLanes::load(xs + i);
+  // One body for the lane blocks and the remainder (util/simd.h
+  // for_lanes): the scalar expressions, lane-wise, in their association
+  // order.
+  util::for_lanes(n, [&](auto lanes, std::size_t i) {
+    using L = decltype(lanes);
+    const L t_cycle = L::load(xs + i);
     if (energies) {
-      const DoubleLanes cs = DoubleLanes::broadcast(c.cs_num) / t_cycle;
-      DoubleLanes worst = DoubleLanes::broadcast(0.0);
+      const L cs = L::broadcast(c.cs_num) / t_cycle;
+      L worst = L::broadcast(0.0);
       for (int d = 0; d < depth; ++d) {
-        const DoubleLanes total = cs + DoubleLanes::broadcast(c.tx_d[d]) +
-                                  DoubleLanes::broadcast(c.rx_d[d]) + stx_b +
-                                  srx_b + sleep_b;
+        // total() order with the zero ovr term elided (bit-preserving).
+        const L total = cs + L::broadcast(c.tx_d[d]) +
+                        L::broadcast(c.rx_d[d]) + L::broadcast(c.stx) +
+                        L::broadcast(c.srx) + L::broadcast(p_sleep);
         worst = util::max(worst, total);
       }
-      (worst * DoubleLanes::broadcast(ctx_.energy_epoch)).store(energies + i);
+      (worst * L::broadcast(epoch)).store(energies + i);
     }
     if (latencies) {
-      DoubleLanes total = half * t_cycle;  // source_wait: half a cycle
-      for (int d = 0; d < depth; ++d) total = total + mu_b;
-      if (c.v2) {
-        // Ring-as-server wait with service quantum T — one contended data
-        // slot per cycle (mac/model.h queueing_delay association order).
-        const DoubleLanes qk_b = DoubleLanes::broadcast(c.qk);
-        const DoubleLanes one = DoubleLanes::broadcast(1.0);
-        const DoubleLanes zero = DoubleLanes::broadcast(0.0);
-        DoubleLanes q = zero;
-        for (int d = 0; d < depth; ++d) {
-          const DoubleLanes rho = DoubleLanes::broadcast(c.load[d]) * t_cycle;
-          q = q + qk_b * rho * t_cycle / (one - rho);
-        }
-        if (c.burst) {
-          const DoubleLanes rho1 = DoubleLanes::broadcast(c.load[0]) * t_cycle;
-          const DoubleLanes w = util::max(
-              zero, one - one / (DoubleLanes::broadcast(c.bfac) * rho1));
-          q = q + w * DoubleLanes::broadcast(c.half_t_on);
-        }
-        total = total + q;
-      }
+      L total = L::broadcast(0.5) * t_cycle;  // source_wait: half a cycle
+      for (int d = 0; d < depth; ++d) total = total + L::broadcast(c.mu);
+      // Ring service quantum: the cycle T (one contended slot per cycle).
+      if (queue_.v2) total = total + queue_.delay(t_cycle);
       total.store(latencies + i);
     }
     if (margins) {
-      const DoubleLanes load = DoubleLanes::broadcast(c.f_out1) * t_cycle;
-      const DoubleLanes k_chain = DoubleLanes::broadcast(cfg_.k_chain);
-      const DoubleLanes m_capacity = (k_chain - load) / k_chain;
-      const DoubleLanes m_schedule =
-          (t_cycle - DoubleLanes::broadcast(c.needed)) / t_cycle;
-      const DoubleLanes m_v1 = util::min(m_capacity, m_schedule);
-      if (c.v2) {
-        const DoubleLanes cap = DoubleLanes::broadcast(kQueueStabilityCap);
-        const DoubleLanes rho = DoubleLanes::broadcast(c.load[0]) * t_cycle;
-        util::min(m_v1, (cap - rho) / cap).store(margins + i);
-      } else {
-        m_v1.store(margins + i);
-      }
+      const L load = L::broadcast(c.f_out1) * t_cycle;
+      const L m_capacity =
+          (L::broadcast(k_chain) - load) / L::broadcast(k_chain);
+      const L m_schedule = (t_cycle - L::broadcast(c.needed)) / t_cycle;
+      const L m_v1 = util::min(m_capacity, m_schedule);
+      (queue_.v2 ? util::min(m_v1, queue_.stability(t_cycle)) : m_v1)
+          .store(margins + i);
     }
-  }
-
-  // Scalar tail (also the bit-parity reference for the lanes above).
-  for (; i < n; ++i) {
-    const double t_cycle = xs[i];
-    if (energies) {
-      const double cs = c.cs_num / t_cycle;
-      double worst = 0.0;
-      for (int d = 0; d < depth; ++d) {
-        // total() order with the zero ovr term elided (bit-preserving).
-        const double total =
-            cs + c.tx_d[d] + c.rx_d[d] + c.stx + c.srx + p_sleep;
-        worst = std::max(worst, total);
-      }
-      energies[i] = worst * ctx_.energy_epoch;
-    }
-    if (latencies) {
-      double total = 0.5 * t_cycle;  // source_wait: half a cycle
-      for (int d = 0; d < depth; ++d) total += c.mu;
-      if (c.v2) {
-        double q = 0.0;
-        for (int d = 0; d < depth; ++d) {
-          const double rho = c.load[d] * t_cycle;
-          q += c.qk * rho * t_cycle / (1.0 - rho);
-        }
-        if (c.burst) {
-          const double rho1 = c.load[0] * t_cycle;
-          const double w = std::max(0.0, 1.0 - 1.0 / (c.bfac * rho1));
-          q += w * c.half_t_on;
-        }
-        total += q;
-      }
-      latencies[i] = total;
-    }
-    if (margins) {
-      const double load = c.f_out1 * t_cycle;
-      const double m_capacity = (cfg_.k_chain - load) / cfg_.k_chain;
-      const double m_schedule = (t_cycle - c.needed) / t_cycle;
-      const double m_v1 = std::min(m_capacity, m_schedule);
-      if (c.v2) {
-        const double rho = c.load[0] * t_cycle;
-        const double m_stab =
-            (kQueueStabilityCap - rho) / kQueueStabilityCap;
-        margins[i] = std::min(m_v1, m_stab);
-      } else {
-        margins[i] = m_v1;
-      }
-    }
-  }
+  });
 }
 
 double DmacModel::protocol_margin(const std::vector<double>& x) const {

@@ -67,8 +67,9 @@ class DmacModel final : public AnalyticMacModel {
   // the packet already waiting at successive depths.)
   double service_time(const std::vector<double>& x) const override;
 
-  // SoA tight loop over a point block; bit-identical to the scalar entry
-  // points (mac/model.h batch contract).
+  // One lane-generic body over a point block (util/simd.h for_lanes);
+  // bit-identical to the scalar entry points (mac/model.h batch
+  // contract).  The kV2Queueing term is queue_.delay(T).
   void evaluate_batch(const double* xs, std::size_t n, double* energies,
                       double* latencies, double* margins) const override;
 
@@ -86,18 +87,12 @@ class DmacModel final : public AnalyticMacModel {
     double mu = 0, cs_num = 0, stx = 0, srx = 0;
     double f_out1 = 0, needed = 0;
     std::vector<double> tx_d, rx_d;  // per ring, index d-1
-    // kV2Queueing (mac/model.h queueing_delay): branch flags, 0.5 * Ca^2,
-    // the per-ring aggregate loads, and the burst-backlog constants.  The
-    // ring service quantum is the cycle T itself (one contended slot).
-    bool v2 = false;
-    bool burst = false;
-    double qk = 0, bfac = 0, half_t_on = 0;
-    std::vector<double> load;  // ring_load(d), index d-1
   };
 
   DmacConfig cfg_;
   ParamSpace space_;
   BatchCoeffs bc_;
+  UniformQueue queue_;
 };
 
 }  // namespace edb::mac

@@ -9,7 +9,8 @@ namespace edb::mac {
 
 LmacModel::LmacModel(ModelContext ctx, LmacConfig cfg)
     : AnalyticMacModel(std::move(ctx)), cfg_(cfg),
-      space_({{"t_slot", cfg.t_slot_min, cfg.t_slot_max, "s"}}) {
+      space_({{"t_slot", cfg.t_slot_min, cfg.t_slot_max, "s"}}),
+      queue_(ctx_) {
   EDB_ASSERT(cfg_.t_slot_min > 0 && cfg_.t_slot_min < cfg_.t_slot_max,
              "LMAC slot bounds invalid");
   // Slot reuse needs the 2-hop neighbourhood to fit in one frame.
@@ -29,23 +30,15 @@ LmacModel::LmacModel(ModelContext ctx, LmacConfig cfg)
   bc_.srx_num = (cfg_.n_slots - 1) * (r.t_startup + t_cm) * r.p_rx;
   bc_.tx_d.resize(depth);
   bc_.rx_d.resize(depth);
-  bc_.load.resize(depth);
   bc_.ring_n.resize(depth);
   for (int d = 1; d <= depth; ++d) {
     bc_.tx_d[d - 1] = traffic.f_out(d) * p.data_airtime(r) * r.p_tx;
     bc_.rx_d[d - 1] = traffic.f_in(d) * p.data_airtime(r) * r.p_rx;
-    bc_.load[d - 1] = traffic.ring_load(d);
     bc_.ring_n[d - 1] = ctx_.ring.nodes_in_ring(d);
   }
   bc_.hop_k = 0.5 * cfg_.n_slots + 1.0;
   bc_.min_slot = min_slot_width();
   bc_.f_out1 = traffic.f_out(1);
-  bc_.v2 = ctx_.model_version == ModelVersion::kV2Queueing;
-  bc_.qk = 0.5 * ctx_.traffic_model().squared_cv();
-  bc_.burst = ctx_.arrivals == net::ArrivalProcess::kBursty;
-  const double b = ctx_.burst_factor;
-  bc_.bfac = b;
-  bc_.half_t_on = 0.5 * ((b - 1.0) / b * (1.0 / ctx_.fs));
 }
 
 namespace {
@@ -123,130 +116,47 @@ void LmacModel::evaluate_batch(const double* xs, std::size_t n,
   const BatchCoeffs& c = bc_;
   const int depth = ctx_.ring.depth;
   const double p_sleep = ctx_.radio.p_sleep;
+  const double epoch = ctx_.energy_epoch;
+  const double n_slots = cfg_.n_slots;
 
-  // SIMD main loop: the scalar expressions below, lane-wise, in the same
-  // association order (util/simd.h lane contract).
-  using util::DoubleLanes;
-  constexpr std::size_t W = DoubleLanes::kWidth;
-  const DoubleLanes n_slots_b = DoubleLanes::broadcast(cfg_.n_slots);
-  const DoubleLanes sleep_b = DoubleLanes::broadcast(p_sleep);
-  const DoubleLanes zero = DoubleLanes::broadcast(0.0);
-
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    const DoubleLanes t_slot = DoubleLanes::load(xs + i);
+  // One body for the lane blocks and the remainder (util/simd.h
+  // for_lanes): the scalar expressions, lane-wise, in their association
+  // order.
+  util::for_lanes(n, [&](auto lanes, std::size_t i) {
+    using L = decltype(lanes);
+    const L t_slot = L::load(xs + i);
+    const L frame = L::broadcast(n_slots) * t_slot;
+    // ring_service_quantum(x, k + 1): the TDMA quantum frame / ring size.
+    const auto quantum = [&](std::size_t k) {
+      return frame / L::broadcast(c.ring_n[k]);
+    };
     if (energies) {
-      const DoubleLanes frame = n_slots_b * t_slot;
-      const DoubleLanes stx = DoubleLanes::broadcast(c.stx_num) / frame;
-      const DoubleLanes srx = DoubleLanes::broadcast(c.srx_num) / frame;
-      DoubleLanes worst = zero;
+      const L stx = L::broadcast(c.stx_num) / frame;
+      const L srx = L::broadcast(c.srx_num) / frame;
+      L worst = L::broadcast(0.0);
       for (int d = 0; d < depth; ++d) {
-        const DoubleLanes total = DoubleLanes::broadcast(c.tx_d[d]) +
-                                  DoubleLanes::broadcast(c.rx_d[d]) + stx +
-                                  srx + sleep_b;
+        // total() order with the zero cs/ovr terms elided (bit-preserving).
+        const L total = L::broadcast(c.tx_d[d]) + L::broadcast(c.rx_d[d]) +
+                        stx + srx + L::broadcast(p_sleep);
         worst = util::max(worst, total);
       }
-      (worst * DoubleLanes::broadcast(ctx_.energy_epoch)).store(energies + i);
+      (worst * L::broadcast(epoch)).store(energies + i);
     }
     if (latencies) {
-      const DoubleLanes hop = DoubleLanes::broadcast(c.hop_k) * t_slot;
-      DoubleLanes total = zero;  // source_wait() is 0 for LMAC
+      const L hop = L::broadcast(c.hop_k) * t_slot;
+      L total = L::broadcast(0.0);  // source_wait() is 0 for LMAC
       for (int d = 0; d < depth; ++d) total = total + hop;
-      if (c.v2) {
-        // Ring-as-server wait with the TDMA quantum frame / ring size
-        // (mac/model.h queueing_delay association order).
-        const DoubleLanes frame = n_slots_b * t_slot;
-        const DoubleLanes qk_b = DoubleLanes::broadcast(c.qk);
-        const DoubleLanes one = DoubleLanes::broadcast(1.0);
-        DoubleLanes q = zero;
-        for (int d = 0; d < depth; ++d) {
-          const DoubleLanes s = frame / DoubleLanes::broadcast(c.ring_n[d]);
-          const DoubleLanes rho = DoubleLanes::broadcast(c.load[d]) * s;
-          q = q + qk_b * rho * s / (one - rho);
-        }
-        if (c.burst) {
-          const DoubleLanes s1 = frame / DoubleLanes::broadcast(c.ring_n[0]);
-          const DoubleLanes rho1 = DoubleLanes::broadcast(c.load[0]) * s1;
-          const DoubleLanes w = util::max(
-              zero, one - one / (DoubleLanes::broadcast(c.bfac) * rho1));
-          q = q + w * DoubleLanes::broadcast(c.half_t_on);
-        }
-        total = total + q;
-      }
+      if (queue_.v2) total = total + queue_.delay_rings<L>(quantum);
       total.store(latencies + i);
     }
     if (margins) {
-      const DoubleLanes m_fit =
-          (t_slot - DoubleLanes::broadcast(c.min_slot)) / t_slot;
-      const DoubleLanes load =
-          DoubleLanes::broadcast(c.f_out1) * (n_slots_b * t_slot);
-      const DoubleLanes m_capacity = DoubleLanes::broadcast(1.0) - load;
-      const DoubleLanes m_v1 = util::min(m_fit, m_capacity);
-      if (c.v2) {
-        const DoubleLanes cap = DoubleLanes::broadcast(kQueueStabilityCap);
-        const DoubleLanes s1 =
-            (n_slots_b * t_slot) / DoubleLanes::broadcast(c.ring_n[0]);
-        const DoubleLanes rho = DoubleLanes::broadcast(c.load[0]) * s1;
-        util::min(m_v1, (cap - rho) / cap).store(margins + i);
-      } else {
-        m_v1.store(margins + i);
-      }
+      const L m_fit = (t_slot - L::broadcast(c.min_slot)) / t_slot;
+      const L m_capacity = L::broadcast(1.0) - L::broadcast(c.f_out1) * frame;
+      const L m_v1 = util::min(m_fit, m_capacity);
+      (queue_.v2 ? util::min(m_v1, queue_.stability(quantum(0))) : m_v1)
+          .store(margins + i);
     }
-  }
-
-  // Scalar tail (also the bit-parity reference for the lanes above).
-  for (; i < n; ++i) {
-    const double t_slot = xs[i];
-    if (energies) {
-      const double frame = cfg_.n_slots * t_slot;
-      const double stx = c.stx_num / frame;
-      const double srx = c.srx_num / frame;
-      double worst = 0.0;
-      for (int d = 0; d < depth; ++d) {
-        // total() order with the zero cs/ovr terms elided (bit-preserving).
-        const double total = c.tx_d[d] + c.rx_d[d] + stx + srx + p_sleep;
-        worst = std::max(worst, total);
-      }
-      energies[i] = worst * ctx_.energy_epoch;
-    }
-    if (latencies) {
-      const double hop = c.hop_k * t_slot;
-      double total = 0.0;  // source_wait() is 0 for LMAC
-      for (int d = 0; d < depth; ++d) total += hop;
-      if (c.v2) {
-        const double frame = cfg_.n_slots * t_slot;
-        double q = 0.0;
-        for (int d = 0; d < depth; ++d) {
-          const double s = frame / c.ring_n[d];
-          const double rho = c.load[d] * s;
-          q += c.qk * rho * s / (1.0 - rho);
-        }
-        if (c.burst) {
-          const double s1 = frame / c.ring_n[0];
-          const double rho1 = c.load[0] * s1;
-          const double w = std::max(0.0, 1.0 - 1.0 / (c.bfac * rho1));
-          q += w * c.half_t_on;
-        }
-        total += q;
-      }
-      latencies[i] = total;
-    }
-    if (margins) {
-      const double m_fit = (t_slot - c.min_slot) / t_slot;
-      const double load = c.f_out1 * (cfg_.n_slots * t_slot);
-      const double m_capacity = 1.0 - load;
-      const double m_v1 = std::min(m_fit, m_capacity);
-      if (c.v2) {
-        const double s1 = (cfg_.n_slots * t_slot) / c.ring_n[0];
-        const double rho = c.load[0] * s1;
-        const double m_stab =
-            (kQueueStabilityCap - rho) / kQueueStabilityCap;
-        margins[i] = std::min(m_v1, m_stab);
-      } else {
-        margins[i] = m_v1;
-      }
-    }
-  }
+  });
 }
 
 double LmacModel::protocol_margin(const std::vector<double>& x) const {

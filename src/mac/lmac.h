@@ -66,8 +66,10 @@ class LmacModel final : public AnalyticMacModel {
   double ring_service_quantum(const std::vector<double>& x,
                               int d) const override;
 
-  // SoA tight loop over a point block; bit-identical to the scalar entry
-  // points (mac/model.h batch contract).
+  // One lane-generic body over a point block (util/simd.h for_lanes);
+  // bit-identical to the scalar entry points (mac/model.h batch
+  // contract).  The kV2Queueing term is queue_.delay_rings over the
+  // per-ring TDMA quantum frame / nodes_in_ring(d).
   void evaluate_batch(const double* xs, std::size_t n, double* energies,
                       double* latencies, double* margins) const override;
 
@@ -87,19 +89,13 @@ class LmacModel final : public AnalyticMacModel {
   struct BatchCoeffs {
     double stx_num = 0, srx_num = 0, hop_k = 0;
     double min_slot = 0, f_out1 = 0;
-    std::vector<double> tx_d, rx_d;  // per ring, index d-1
-    // kV2Queueing (mac/model.h queueing_delay): branch flags, 0.5 * Ca^2,
-    // the per-ring aggregate loads and ring sizes (the TDMA quantum is
-    // frame / ring_n), and the burst-backlog constants.
-    bool v2 = false;
-    bool burst = false;
-    double qk = 0, bfac = 0, half_t_on = 0;
-    std::vector<double> load, ring_n;  // per ring, index d-1
+    std::vector<double> tx_d, rx_d, ring_n;  // per ring, index d-1
   };
 
   LmacConfig cfg_;
   ParamSpace space_;
   BatchCoeffs bc_;
+  UniformQueue queue_;
 };
 
 }  // namespace edb::mac

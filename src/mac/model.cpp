@@ -90,9 +90,10 @@ double AnalyticMacModel::ring_service_quantum(const std::vector<double>& x,
   return service_time(x);
 }
 
-// NOTE: the batch kernels (UniformQueue below, dmac/lmac/xmac.cpp)
-// replicate this function's association order term by term; any change
-// here must be mirrored there or the hex-float parity tests fail.
+// NOTE: every batch kernel takes its kV2Queueing term from
+// UniformQueue::delay_rings (mac/model.h), which replicates this
+// function's association order term by term; any change here must be
+// mirrored there or the hex-float parity tests fail.
 double AnalyticMacModel::queueing_delay(const std::vector<double>& x) const {
   const double qk = 0.5 * ctx_.traffic_model().squared_cv();
   const net::RingTraffic traffic = ctx_.traffic();
@@ -210,23 +211,14 @@ AnalyticMacModel::UniformQueue::UniformQueue(const ModelContext& ctx)
   }
 }
 
+// Out of line, so the scalar kernels' kV1 loops stay free of the queue
+// loop's code.
 double AnalyticMacModel::UniformQueue::delay(double s) const {
-  double q = 0.0;
-  for (const double l : load) {
-    const double rho = l * s;
-    q += qk * rho * s / (1.0 - rho);
-  }
-  if (burst) {
-    const double rho1 = load[0] * s;
-    const double w = std::max(0.0, 1.0 - 1.0 / (bfac * rho1));
-    q += w * half_t_on;
-  }
-  return q;
+  return delay(util::OneLane{s}).v;
 }
 
 double AnalyticMacModel::UniformQueue::stability(double s) const {
-  const double rho = load[0] * s;
-  return (kQueueStabilityCap - rho) / kQueueStabilityCap;
+  return stability(util::OneLane{s}).v;
 }
 
 }  // namespace edb::mac

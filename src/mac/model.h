@@ -25,6 +25,7 @@
 #include "net/ring.h"
 #include "net/traffic.h"
 #include "util/error.h"
+#include "util/simd.h"
 
 namespace edb::mac {
 
@@ -251,13 +252,43 @@ class AnalyticMacModel {
   // its margins the same way.
   double stability_margin(const std::vector<double>& x) const;
 
-  // The kV2Queueing constants of a batch kernel whose ring service
-  // quantum s is one value for every ring (the ring_service_quantum
-  // default: B-MAC, SCP-MAC, S-MAC, WiseMAC).  delay(s) and
-  // stability(s) are queueing_delay and stability_margin at that
-  // quantum, in the scalar association order.
+  // The kV2Queueing term of every batch kernel, written once over the
+  // lane type (util/simd.h).  delay(s) and stability(s) are
+  // queueing_delay and stability_margin at a ring service quantum s that
+  // is one value for every ring (X-MAC's hop exchange, DMAC's cycle, the
+  // ring_service_quantum default of the other four); delay_rings(quantum)
+  // takes quantum(k) for ring k + 1 (LMAC's TDMA quantum frame / ring
+  // size).  All keep queueing_delay's association order.  The double
+  // overloads serve the scalar kernels (B-MAC, SCP-MAC, S-MAC, WiseMAC).
   struct UniformQueue {
     explicit UniformQueue(const ModelContext& ctx);
+
+    template <class L, class Quantum>
+    L delay_rings(Quantum quantum) const {
+      const L one = L::broadcast(1.0), zero = L::broadcast(0.0);
+      L q = zero;
+      for (std::size_t k = 0; k < load.size(); ++k) {
+        const L s = quantum(k);
+        const L rho = L::broadcast(load[k]) * s;
+        q = q + L::broadcast(qk) * rho * s / (one - rho);
+      }
+      if (burst) {
+        const L rho1 = L::broadcast(load[0]) * quantum(std::size_t{0});
+        const L w = util::max(zero, one - one / (L::broadcast(bfac) * rho1));
+        q = q + w * L::broadcast(half_t_on);
+      }
+      return q;
+    }
+    template <class L>
+    L delay(L s) const {
+      return delay_rings<L>([s](std::size_t) { return s; });
+    }
+    template <class L>
+    L stability(L s) const {
+      const L cap = L::broadcast(kQueueStabilityCap);
+      const L rho = L::broadcast(load[0]) * s;
+      return (cap - rho) / cap;
+    }
     double delay(double s) const;
     double stability(double s) const;
 

@@ -8,7 +8,7 @@ namespace edb::mac {
 
 XmacModel::XmacModel(ModelContext ctx, XmacConfig cfg)
     : AnalyticMacModel(std::move(ctx)), cfg_(cfg),
-      space_({{"Tw", cfg.tw_min, cfg.tw_max, "s"}}) {
+      space_({{"Tw", cfg.tw_min, cfg.tw_max, "s"}}), queue_(ctx_) {
   EDB_ASSERT(cfg_.tw_min > 0 && cfg_.tw_min < cfg_.tw_max,
              "X-MAC wake-interval bounds invalid");
   EDB_ASSERT(cfg_.tw_min > 2.0 * strobe_period(),
@@ -44,14 +44,6 @@ XmacModel::XmacModel(ModelContext ctx, XmacConfig cfg)
   }
   bc_.fsum = traffic.f_out(1) + traffic.f_in(1);
   bc_.two_sp = 2.0 * bc_.sp;
-  bc_.v2 = ctx_.model_version == ModelVersion::kV2Queueing;
-  bc_.qk = 0.5 * ctx_.traffic_model().squared_cv();
-  bc_.load.resize(depth);
-  for (int d = 1; d <= depth; ++d) bc_.load[d - 1] = traffic.ring_load(d);
-  bc_.burst = ctx_.arrivals == net::ArrivalProcess::kBursty;
-  const double b = ctx_.burst_factor;
-  bc_.bfac = b;
-  bc_.half_t_on = 0.5 * ((b - 1.0) / b * (1.0 / ctx_.fs));
 }
 
 namespace {
@@ -124,138 +116,52 @@ void XmacModel::evaluate_batch(const double* xs, std::size_t n,
   const BatchCoeffs& c = bc_;
   const int depth = ctx_.ring.depth;
   const double p_sleep = ctx_.radio.p_sleep;
+  const double epoch = ctx_.energy_epoch;
+  const double max_util = cfg_.max_utilisation;
 
-  // SIMD main loop: the scalar expressions below, lane-wise, in the same
-  // association order (util/simd.h lane contract), so every stored double
-  // is bit-identical to the scalar tail's.
-  using util::DoubleLanes;
-  constexpr std::size_t W = DoubleLanes::kWidth;
-  const DoubleLanes half = DoubleLanes::broadcast(0.5);
-  const DoubleLanes sleep_b = DoubleLanes::broadcast(p_sleep);
-  const DoubleLanes zero = DoubleLanes::broadcast(0.0);
-
-  std::size_t i = 0;
-  for (; i + W <= n; i += W) {
-    const DoubleLanes tw = DoubleLanes::load(xs + i);
+  // One body for the lane blocks and the remainder (util/simd.h
+  // for_lanes): the scalar entry points' expressions, lane-wise, in their
+  // association order, so every stored double is bit-identical to them.
+  util::for_lanes(n, [&](auto lanes, std::size_t i) {
+    using L = decltype(lanes);
+    const L tw = L::load(xs + i);
+    const L half = L::broadcast(0.5);
+    // One hop exchange: hop_latency() and the ring service quantum.
+    const L hop = half * tw + L::broadcast(c.sp) + L::broadcast(c.t_ack) +
+                  L::broadcast(c.t_data);
     if (energies) {
-      const DoubleLanes cs = DoubleLanes::broadcast(c.cs_num) / tw;
-      const DoubleLanes e_tx_pkt =
-          half * tw * DoubleLanes::broadcast(c.tx_k) +
-          DoubleLanes::broadcast(c.tx_ack) + DoubleLanes::broadcast(c.tx_data);
-      DoubleLanes worst = zero;
-      for (int d = 0; d < depth; ++d) {
-        const DoubleLanes total =
-            cs + DoubleLanes::broadcast(c.f_out[d]) * e_tx_pkt +
-            DoubleLanes::broadcast(c.rx_d[d]) +
-            DoubleLanes::broadcast(c.ovr_d[d]) + sleep_b;
-        worst = util::max(worst, total);
-      }
-      (worst * DoubleLanes::broadcast(ctx_.energy_epoch)).store(energies + i);
-    }
-    if (latencies) {
-      const DoubleLanes hop = half * tw + DoubleLanes::broadcast(c.sp) +
-                              DoubleLanes::broadcast(c.t_ack) +
-                              DoubleLanes::broadcast(c.t_data);
-      DoubleLanes total = zero;  // source_wait() is 0 for X-MAC
-      for (int d = 0; d < depth; ++d) total = total + hop;
-      if (c.v2) {
-        // Per-ring M/G/1 wait, ring service quantum = the hop exchange
-        // itself (mac/model.h queueing_delay association order), plus the
-        // burst-backlog term at ring 1.
-        const DoubleLanes qk_b = DoubleLanes::broadcast(c.qk);
-        const DoubleLanes one = DoubleLanes::broadcast(1.0);
-        DoubleLanes q = zero;
-        for (int d = 0; d < depth; ++d) {
-          const DoubleLanes rho = DoubleLanes::broadcast(c.load[d]) * hop;
-          q = q + qk_b * rho * hop / (one - rho);
-        }
-        if (c.burst) {
-          const DoubleLanes rho1 = DoubleLanes::broadcast(c.load[0]) * hop;
-          const DoubleLanes w = util::max(
-              zero, one - one / (DoubleLanes::broadcast(c.bfac) * rho1));
-          q = q + w * DoubleLanes::broadcast(c.half_t_on);
-        }
-        total = total + q;
-      }
-      total.store(latencies + i);
-    }
-    if (margins) {
-      const DoubleLanes per_pkt = half * tw +
-                                  DoubleLanes::broadcast(c.t_data) +
-                                  DoubleLanes::broadcast(c.t_ack);
-      const DoubleLanes busy = DoubleLanes::broadcast(c.fsum) * per_pkt;
-      const DoubleLanes max_util =
-          DoubleLanes::broadcast(cfg_.max_utilisation);
-      const DoubleLanes m_util = (max_util - busy) / max_util;
-      const DoubleLanes m_strobe =
-          (tw - DoubleLanes::broadcast(c.two_sp)) / tw;
-      const DoubleLanes m_v1 = util::min(m_util, m_strobe);
-      if (c.v2) {
-        const DoubleLanes s = half * tw + DoubleLanes::broadcast(c.sp) +
-                              DoubleLanes::broadcast(c.t_ack) +
-                              DoubleLanes::broadcast(c.t_data);
-        const DoubleLanes cap = DoubleLanes::broadcast(kQueueStabilityCap);
-        const DoubleLanes rho = DoubleLanes::broadcast(c.load[0]) * s;
-        util::min(m_v1, (cap - rho) / cap).store(margins + i);
-      } else {
-        m_v1.store(margins + i);
-      }
-    }
-  }
-
-  // Scalar tail (also the bit-parity reference for the lanes above).
-  for (; i < n; ++i) {
-    const double tw = xs[i];
-    if (energies) {
-      const double cs = c.cs_num / tw;
-      const double e_tx_pkt = 0.5 * tw * c.tx_k + c.tx_ack + c.tx_data;
-      double worst = 0.0;
+      const L cs = L::broadcast(c.cs_num) / tw;
+      const L e_tx_pkt = half * tw * L::broadcast(c.tx_k) +
+                         L::broadcast(c.tx_ack) + L::broadcast(c.tx_data);
+      L worst = L::broadcast(0.0);
       for (int d = 0; d < depth; ++d) {
         // PowerBreakdown::total() order, zero stx/srx terms elided
         // (x + 0.0 == x bitwise for these non-negative finite sums).
-        const double total =
-            cs + c.f_out[d] * e_tx_pkt + c.rx_d[d] + c.ovr_d[d] + p_sleep;
-        worst = std::max(worst, total);
+        const L total = cs + L::broadcast(c.f_out[d]) * e_tx_pkt +
+                        L::broadcast(c.rx_d[d]) + L::broadcast(c.ovr_d[d]) +
+                        L::broadcast(p_sleep);
+        worst = util::max(worst, total);
       }
-      energies[i] = worst * ctx_.energy_epoch;
+      (worst * L::broadcast(epoch)).store(energies + i);
     }
     if (latencies) {
-      const double hop = 0.5 * tw + c.sp + c.t_ack + c.t_data;
-      double total = 0.0;  // source_wait() is 0 for X-MAC
-      for (int d = 0; d < depth; ++d) total += hop;
-      if (c.v2) {
-        double q = 0.0;
-        for (int d = 0; d < depth; ++d) {
-          const double rho = c.load[d] * hop;
-          q += c.qk * rho * hop / (1.0 - rho);
-        }
-        if (c.burst) {
-          const double rho1 = c.load[0] * hop;
-          const double w = std::max(0.0, 1.0 - 1.0 / (c.bfac * rho1));
-          q += w * c.half_t_on;
-        }
-        total += q;
-      }
-      latencies[i] = total;
+      L total = L::broadcast(0.0);  // source_wait() is 0 for X-MAC
+      for (int d = 0; d < depth; ++d) total = total + hop;
+      if (queue_.v2) total = total + queue_.delay(hop);
+      total.store(latencies + i);
     }
     if (margins) {
-      const double per_pkt = 0.5 * tw + c.t_data + c.t_ack;
-      const double busy = c.fsum * per_pkt;
-      const double m_util =
-          (cfg_.max_utilisation - busy) / cfg_.max_utilisation;
-      const double m_strobe = (tw - c.two_sp) / tw;
-      const double m_v1 = std::min(m_util, m_strobe);
-      if (c.v2) {
-        const double s = 0.5 * tw + c.sp + c.t_ack + c.t_data;
-        const double rho = c.load[0] * s;
-        const double m_stab =
-            (kQueueStabilityCap - rho) / kQueueStabilityCap;
-        margins[i] = std::min(m_v1, m_stab);
-      } else {
-        margins[i] = m_v1;
-      }
+      const L per_pkt =
+          half * tw + L::broadcast(c.t_data) + L::broadcast(c.t_ack);
+      const L busy = L::broadcast(c.fsum) * per_pkt;
+      const L m_util =
+          (L::broadcast(max_util) - busy) / L::broadcast(max_util);
+      const L m_strobe = (tw - L::broadcast(c.two_sp)) / tw;
+      const L m_v1 = util::min(m_util, m_strobe);
+      (queue_.v2 ? util::min(m_v1, queue_.stability(hop)) : m_v1)
+          .store(margins + i);
     }
-  }
+  });
 }
 
 double XmacModel::protocol_margin(const std::vector<double>& x) const {

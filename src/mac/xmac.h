@@ -55,10 +55,12 @@ class XmacModel final : public AnalyticMacModel {
                                int d) const override;
   double hop_latency(const std::vector<double>& x, int d) const override;
 
-  // SoA tight loop over a point block: per-call invariants (airtimes,
-  // strobe geometry, per-ring traffic rates) hoisted once, per-point
-  // arithmetic kept in the scalar order — bit-identical to the scalar
-  // entry points (mac/model.h batch contract).
+  // One lane-generic body over a point block (util/simd.h for_lanes):
+  // invariants (airtimes, strobe geometry, per-ring traffic rates)
+  // precomputed once, per-point arithmetic kept in the scalar order —
+  // bit-identical to the scalar entry points (mac/model.h batch
+  // contract).  The kV2Queueing term is queue_.delay(hop): X-MAC's ring
+  // service quantum is the hop exchange itself.
   void evaluate_batch(const double* xs, std::size_t n, double* energies,
                       double* latencies, double* margins) const override;
 
@@ -79,19 +81,12 @@ class XmacModel final : public AnalyticMacModel {
     double cs_num = 0, tx_k = 0, tx_ack = 0, tx_data = 0;
     double fsum = 0, two_sp = 0;
     std::vector<double> f_out, rx_d, ovr_d;  // per ring, index d-1
-    // kV2Queueing (mac/model.h queueing_delay): branch flags, the
-    // arrival-burstiness coefficient 0.5 * Ca^2, the per-ring aggregate
-    // loads, and the burst-backlog constants.  X-MAC's ring service
-    // quantum is the hop latency itself, so no per-ring quantum state.
-    bool v2 = false;
-    bool burst = false;
-    double qk = 0, bfac = 0, half_t_on = 0;
-    std::vector<double> load;  // ring_load(d), index d-1
   };
 
   XmacConfig cfg_;
   ParamSpace space_;
   BatchCoeffs bc_;
+  UniformQueue queue_;
 };
 
 }  // namespace edb::mac

@@ -9,24 +9,32 @@
 //   otherwise                -> scalar-array fallback
 //   EDB_SIMD_FORCE_SCALAR    -> scalar-array fallback regardless of target
 //
+// `OneLane` is the same interface over one plain double.  A kernel is
+// written once, as a generic body over the lane type, and `for_lanes`
+// runs it on DoubleLanes over the full blocks of a point block and on
+// OneLane over the remainder — there is no hand-copied scalar tail.
+//
 // Lane contract (DESIGN.md §2): every operation is the IEEE-754 scalar
 // operation applied lane-wise — lane i of `a op b` carries exactly the
 // double `a.lane(i) op b.lane(i)` would produce.  Two rules keep kernels
-// written on this wrapper bit-identical to their scalar reference loops:
+// written on these types bit-identical to the models' scalar entry
+// points:
 //
-//   1. No FMA.  The wrapper never emits fused multiply-add (there is no
+//   1. No FMA.  The wrappers never emit fused multiply-add (there is no
 //      fma entry point), and the build compiles with -ffp-contract=off so
 //      the compiler cannot contract the scalar reference expressions
 //      either (aarch64 would otherwise fuse them by default).
-//   2. Association is the kernel's job.  The wrapper provides binary ops
+//   2. Association is the kernel's job.  The wrappers provide binary ops
 //      only; a kernel must chain them in the scalar expression's exact
 //      association order ((a*b)+c, not a*(b+c)).
 //
 // tests/util_simd_test.cpp asserts rule 1 and the lane-wise semantics in
-// hex-float; tests/mac_batch_parity_test.cpp asserts the end-to-end
-// consequence (SIMD kernels bit-identical to the scalar entry points).
+// hex-float for both types; tests/mac_batch_parity_test.cpp asserts the
+// end-to-end consequence (batch kernels bit-identical to the scalar
+// entry points).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #if !defined(EDB_SIMD_FORCE_SCALAR) && defined(__AVX2__)
@@ -185,5 +193,38 @@ inline DoubleLanes max(DoubleLanes a, DoubleLanes b) {
 inline const char* simd_backend() { return "scalar"; }
 
 #endif
+
+// Width-1 lanes: DoubleLanes' interface over one double, min/max being
+// the std::min/std::max selects themselves.
+struct OneLane {
+  static constexpr std::size_t kWidth = 1;
+  double v;
+
+  static OneLane load(const double* p) { return {*p}; }
+  static OneLane broadcast(double x) { return {x}; }
+  void store(double* p) const { *p = v; }
+  double lane(std::size_t) const { return v; }
+
+  friend OneLane operator+(OneLane a, OneLane b) { return {a.v + b.v}; }
+  friend OneLane operator-(OneLane a, OneLane b) { return {a.v - b.v}; }
+  friend OneLane operator*(OneLane a, OneLane b) { return {a.v * b.v}; }
+  friend OneLane operator/(OneLane a, OneLane b) { return {a.v / b.v}; }
+};
+
+inline OneLane min(OneLane a, OneLane b) { return {std::min(a.v, b.v)}; }
+inline OneLane max(OneLane a, OneLane b) { return {std::max(a.v, b.v)}; }
+
+// Runs body(DoubleLanes{}, i) for every full lane block [i, i + kWidth)
+// of [0, n), then body(OneLane{}, i) for each remaining index.  The body
+// is a generic lambda that takes its lane type from the first argument
+// (`using L = decltype(lanes);`) and loads/stores at offset i.
+template <class Body>
+inline void for_lanes(std::size_t n, Body&& body) {
+  std::size_t i = 0;
+  for (; i + DoubleLanes::kWidth <= n; i += DoubleLanes::kWidth) {
+    body(DoubleLanes{}, i);
+  }
+  for (; i < n; ++i) body(OneLane{}, i);
+}
 
 }  // namespace edb::util

@@ -1,8 +1,9 @@
-// Lane-wrapper semantics (util/simd.h): every lane operation must carry
-// exactly the IEEE-754 double the scalar expression produces — asserted
-// bit-for-bit in hex-float — plus the no-FMA rule and its end-to-end
-// consequence: the three paper kernels' SIMD loops match the scalar
-// entry points on every lane, including remainder tails.
+// Lane-wrapper semantics (util/simd.h): every lane operation of
+// DoubleLanes and OneLane must carry exactly the IEEE-754 double the
+// scalar expression produces — asserted bit-for-bit in hex-float — plus
+// the no-FMA rule and its end-to-end consequence: the three paper
+// kernels match the scalar entry points on every lane, for every block
+// length from 1 to two full lane blocks plus one.
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mac/registry.h"
@@ -47,40 +49,51 @@ TEST(UtilSimd, BackendAndWidthAreCoherent) {
   EXPECT_TRUE(backend == "avx2" || backend == "neon" || backend == "scalar");
 }
 
-TEST(UtilSimd, LoadStoreBroadcastRoundTrip) {
+// The lane contract, run over the hardware lanes and the width-1 lanes
+// that for_lanes uses for remainders.
+template <class L>
+class LaneContract : public ::testing::Test {};
+using LaneTypes = ::testing::Types<util::DoubleLanes, util::OneLane>;
+TYPED_TEST_SUITE(LaneContract, LaneTypes);
+
+TYPED_TEST(LaneContract, LoadStoreBroadcastRoundTrip) {
+  using L = TypeParam;
+  constexpr std::size_t w = L::kWidth;
   std::vector<double> buf = kTricky;
-  buf.resize(((buf.size() + W - 1) / W) * W, 7.25);
-  std::vector<double> out(W);
-  for (std::size_t off = 0; off + W <= buf.size(); off += W) {
-    const DoubleLanes v = DoubleLanes::load(buf.data() + off);
+  buf.resize(((buf.size() + w - 1) / w) * w, 7.25);
+  std::vector<double> out(w);
+  for (std::size_t off = 0; off + w <= buf.size(); off += w) {
+    const L v = L::load(buf.data() + off);
     v.store(out.data());
-    for (std::size_t k = 0; k < W; ++k) {
+    for (std::size_t k = 0; k < w; ++k) {
       EXPECT_TRUE(bits_eq(out[k], buf[off + k])) << "store lane " << k;
       EXPECT_TRUE(bits_eq(v.lane(k), buf[off + k])) << "lane() " << k;
     }
   }
   for (double c : kTricky) {
-    const DoubleLanes b = DoubleLanes::broadcast(c);
-    for (std::size_t k = 0; k < W; ++k) {
+    const L b = L::broadcast(c);
+    for (std::size_t k = 0; k < w; ++k) {
       EXPECT_TRUE(bits_eq(b.lane(k), c)) << "broadcast lane " << k;
     }
   }
 }
 
-TEST(UtilSimd, ArithmeticMatchesScalarPerLane) {
+TYPED_TEST(LaneContract, ArithmeticMatchesScalarPerLane) {
+  using L = TypeParam;
+  constexpr std::size_t w = L::kWidth;
   const std::size_t n = kTricky.size();
-  std::vector<double> av(W), bv(W);
+  std::vector<double> av(w), bv(w);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       // Rotate the cases through the lanes so every lane carries a
       // different operand pair on every (i, j) visit.
-      for (std::size_t k = 0; k < W; ++k) {
+      for (std::size_t k = 0; k < w; ++k) {
         av[k] = kTricky[(i + k) % n];
         bv[k] = kTricky[(j + k) % n];
       }
-      const DoubleLanes a = DoubleLanes::load(av.data());
-      const DoubleLanes b = DoubleLanes::load(bv.data());
-      for (std::size_t k = 0; k < W; ++k) {
+      const L a = L::load(av.data());
+      const L b = L::load(bv.data());
+      for (std::size_t k = 0; k < w; ++k) {
         EXPECT_TRUE(bits_eq((a + b).lane(k), av[k] + bv[k])) << "+";
         EXPECT_TRUE(bits_eq((a - b).lane(k), av[k] - bv[k])) << "-";
         EXPECT_TRUE(bits_eq((a * b).lane(k), av[k] * bv[k])) << "*";
@@ -96,36 +109,55 @@ TEST(UtilSimd, ArithmeticMatchesScalarPerLane) {
   }
 }
 
-TEST(UtilSimd, MinMaxTiesAndSignedZerosMatchStd) {
+TYPED_TEST(LaneContract, MinMaxTiesAndSignedZerosMatchStd) {
   // std::min/std::max are selects — min(a,b) returns a on ties, including
   // the +0/-0 tie where the hardware min/max instructions disagree.
+  using L = TypeParam;
   const double pz = 0.0, nz = -0.0;
   struct Case {
     double a, b;
   };
   for (const Case& c : {Case{pz, nz}, Case{nz, pz}, Case{1.0, 1.0},
                         Case{nz, nz}, Case{pz, pz}}) {
-    const DoubleLanes a = DoubleLanes::broadcast(c.a);
-    const DoubleLanes b = DoubleLanes::broadcast(c.b);
-    for (std::size_t k = 0; k < W; ++k) {
+    const L a = L::broadcast(c.a);
+    const L b = L::broadcast(c.b);
+    for (std::size_t k = 0; k < L::kWidth; ++k) {
       EXPECT_TRUE(bits_eq(util::min(a, b).lane(k), std::min(c.a, c.b)));
       EXPECT_TRUE(bits_eq(util::max(a, b).lane(k), std::max(c.a, c.b)));
     }
   }
 }
 
-TEST(UtilSimd, NoFusedMultiplyAdd) {
+TYPED_TEST(LaneContract, NoFusedMultiplyAdd) {
   // a*a keeps a 2^-60 tail that separate rounding must drop; an fma
   // would keep it.  Both the lane expression and the scalar reference
   // (compiled with -ffp-contract=off) must round separately.
+  using L = TypeParam;
   const double a = 1.0 + 0x1p-30;
   const double prod = a * a;  // 1 + 2^-29 exactly: the 2^-60 tail rounds off
   EXPECT_EQ(std::fma(a, a, -prod), 0x1p-60);  // the tail an FMA would keep
   EXPECT_TRUE(bits_eq(a * a - prod, 0.0));    // scalar reference: no fuse
-  const DoubleLanes r = DoubleLanes::broadcast(a) * DoubleLanes::broadcast(a) -
-                        DoubleLanes::broadcast(prod);
-  for (std::size_t k = 0; k < W; ++k) {
+  const L r = L::broadcast(a) * L::broadcast(a) - L::broadcast(prod);
+  for (std::size_t k = 0; k < L::kWidth; ++k) {
     EXPECT_TRUE(bits_eq(r.lane(k), 0.0)) << "lane " << k;
+  }
+}
+
+TEST(UtilSimd, ForLanesVisitsEveryIndexOnce) {
+  // Full DoubleLanes blocks first, then one OneLane call per remainder
+  // index: every index of [0, n) is covered exactly once.
+  for (std::size_t n = 0; n <= 3 * W + 1; ++n) {
+    std::vector<int> hits(n, 0);
+    std::size_t blocks = 0;
+    util::for_lanes(n, [&](auto lanes, std::size_t i) {
+      using L = decltype(lanes);
+      if (std::is_same_v<L, DoubleLanes>) ++blocks;
+      for (std::size_t k = 0; k < L::kWidth; ++k) ++hits[i + k];
+    });
+    EXPECT_EQ(blocks, n / W) << "n = " << n;
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+              static_cast<std::ptrdiff_t>(n))
+        << "n = " << n;
   }
 }
 
@@ -162,14 +194,28 @@ void expect_kernel_scalar_parity(const mac::ModelContext& ctx,
       EXPECT_TRUE(bits_eq(l2[i], l[i + 1])) << name << " offset L @ " << i;
       EXPECT_TRUE(bits_eq(m2[i], m[i + 1])) << name << " offset m @ " << i;
     }
+
+    // Every block length 1 .. 2W+1: no full block, one or two blocks, and
+    // every remainder length in between (the solvers' stencils are
+    // shorter than one block).  The start offset k varies the alignment.
+    for (std::size_t k = 1; k <= 2 * W + 1; ++k) {
+      std::vector<double> ek(k), lk(k), mk(k);
+      model->evaluate_batch(xs.data() + k, k, ek.data(), lk.data(),
+                            mk.data());
+      for (std::size_t i = 0; i < k; ++i) {
+        EXPECT_TRUE(bits_eq(ek[i], e[k + i])) << name << " n=" << k << " E";
+        EXPECT_TRUE(bits_eq(lk[i], l[k + i])) << name << " n=" << k << " L";
+        EXPECT_TRUE(bits_eq(mk[i], m[k + i])) << name << " n=" << k << " m";
+      }
+    }
   }
 }
 
 TEST(UtilSimd, PaperKernelsMatchScalarEntryPoints) {
-  // End-to-end: the SIMD-rewritten X-MAC/DMAC/LMAC batch kernels stay
-  // bit-identical to the scalar model calls.  n = 257 exercises full
-  // lane blocks plus a remainder tail for every supported width; the
-  // off-by-one slice exercises unaligned loads.
+  // End-to-end: the X-MAC/DMAC/LMAC batch kernels stay bit-identical to
+  // the scalar model calls.  n = 257 exercises full lane blocks plus a
+  // remainder for every supported width; the off-by-one slice exercises
+  // unaligned loads; the short blocks exercise every remainder length.
   expect_kernel_scalar_parity(mac::ModelContext{}, "kV1");
 }
 
