@@ -2,10 +2,9 @@
 //
 // Solves a 40-cell Lmax sweep of every registered protocol twice:
 //
-//   baseline — the seed's exact path: SequentialExecutor, cold solves
-//              (what core::run_sweep runs);
-//   engine   — ParallelExecutor (4 threads by default), warm-started
-//              cells.
+//   baseline — the seed's exact path: a width-1 fan (the calling thread),
+//              cold solves (what core::run_sweep runs);
+//   engine   — a width-4 fan by default, warm-started cells.
 //
 // It then cross-checks the two runs cell-for-cell (identical feasibility
 // flags, agreements within 1e-9 relative) and reports the wall-clock

@@ -14,8 +14,8 @@
 // constant, so the bottleneck physics stay fixed while N grows.
 //
 // The deployments are independent scenarios, so they run as one batch
-// through the scenario engine; a second pass fans the same batch across
-// the parallel executor and reports the aggregate speedup.
+// through the scenario engine at width 1; a second pass fans the same
+// batch at width `threads` and reports the aggregate speedup.
 //
 //   $ ./scalability [threads] [cases]
 //
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                                   entry.scenario.requirements});
   }
 
-  // Per-case timing on the engine's sequential executor.
+  // Per-case timing on a width-1 engine (the calling thread).
   core::ScenarioEngine sequential(core::EngineOptions{
       .threads = 1, .parallel = false, .warm_start = false});
   double total_seq_ms = 0;
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // The same batch fanned across the parallel executor.
+  // The same batch fanned at width `threads`.
   core::ScenarioEngine parallel(core::EngineOptions{
       .threads = threads, .parallel = true, .warm_start = false});
   const auto start = std::chrono::steady_clock::now();

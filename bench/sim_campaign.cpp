@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   catalog::ValidationOptions opts;
   opts.replications = replications;
   opts.threads = threads;
-  opts.parallel = threads > 1;
   opts.per_family_cap = cap;
 
   std::printf("== Validation atlas: sim campaigns vs analytic models ==\n");
@@ -118,7 +117,6 @@ int main(int argc, char** argv) {
   if (threads > 1) {
     catalog::ValidationOptions seq = opts;
     seq.threads = 1;
-    seq.parallel = false;
     const auto seq_start = std::chrono::steady_clock::now();
     const auto seq_atlas = catalog::run_validation_atlas(cat, seq);
     const double seq_ms = std::chrono::duration<double, std::milli>(

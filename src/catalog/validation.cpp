@@ -168,7 +168,6 @@ ValidationAtlas run_validation_atlas(const Catalog& catalog,
   sim::CampaignOptions copts;
   copts.replications = options.replications;
   copts.threads = options.threads;
-  copts.parallel = options.parallel;
   copts.seed = options.seed;
   sim::Campaign campaign(copts);
   const auto results = campaign.run(cells);

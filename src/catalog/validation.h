@@ -42,7 +42,6 @@ namespace edb::catalog {
 struct ValidationOptions {
   int replications = 3;
   int threads = 4;          // campaign fan width; 0 = hardware threads
-  bool parallel = true;
   std::size_t per_family_cap = 0;  // 0 = every scenario
   std::uint64_t seed = kDefaultSeed;
 

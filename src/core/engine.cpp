@@ -9,16 +9,7 @@
 namespace edb::core {
 
 ScenarioEngine::ScenarioEngine(EngineOptions opts)
-    : opts_(opts), executor_(engine::make_executor(opts.threads,
-                                                   opts.parallel)) {}
-
-ScenarioEngine::ScenarioEngine(EngineOptions opts,
-                               std::unique_ptr<Executor> executor)
-    : opts_(opts), executor_(std::move(executor)) {
-  EDB_ASSERT(executor_ != nullptr, "engine needs an executor");
-}
-
-ScenarioEngine::~ScenarioEngine() = default;
+    : opts_(opts), fan_(opts.parallel ? opts.threads : 1) {}
 
 Expected<BargainingOutcome> ScenarioEngine::solve_one(
     const mac::AnalyticMacModel& model, const AppRequirements& req,
@@ -186,7 +177,7 @@ std::vector<Expected<BargainingOutcome>> ScenarioEngine::solve_batch(
   std::vector<Expected<BargainingOutcome>> out(
       jobs.size(), Expected<BargainingOutcome>(
                        make_error(ErrorCode::kInternal, "not solved")));
-  engine::fan_apply(*executor_, jobs.size(), [&](std::size_t i) {
+  fan_.run(jobs.size(), [&](std::size_t i) {
     EDB_ASSERT(jobs[i].model != nullptr, "solve job needs a model");
     out[i] = solve_one(*jobs[i].model, jobs[i].req, jobs[i].alpha,
                        SolveHints{}, jobs[i].control);
@@ -267,8 +258,8 @@ std::vector<SweepResult> ScenarioEngine::run_sweeps(
 
   if (opts_.warm_start) {
     // One chained task per sweep: cell i+1 is seeded from cell i, so cells
-    // of a sweep stay on one thread; sweeps fan across the executor.
-    engine::fan_apply(*executor_, jobs.size(), [&](std::size_t i) {
+    // of a sweep stay on one thread; sweeps fan across the pool.
+    fan_.run(jobs.size(), [&](std::size_t i) {
       sweep_chain(jobs[i], results[i]);
     });
     return results;
@@ -282,7 +273,7 @@ std::vector<SweepResult> ScenarioEngine::run_sweeps(
       flat.emplace_back(i, j);
     }
   }
-  engine::fan_apply(*executor_, flat.size(), [&](std::size_t k) {
+  fan_.run(flat.size(), [&](std::size_t k) {
     const auto [i, j] = flat[k];
     SolveHints hints;
     solve_cell(jobs[i], results[i].cells[j], hints);

@@ -3,11 +3,11 @@
 // Every cell of a requirement sweep and every per-protocol bargaining
 // solve is independent of the others, so the figure pipelines are
 // embarrassingly parallel.  The engine partitions that work
-// deterministically through the generic fan primitive (engine/fan.h —
-// also the backend of sim::Campaign): each job (or cell) owns a
-// preallocated output slot, executors only decide *when* a slot is
-// computed, never *what* goes in it, so a parallel run and a sequential
-// run of the same jobs produce bit-identical results.
+// deterministically through the one fan-out class, engine::Fan
+// (engine/fan.h — also the backend of sim::Campaign): each job (or cell)
+// owns a preallocated output slot, and the fan's width only decides
+// *when* a slot is computed, never *what* goes in it, so a run at any
+// width produces bit-identical results.
 //
 // One further acceleration, optional and value-preserving within the
 // solver cross-check tolerance (DESIGN.md §2):
@@ -25,7 +25,7 @@
 // (mac::AnalyticMacModel::evaluate_batch), so the engine adds no
 // evaluation cache of its own.
 //
-// The strictly sequential path survives as SequentialExecutor — an engine
+// The strictly sequential path is the width-1 fan: an engine
 // configured {.parallel = false, .warm_start = false}
 // is exactly what core::run_sweep runs, and every other configuration
 // produces bit-identical feasibility flags and outcomes over the same
@@ -42,8 +42,6 @@
 // never affected — only the reason string of an unsolved dead cell.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/sweep.h"
@@ -51,16 +49,9 @@
 
 namespace edb::core {
 
-// The solve-agnostic fan-out plumbing lives one layer down in
-// engine/fan.h (shared with the simulation campaign layer); these aliases
-// keep the historical core spellings working for every existing consumer.
-using Executor = engine::Executor;
-using SequentialExecutor = engine::SequentialExecutor;
-using ParallelExecutor = engine::ParallelExecutor;
-
 struct EngineOptions {
-  int threads = 0;         // ParallelExecutor width; 0 = hardware threads
-  bool parallel = true;    // false => SequentialExecutor
+  int threads = 0;         // fan width; 0 = hardware threads
+  bool parallel = true;    // false => width 1 (the calling thread)
   bool warm_start = true;  // chain cells within a sweep (trusted seeds)
 };
 
@@ -126,15 +117,8 @@ SweepPlan plan_point_queries(const std::vector<PointQuery>& queries);
 class ScenarioEngine {
  public:
   explicit ScenarioEngine(EngineOptions opts = {});
-  // Injects a custom executor (tests); `opts.parallel/threads` are ignored.
-  ScenarioEngine(EngineOptions opts, std::unique_ptr<Executor> executor);
-  ~ScenarioEngine();
-
-  ScenarioEngine(const ScenarioEngine&) = delete;
-  ScenarioEngine& operator=(const ScenarioEngine&) = delete;
 
   const EngineOptions& options() const { return opts_; }
-  Executor& executor() { return *executor_; }
 
   // Solves each job; slot i holds job i's outcome (or its error).
   std::vector<Expected<BargainingOutcome>> solve_batch(
@@ -160,7 +144,7 @@ class ScenarioEngine {
                   SolveHints& hints) const;
 
   EngineOptions opts_;
-  std::unique_ptr<Executor> executor_;
+  engine::Fan fan_;
 };
 
 }  // namespace edb::core

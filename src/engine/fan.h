@@ -2,87 +2,51 @@
 // workload in the system runs on.
 //
 // A fan is a batch of index-addressed jobs.  Each job owns exactly one
-// output slot; executors only decide *when* a slot is computed, never
-// *what* goes into it, so a parallel run and a sequential run of the same
-// batch produce bit-identical results.  This file is the extraction of
-// the thread-pool plumbing that used to live inside core/engine.cpp —
-// pulled below the MAC/solver layers so that the discrete-event simulator
-// (sim/campaign.h) and the analytic scenario engine (core/engine.h) fan
-// through the same primitive.
+// output slot; the fan only decides *when* a slot is computed, never
+// *what* goes into it, so a run at any width produces bit-identical
+// results.  The discrete-event simulator (sim/campaign.h) and the
+// analytic scenario engine (core/engine.h) both fan through this class.
 //
 // The contract, in full:
 //
-//   ordering    — fan() returns results[i] == fn(i) for every i in
-//                 [0, n), regardless of executor, thread count or
-//                 completion order.
-//   seeds       — jobs that need randomness derive their stream from
-//                 job_seed(base, key): a splitmix64 mix of a caller base
-//                 and a *stable job identity* (never the submission
-//                 index, so shuffling a batch cannot change any job's
-//                 stream).
-//   aggregation — fan_reduce() merges per-job results strictly in index
-//                 order after the whole batch settles, so reductions
-//                 (stats accumulators, counters) are as deterministic as
-//                 the slots themselves.
+//   ordering — after run(n, fn), every slot fn(i) writes for i in [0, n)
+//              is filled, regardless of width or completion order.
+//   width    — Fan(w) holds a deterministic ThreadPool of w compute
+//              threads (util/thread_pool.h): workers claim indices from
+//              one atomic counter in submission order.  w = 0 picks the
+//              hardware threads.  Fan(1) spawns no worker and runs every
+//              job on the calling thread in index order — the sequential
+//              reference every other width reproduces bit-for-bit.
+//   seeds    — jobs that need randomness derive their stream from
+//              job_seed(base, key): a splitmix64 mix of a caller base
+//              and a *stable job identity* (never the submission index,
+//              so shuffling a batch cannot change any job's stream).
 //
-// Executors:
-//   SequentialExecutor — jobs run in index order on the calling thread;
-//                        the reference semantics everything else must
-//                        reproduce bit-for-bit.
-//   ParallelExecutor   — jobs run on a deterministic fixed-size thread
-//                        pool (util/thread_pool.h): workers claim indices
-//                        from one atomic counter in submission order.
+// Callers that aggregate (stats accumulators, counters) fold the filled
+// slots in index order after run() returns, so reductions are as
+// deterministic as the slots themselves.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <utility>
-#include <vector>
 
-#include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace edb::engine {
 
-// Executes a batch of index-addressed jobs.  Implementations must invoke
-// fn(i) exactly once for every i in [0, n).
-class Executor {
+class Fan {
  public:
-  virtual ~Executor() = default;
-  virtual const char* name() const = 0;
-  virtual void run(std::size_t n,
-                   const std::function<void(std::size_t)>& fn) = 0;
-};
+  explicit Fan(int width) : pool_(width) {}
 
-// The seed's behaviour: jobs run in index order on the calling thread.
-class SequentialExecutor final : public Executor {
- public:
-  const char* name() const override { return "sequential"; }
-  void run(std::size_t n,
-           const std::function<void(std::size_t)>& fn) override;
-};
-
-// Jobs run on a deterministic fixed-size thread pool (util/thread_pool.h).
-class ParallelExecutor final : public Executor {
- public:
-  explicit ParallelExecutor(int threads = 0);  // 0 = hardware threads
-  ~ParallelExecutor() override;
-
-  const char* name() const override { return "parallel"; }
-  void run(std::size_t n,
-           const std::function<void(std::size_t)>& fn) override;
-  int threads() const;
+  // Invokes fn(i) for every i in [0, n) and blocks until all have
+  // finished (an injected engine.job crash may run a job twice; slots
+  // stay identical because jobs are deterministic).
+  void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  ThreadPool pool_;
 };
-
-// ParallelExecutor(threads) when parallel, SequentialExecutor otherwise.
-std::unique_ptr<Executor> make_executor(int threads, bool parallel);
 
 // Per-job seed stream derivation: a splitmix64 mix of the caller's base
 // seed and the job's stable identity key.  Callers must key on content
@@ -90,57 +54,6 @@ std::unique_ptr<Executor> make_executor(int threads, bool parallel);
 // that is what keeps fan results invariant under batch shuffling.
 constexpr std::uint64_t job_seed(std::uint64_t base, std::uint64_t key) {
   return splitmix64(splitmix64(base) ^ key);
-}
-
-// Runs fn(i) for i in [0, n); results[i] holds job i's value whatever the
-// executor did.  R needs no default constructor.
-template <typename R>
-std::vector<R> fan(Executor& executor, std::size_t n,
-                   const std::function<R(std::size_t)>& fn) {
-  std::vector<std::optional<R>> slots(n);
-  executor.run(n, [&](std::size_t i) { slots[i].emplace(fn(i)); });
-  std::vector<R> out;
-  out.reserve(n);
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-// Void flavour: jobs write their own pre-allocated output slots.
-inline void fan_apply(Executor& executor, std::size_t n,
-                      const std::function<void(std::size_t)>& fn) {
-  executor.run(n, fn);
-}
-
-// Deterministic aggregation: computes every job's value, then folds
-// merge(acc, results[i]) strictly in index order.  The merge runs on the
-// calling thread after the batch settles, so the accumulator never sees a
-// scheduling-dependent order.
-template <typename Acc, typename R>
-Acc fan_reduce(Executor& executor, std::size_t n,
-               const std::function<R(std::size_t)>& fn, Acc acc,
-               const std::function<void(Acc&, const R&)>& merge) {
-  auto results = fan<R>(executor, n, fn);
-  for (const R& r : results) merge(acc, r);
-  return acc;
-}
-
-// Wall-clock accounting for a batch, aggregated by the caller.
-struct FanStats {
-  std::size_t jobs = 0;
-  double elapsed_ms = 0;
-};
-
-// fan_apply plus timing: how benches report replications/s.
-inline FanStats fan_timed(Executor& executor, std::size_t n,
-                          const std::function<void(std::size_t)>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fan_apply(executor, n, fn);
-  FanStats stats;
-  stats.jobs = n;
-  stats.elapsed_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
-  return stats;
 }
 
 }  // namespace edb::engine

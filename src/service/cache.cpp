@@ -6,7 +6,8 @@ namespace edb::service {
 
 ShardedResultCache::ShardedResultCache(std::size_t capacity,
                                        std::size_t shards)
-    : shards_(std::max<std::size_t>(1, shards)),
+    : shards_(capacity > 0 ? std::clamp<std::size_t>(shards, 1, capacity)
+                           : std::max<std::size_t>(1, shards)),
       capacity_(capacity),
       hits_(obs::Registry::global().counter("service.cache.hits")),
       misses_(obs::Registry::global().counter("service.cache.misses")),
@@ -18,11 +19,11 @@ ShardedResultCache::ShardedResultCache(std::size_t capacity,
       base_evictions_(evictions_.value()),
       base_negative_hits_(negative_hits_.value()) {
   // Spread the budget; the remainder goes to the first shards so the
-  // total matches `capacity` exactly (when capacity >= shard count).
+  // total matches `capacity` exactly.  There are never more shards than
+  // entries, so every shard of an enabled cache holds at least one.
   const std::size_t n = shards_.size();
   for (std::size_t i = 0; i < n; ++i) {
     shards_[i].capacity = capacity / n + (i < capacity % n ? 1 : 0);
-    if (capacity > 0 && shards_[i].capacity == 0) shards_[i].capacity = 1;
   }
 }
 

@@ -71,7 +71,7 @@ struct CacheStats {
   std::size_t negative_hits = 0;  // hits whose cached outcome is infeasible
   std::size_t entries = 0;
   std::size_t capacity = 0;
-  std::size_t shards = 0;
+  std::size_t shards = 0;  // effective count: min(requested, capacity)
 
   double hit_rate() const {
     const std::size_t total = hits + misses;
@@ -82,9 +82,10 @@ struct CacheStats {
 
 class ShardedResultCache {
  public:
-  // `capacity` is the total entry budget, spread evenly across `shards`
-  // (each shard holds at least one entry).  capacity == 0 disables the
-  // cache entirely: every get misses, every put is dropped — the bench's
+  // `capacity` is the total entry budget, spread evenly across
+  // min(shards, capacity) shards, so no shard is empty and the cache never
+  // holds more than `capacity` entries.  capacity == 0 disables the cache
+  // entirely: every get misses, every put is dropped — the bench's
   // "no-cache path".
   explicit ShardedResultCache(std::size_t capacity, std::size_t shards = 16);
 

@@ -47,16 +47,7 @@ std::string CampaignResult::fingerprint() const {
 }
 
 Campaign::Campaign(CampaignOptions opts)
-    : opts_(opts),
-      executor_(engine::make_executor(opts.threads, opts.parallel)) {}
-
-Campaign::Campaign(CampaignOptions opts,
-                   std::unique_ptr<engine::Executor> executor)
-    : opts_(opts), executor_(std::move(executor)) {
-  EDB_ASSERT(executor_ != nullptr, "campaign needs an executor");
-}
-
-Campaign::~Campaign() = default;
+    : opts_(opts), fan_(opts.threads) {}
 
 std::uint64_t Campaign::replication_seed(std::uint64_t campaign_seed,
                                          std::uint64_t scenario_seed,
@@ -126,7 +117,7 @@ std::vector<CampaignResult> Campaign::run(
   // Flat (scenario, replication) matrix; each fan job owns one cell.
   std::vector<std::vector<ReplicationMetrics>> cells(
       scenarios.size(), std::vector<ReplicationMetrics>(n_reps));
-  engine::fan_apply(*executor_, n_jobs, [&](std::size_t i) {
+  fan_.run(n_jobs, [&](std::size_t i) {
     const std::size_t s = i / n_reps;
     const int r = static_cast<int>(i % n_reps);
     // Per-worker arena: kernel scratch is recycled across every

@@ -3,7 +3,7 @@
 //
 // A campaign is the simulator-side analogue of a core sweep batch: every
 // (scenario, replication) pair is one independent job fanned through
-// engine::fan (engine/fan.h), so campaigns inherit the engine's
+// engine::Fan (engine/fan.h), so campaigns inherit the engine's
 // determinism contract.  Concretely:
 //
 //   * Every replication derives its RNG streams (MAC timers, traffic
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -90,20 +89,13 @@ struct CampaignResult {
 
 struct CampaignOptions {
   int replications = 3;
-  int threads = 0;        // fan width; 0 = hardware threads
-  bool parallel = true;
+  int threads = 0;        // fan width; 0 = hardware threads, 1 = caller
   std::uint64_t seed = 1; // campaign-level base seed
 };
 
 class Campaign {
  public:
   explicit Campaign(CampaignOptions opts = {});
-  // Injects a custom executor (tests); opts.parallel/threads are ignored.
-  Campaign(CampaignOptions opts, std::unique_ptr<engine::Executor> executor);
-  ~Campaign();
-
-  Campaign(const Campaign&) = delete;
-  Campaign& operator=(const Campaign&) = delete;
 
   const CampaignOptions& options() const { return opts_; }
 
@@ -129,7 +121,7 @@ class Campaign {
 
  private:
   CampaignOptions opts_;
-  std::unique_ptr<engine::Executor> executor_;
+  engine::Fan fan_;
 };
 
 }  // namespace edb::sim

@@ -21,7 +21,7 @@
 //            duration, then proceeds normally.  Results are untouched;
 //            only tail latency moves.
 //   kCrash — the work is lost: the site treats the execution as if the
-//            worker died mid-job (engine::fan re-runs the job and
+//            worker died mid-job (engine::Fan re-runs the job and
 //            charges the wasted execution; the service's miss path
 //            reports kUnavailable and falls down the degradation
 //            ladder).  Nothing actually aborts — the point is to

@@ -3,9 +3,9 @@
 // The validation atlas aggregates per-replication simulation metrics into
 // mean / variance / 95% CI without storing samples.  Welford's update is
 // numerically stable for long streams; `merge` implements Chan's pairwise
-// combination so per-job accumulators produced by a deterministic fan can
-// be folded in index order (engine::fan_reduce) with results independent
-// of how jobs were scheduled.
+// combination so per-job accumulators filled by a deterministic fan
+// (engine::Fan) can be folded in index order after the batch settles, with
+// results independent of how jobs were scheduled.
 #pragma once
 
 #include <cstddef>

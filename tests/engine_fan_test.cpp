@@ -4,19 +4,26 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "obs/metrics.h"
+#include "util/fault.h"
 
 namespace edb::engine {
 namespace {
 
-TEST(Fan, ResultsLandInIndexOrderUnderAnyExecutor) {
-  const auto fn = std::function<std::string(std::size_t)>(
-      [](std::size_t i) { return "job-" + std::to_string(i * i); });
+std::vector<std::string> squares(Fan& fan, std::size_t n) {
+  std::vector<std::string> slots(n);
+  fan.run(n, [&](std::size_t i) { slots[i] = "job-" + std::to_string(i * i); });
+  return slots;
+}
 
-  SequentialExecutor seq;
-  ParallelExecutor par(4);
-  const auto a = fan<std::string>(seq, 17, fn);
-  const auto b = fan<std::string>(par, 17, fn);
+TEST(Fan, SlotsIdenticalAtAnyWidth) {
+  Fan one(1);
+  Fan four(4);
+  const auto a = squares(one, 17);
+  const auto b = squares(four, 17);
   ASSERT_EQ(a.size(), 17u);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a[3], "job-9");
@@ -24,37 +31,23 @@ TEST(Fan, ResultsLandInIndexOrderUnderAnyExecutor) {
 
 TEST(Fan, RunsEveryJobExactlyOnce) {
   std::vector<std::atomic<int>> hits(103);
-  ParallelExecutor par(8);
-  fan_apply(par, hits.size(), [&](std::size_t i) { ++hits[i]; });
+  Fan fan(8);
+  fan.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Fan, WorksWithNonDefaultConstructibleResults) {
-  struct NoDefault {
-    explicit NoDefault(int v) : value(v) {}
-    int value;
-  };
-  SequentialExecutor seq;
-  auto out = fan<NoDefault>(
-      seq, 5, std::function<NoDefault(std::size_t)>([](std::size_t i) {
-        return NoDefault(static_cast<int>(i) + 10);
-      }));
-  ASSERT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[4].value, 14);
-}
-
-TEST(Fan, ReduceFoldsInIndexOrder) {
-  // Merge order matters for string concatenation: only the strict
-  // index-order fold produces this value, whatever the executor did.
-  ParallelExecutor par(4);
-  const auto folded = fan_reduce<std::string, std::string>(
-      par, 6,
-      std::function<std::string(std::size_t)>(
-          [](std::size_t i) { return std::to_string(i); }),
-      std::string(),
-      std::function<void(std::string&, const std::string&)>(
-          [](std::string& acc, const std::string& r) { acc += r; }));
-  EXPECT_EQ(folded, "012345");
+TEST(Fan, WidthOneRunsOnTheCallingThreadInIndexOrder) {
+  // The sequential reference every other width reproduces.
+  Fan fan(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool on_caller = true;
+  fan.run(9, [&](std::size_t i) {
+    on_caller = on_caller && std::this_thread::get_id() == caller;
+    order.push_back(i);
+  });
+  EXPECT_TRUE(on_caller);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST(Fan, JobSeedsAreStableAndDecorrelated) {
@@ -69,19 +62,41 @@ TEST(Fan, JobSeedsAreStableAndDecorrelated) {
   EXPECT_GT((a > b ? a - b : b - a), 1u << 20);
 }
 
-TEST(Fan, MakeExecutorHonoursParallelFlag) {
-  auto seq = make_executor(4, false);
-  auto par = make_executor(2, true);
-  EXPECT_STREQ(seq->name(), "sequential");
-  EXPECT_STREQ(par->name(), "parallel");
-  EXPECT_EQ(static_cast<ParallelExecutor*>(par.get())->threads(), 2);
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
 }
 
-TEST(Fan, TimedReportsJobCount) {
-  SequentialExecutor seq;
-  const FanStats stats = fan_timed(seq, 9, [](std::size_t) {});
-  EXPECT_EQ(stats.jobs, 9u);
-  EXPECT_GE(stats.elapsed_ms, 0.0);
+std::vector<std::uint64_t> seeded_slots(Fan& fan) {
+  std::vector<std::uint64_t> slots(64, 0);
+  fan.run(slots.size(), [&](std::size_t i) {
+    slots[i] = job_seed(0xfa17ULL, static_cast<std::uint64_t>(i) + 1);
+  });
+  return slots;
+}
+
+TEST(Fan, FaultLadderFillsIdenticalSlotsAtBothWidths) {
+  // The engine.job retry ladder (fail -> backoff, crash -> re-run, stall)
+  // is one code path for every width: both runs must fill every slot
+  // with the fault-free values.
+  Fan one(1);
+  Fan four(4);
+  const auto clean = seeded_slots(one);
+
+  const std::uint64_t faults_before = counter("engine.job.faults");
+  const std::uint64_t retries_before = counter("engine.job.retries");
+  fault::install(
+      fault::FaultPlan::parse(
+          "seed=3;engine.job:fail=0.3,crash=0.1,stall=0.05@0.1ms")
+          .take());
+  const auto narrow = seeded_slots(one);
+  const auto wide = seeded_slots(four);
+  fault::uninstall();
+
+  EXPECT_EQ(narrow, clean);
+  EXPECT_EQ(wide, clean);
+  for (std::uint64_t v : clean) EXPECT_NE(v, 0u);
+  EXPECT_GT(counter("engine.job.faults"), faults_before);
+  EXPECT_GT(counter("engine.job.retries"), retries_before);
 }
 
 }  // namespace

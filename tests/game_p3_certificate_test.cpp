@@ -103,8 +103,7 @@ const Table& table() {
       }
     }
     t.results.resize(t.cells.size());
-    auto exec = engine::make_executor(4, /*parallel=*/true);
-    engine::fan_apply(*exec, t.cells.size(), [&](std::size_t i) {
+    engine::Fan(4).run(t.cells.size(), [&](std::size_t i) {
       const Cell& c = t.cells[i];
       core::EnergyDelayGame game(*t.models[c.model], c.req);
       CellResult& out = t.results[i];

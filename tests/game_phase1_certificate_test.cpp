@@ -194,8 +194,7 @@ TEST(Phase1Certificate, RefusesOnlyWhereTheLatticeFindsNoFeasiblePoint) {
     refusals.push_back({i, p1 ? Capped::kLatency : Capped::kEnergy});
   }
   std::vector<int> reached(refusals.size(), 0);
-  auto exec = engine::make_executor(4, /*parallel=*/true);
-  engine::fan_apply(*exec, refusals.size(), [&](std::size_t k) {
+  engine::Fan(4).run(refusals.size(), [&](std::size_t k) {
     const Cell& c = t.cells[refusals[k].cell];
     const double cap = refusals[k].capped == Capped::kLatency
                            ? c.req.l_max

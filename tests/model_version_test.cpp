@@ -120,7 +120,6 @@ TEST(ModelVersion, CampaignFingerprintMatchesPreKV2Golden) {
   sim::CampaignOptions copts;
   copts.replications = 2;
   copts.threads = 1;
-  copts.parallel = false;
   sim::Campaign campaign(copts);
   const auto results = campaign.run({cell});
   ASSERT_EQ(results.size(), 1u);

@@ -77,7 +77,6 @@ std::vector<std::string> campaign_fingerprints() {
   opts.replications = 2;
   opts.seed = 77;
   opts.threads = 4;
-  opts.parallel = true;
   sim::Campaign campaign(opts);
   std::vector<std::string> fps;
   for (const auto& r : campaign.run(small_scenarios())) {
@@ -275,12 +274,14 @@ TEST_F(ObsDeterminismTest, FailedPenaltyMultistartEvalsCount) {
 }
 
 std::vector<std::uint64_t> fan_values() {
-  engine::ParallelExecutor executor(4);
-  return engine::fan<std::uint64_t>(executor, 64, [](std::size_t i) {
+  engine::Fan fan(4);
+  std::vector<std::uint64_t> slots(64);
+  fan.run(slots.size(), [&](std::size_t i) {
     // Job identity -> seed stream; any scheduling dependence would break
     // the value equality below.
-    return engine::job_seed(0xfeedULL, static_cast<std::uint64_t>(i) + 1);
+    slots[i] = engine::job_seed(0xfeedULL, static_cast<std::uint64_t>(i) + 1);
   });
+  return slots;
 }
 
 TEST_F(ObsDeterminismTest, FanResultsIdenticalTracedVsSilent) {

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/scenario.h"
+
 namespace edb::service {
 namespace {
 
@@ -92,7 +94,7 @@ TEST(ShardedCacheTest, ZeroCapacityDisables) {
 }
 
 TEST(ShardedCacheTest, CapacitySpreadsAcrossShards) {
-  // 10 across 4 shards: 3+3+2+2, every shard at least one.
+  // 10 across 4 shards: 3+3+2+2.
   ShardedResultCache cache(10, 4);
   for (int i = 0; i < 100; ++i) {
     cache.put(key_of("k" + std::to_string(i)), feasible_outcome("X-MAC", i));
@@ -100,6 +102,22 @@ TEST(ShardedCacheTest, CapacitySpreadsAcrossShards) {
   EXPECT_LE(cache.size(), 10u);
   EXPECT_GE(cache.size(), 4u);
   EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+TEST(ShardedCacheTest, CapacityBelowShardCountIsStillTheTotalBudget) {
+  // Real protocol keys over an Lmax ladder spread across every shard
+  // (short synthetic keys cluster in a few under the high hash bits), so
+  // a per-shard floor of one entry would hold up to 16 here.
+  ShardedResultCache cache(3, 16);
+  const core::Scenario base = core::Scenario::paper_default();
+  for (int i = 0; i < 200; ++i) {
+    core::Scenario s = base;
+    s.requirements.l_max = base.requirements.l_max * (0.5 + 0.01 * i);
+    cache.put(protocol_key(s, "X-MAC", {}), feasible_outcome("X-MAC", i));
+  }
+  EXPECT_LE(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().shards, 3u);
+  EXPECT_EQ(cache.stats().capacity, 3u);
 }
 
 TEST(ShardedCacheTest, ClearEmptiesEveryShard) {

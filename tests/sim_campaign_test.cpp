@@ -69,7 +69,6 @@ TEST(Campaign, FingerprintsByteIdenticalAcrossThreadCounts) {
     opts.replications = 3;
     opts.seed = 99;
     opts.threads = threads;
-    opts.parallel = threads > 1;
     Campaign campaign(opts);
     runs.push_back(fingerprints(campaign.run(scenarios)));
   }
@@ -126,7 +125,7 @@ TEST(Campaign, ReplicationsDifferAndAggregateInOrder) {
   CampaignOptions opts;
   opts.replications = 3;
   opts.seed = 11;
-  opts.parallel = false;
+  opts.threads = 1;
   Campaign campaign(opts);
   const auto results = campaign.run({small_scenarios()[0]});
   ASSERT_EQ(results.size(), 1u);
