@@ -11,7 +11,10 @@
 //   evals/solve     oracle evaluations per solve (BargainingOutcome::stats;
 //                   deterministic, so it doubles as a regression guard)
 //   ns/eval         solve wall time per evaluation
-//   oracle_share    fraction of solve time spent inside the block oracle
+//   oracle_share    fraction of solve time spent inside the block oracle;
+//                   the oracle is timed only while tracing (EDB_TRACE_OUT),
+//                   so an untraced run prints "oracle share n/a (tracing
+//                   off)" instead
 //   p3_proof_us     cold solve of a (P3)-infeasible requirement pair: Lmax
 //                   at the paper-default agreement latency L*, Ebudget
 //                   midway between Ebest and E* — both players' optima
@@ -182,14 +185,17 @@ int main(int argc, char** argv) {
     const double evals_per_solve = static_cast<double>(stats.evaluations);
     const double ns_per_eval =
         1e6 * elapsed / (static_cast<double>(stats.evaluations) * repeats);
-    const double oracle_share =
-        stats.oracle_ns * repeats / (1e6 * elapsed);
+    char share[48] = "oracle share n/a (tracing off)";
+    if (obs::Tracer::enabled()) {
+      std::snprintf(share, sizeof share, "%5.1f%% in block oracle",
+                    1e2 * stats.oracle_ns * repeats / (1e6 * elapsed));
+    }
 
     std::printf(
         "%-6s %8.1f solves/s  %6.3f ms/solve  %7.0f evals/solve  "
-        "%6.1f ns/eval  (%5.1f%% in block oracle, %lld blocks)\n",
+        "%6.1f ns/eval  (%s, %lld blocks)\n",
         name.c_str(), solves_per_sec, ms_per_solve, evals_per_solve,
-        ns_per_eval, 1e2 * oracle_share, stats.blocks);
+        ns_per_eval, share, stats.blocks);
 
     // P3 proof: Lmax at the agreement latency pins P1's optimum at E*,
     // above a budget shaved to midway between Ebest and E*.

@@ -37,24 +37,27 @@ struct MetricSlack {
 // discontinuity; the penalty solver gets smooth slacks instead.
 //
 // Every objective and slack in this framework depends on x only through
-// the metric triple (E(x), L(x), margin(x)), so the fence vectorizes as
-// three blockwise metric sweeps with the scalar combine arithmetic
-// applied per lane.  Evaluation replays the scalar fence's order: the
-// protocol margin first (lanes failing it are +inf and never see another
-// metric), then the requirement slacks in declaration order
-// (short-circuit: a failed slack kills the lane), then the raw objective
-// only on the lanes still alive.  Metrics computed for the slack stage
-// are reused by the raw stage — the models are deterministic, so reuse
-// is bit-identical to re-evaluation.
+// the metric triple (E(x), L(x), margin(x)), so one block costs one
+// kernel call: evaluate_batch over the whole block for the margin and
+// every metric the slacks or the raw objective read, then a min-slack
+// pass on SIMD lanes and one combine loop.  A lane is +inf unless its
+// margin and its worst slack are both > 0, else raw(E, L).  The kernel's
+// outputs are bit-identical to the scalar metrics whatever else it is
+// asked for, and a failed lane is +inf whichever test failed first, so
+// this equals the scalar fence's short-circuit order exactly.
+// Short-circuiting the block (margin first, then slacks and the raw
+// metric on compacted survivors) cost more than it saved: the blocks
+// are small, and each extra kernel call and gather outweighs the lanes
+// it skips.
 class BatchFence {
  public:
   BatchFence(const mac::AnalyticMacModel& model,
              std::vector<MetricSlack> slacks, bool raw_uses_e,
              bool raw_uses_l, std::function<double(double, double)> raw)
-      : model_(&model), slacks_(std::move(slacks)), raw_uses_e_(raw_uses_e),
-        raw_uses_l_(raw_uses_l), raw_(std::move(raw)) {
+      : model_(&model), slacks_(std::move(slacks)), need_e_(raw_uses_e),
+        need_l_(raw_uses_l), raw_(std::move(raw)) {
     for (const auto& s : slacks_) {
-      (s.uses_energy ? slack_e_ : slack_l_) = true;
+      (s.uses_energy ? need_e_ : need_l_) = true;
     }
   }
 
@@ -68,98 +71,41 @@ class BatchFence {
 
  private:
   void evaluate(const opt::PointBlock& b, double* values) {
-    const std::size_t dim = b.dim;
+    const std::size_t n = b.n;
+    margins_.resize(n);
+    if (need_e_) e_.resize(n);
+    if (need_l_) l_.resize(n);
+    model_->evaluate_batch(b.xs, n, need_e_ ? e_.data() : nullptr,
+                           need_l_ ? l_.data() : nullptr, margins_.data());
 
-    // Stage 1 — protocol margin over the whole block.
-    margins_.resize(b.n);
-    model_->evaluate_batch(b.xs, b.n, nullptr, nullptr, margins_.data());
-    alive_.clear();
-    sub_.clear();
-    for (std::size_t i = 0; i < b.n; ++i) {
-      if (margins_[i] > 0.0) {
-        alive_.push_back(i);
-        const double* p = b.point(i);
-        sub_.insert(sub_.end(), p, p + dim);
-      } else {
-        values[i] = kInf;
+    // Slack pass on lanes (util/simd.h for_lanes): a point meets every
+    // requirement iff its worst (minimum) slack is > 0 (+inf with no
+    // slacks).  Each lane slack is bit-identical to make_scalar_slacks'.
+    worst_.resize(n);
+    util::for_lanes(n, [&](auto lanes, std::size_t i) {
+      using L = decltype(lanes);
+      L worst = L::broadcast(kInf);
+      for (const auto& s : slacks_) {
+        const double* src = s.uses_energy ? e_.data() : l_.data();
+        const L cap = L::broadcast(s.cap);
+        worst = util::min(worst, (cap - L::load(src + i)) / cap);
       }
-    }
-    if (alive_.empty()) return;
-    const std::size_t m = alive_.size();
+      worst.store(worst_.data() + i);
+    });
 
-    // Stage 2 — requirement slacks on the margin-feasible lanes.
-    if (slack_e_) e_.resize(m);
-    if (slack_l_) l_.resize(m);
-    if (slack_e_ || slack_l_) {
-      model_->evaluate_batch(sub_.data(), m, slack_e_ ? e_.data() : nullptr,
-                             slack_l_ ? l_.data() : nullptr, nullptr);
-    }
-    survivors_.clear();
-    if (slacks_.empty()) {
-      for (std::size_t j = 0; j < m; ++j) survivors_.push_back(j);
-    } else {
-      // Slack pass on lanes (util/simd.h for_lanes): a point survives iff
-      // every slack is > 0, i.e. iff the worst (minimum) slack is.  Each
-      // lane slack is bit-identical to make_scalar_slacks', and a failed
-      // point's output (+inf) is the same whichever slack failed first,
-      // so dropping the scalar short-circuit is observationally exact.
-      worst_.resize(m);
-      util::for_lanes(m, [&](auto lanes, std::size_t j) {
-        using L = decltype(lanes);
-        L worst = L::broadcast(kInf);
-        for (const auto& s : slacks_) {
-          const double* src = s.uses_energy ? e_.data() : l_.data();
-          const L cap = L::broadcast(s.cap);
-          worst = util::min(worst, (cap - L::load(src + j)) / cap);
-        }
-        worst.store(worst_.data() + j);
-      });
-      for (std::size_t t = 0; t < m; ++t) {
-        if (worst_[t] > 0.0) {
-          survivors_.push_back(t);
-        } else {
-          values[alive_[t]] = kInf;
-        }
-      }
-    }
-    if (survivors_.empty()) return;
-
-    // Stage 3 — raw objective on the fully feasible lanes; metrics not
-    // already computed for the slacks are evaluated on the compacted
-    // survivor block.
-    const bool extra_e = raw_uses_e_ && !slack_e_;
-    const bool extra_l = raw_uses_l_ && !slack_l_;
-    const std::size_t k = survivors_.size();
-    if (extra_e || extra_l) {
-      sub2_.clear();
-      for (std::size_t j : survivors_) {
-        const double* p = sub_.data() + j * dim;
-        sub2_.insert(sub2_.end(), p, p + dim);
-      }
-      if (extra_e) e2_.resize(k);
-      if (extra_l) l2_.resize(k);
-      model_->evaluate_batch(sub2_.data(), k,
-                             extra_e ? e2_.data() : nullptr,
-                             extra_l ? l2_.data() : nullptr, nullptr);
-    }
-    for (std::size_t t = 0; t < k; ++t) {
-      const std::size_t j = survivors_[t];
-      const double e =
-          raw_uses_e_ ? (slack_e_ ? e_[j] : e2_[t]) : 0.0;
-      const double l =
-          raw_uses_l_ ? (slack_l_ ? l_[j] : l2_[t]) : 0.0;
-      values[alive_[j]] = raw_(e, l);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = margins_[i] > 0.0 && worst_[i] > 0.0
+                      ? raw_(need_e_ ? e_[i] : 0.0, need_l_ ? l_[i] : 0.0)
+                      : kInf;
     }
   }
 
   const mac::AnalyticMacModel* model_;
   std::vector<MetricSlack> slacks_;
-  bool raw_uses_e_, raw_uses_l_;
-  bool slack_e_ = false, slack_l_ = false;
+  bool need_e_, need_l_;  // metrics the kernel computes (slacks or raw)
   std::function<double(double, double)> raw_;
   // Scratch (reused across blocks; one fence serves one solve thread).
-  std::vector<double> margins_, e_, l_, e2_, l2_, sub_, sub2_, worst_;
-  std::vector<std::size_t> alive_, survivors_;
+  std::vector<double> margins_, e_, l_, worst_;
 };
 
 SolveStats stats_of(const opt::VectorResult& r) {

@@ -69,7 +69,9 @@ struct OperatingPoint {
 struct SolveStats {
   long long evaluations = 0;  // scalar-equivalent oracle evaluations
   long long blocks = 0;       // block-oracle invocations (batched stages)
-  double oracle_ns = 0;       // wall time inside the block oracle [ns]
+  // Wall time inside the block oracle [ns], recorded only while the
+  // tracer is on (obs::Tracer::enabled()); 0 in untraced runs.
+  double oracle_ns = 0;
 
   void absorb(const SolveStats& o) {
     evaluations += o.evaluations;

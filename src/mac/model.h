@@ -216,8 +216,8 @@ class AnalyticMacModel {
   // of n parameter vectors, packed row-major (xs = n * params().dim()
   // doubles), writing one value per point into each requested output
   // array.  A null output array skips that metric entirely — callers pay
-  // only for what they ask (the fenced solvers ask for margins first and
-  // the raw metric only on feasible lanes).
+  // only for what they ask (the fenced solvers ask for the margin and the
+  // metrics their fence reads in one call per block).
   //
   // Contract: for every point i, energies[i] / latencies[i] / margins[i]
   // are bit-identical to energy(x_i) / latency(x_i) /

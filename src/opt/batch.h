@@ -42,6 +42,14 @@ using BatchObjective = std::function<void(const PointBlock&, double* values)>;
 // Same shape for constraint slacks (signed: > 0 is strictly feasible).
 using BatchConstraint = BatchObjective;
 
+// Runs one oracle block and charges it to `cost`: b.n evaluations, one
+// block and, only while obs::Tracer::enabled() (the switch spans use),
+// the call's wall time in oracle_ns.  Untraced runs skip the two clock
+// reads and leave oracle_ns at 0.  Every block-driving solver calls its
+// oracle through this.
+void call_oracle(const BatchObjective& f, const PointBlock& b, double* values,
+                 VectorResult& cost);
+
 // Backward-compatibility adapter: wraps a scalar objective in a per-point
 // loop.  One scratch vector is reused across points and calls, so the
 // only per-point cost left is the scalar dispatch itself.

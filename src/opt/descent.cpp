@@ -1,7 +1,6 @@
 #include "opt/descent.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -17,21 +16,15 @@ using internal::advance;
 using internal::kBlockPoints;
 using internal::lattice_axes;
 
-// Times every block-oracle call into the owning result's cost counters
-// (same convention as the batched grid pass in opt/grid.cpp).
+// Charges every block-oracle call to the owning result's cost counters
+// (call_oracle, opt/batch.h; the batched grid pass does the same).
 class Oracle {
  public:
   Oracle(const BatchObjective& f, VectorResult& cost) : f_(f), cost_(cost) {}
 
   void eval(const double* xs, std::size_t n, std::size_t dim, double* out) {
     if (n == 0) return;
-    using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();
-    f_(PointBlock{xs, n, dim}, out);
-    cost_.oracle_ns +=
-        std::chrono::duration<double, std::nano>(clock::now() - t0).count();
-    cost_.evaluations += static_cast<int>(n);
-    ++cost_.blocks;
+    call_oracle(f_, PointBlock{xs, n, dim}, out, cost_);
   }
 
   double eval1(const std::vector<double>& x) {

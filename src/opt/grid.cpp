@@ -1,7 +1,6 @@
 #include "opt/grid.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -97,7 +96,6 @@ struct BatchScratch {
 VectorResult grid_pass(const BatchObjective& f,
                        const std::vector<std::vector<double>>& axes,
                        const Incumbent* seed, BatchScratch& s) {
-  using clock = std::chrono::steady_clock;
   const std::size_t dim = axes.size();
   std::vector<std::size_t> idx(dim, 0);
   VectorResult best;
@@ -128,12 +126,8 @@ VectorResult grid_pass(const BatchObjective& f,
     }
 
     if (eval_rows > 0) {
-      const auto t0 = clock::now();
-      f(PointBlock{s.evalxs.data(), eval_rows, dim}, s.values.data());
-      best.oracle_ns +=
-          std::chrono::duration<double, std::nano>(clock::now() - t0).count();
-      best.evaluations += static_cast<int>(eval_rows);
-      ++best.blocks;
+      call_oracle(f, PointBlock{s.evalxs.data(), eval_rows, dim},
+                  s.values.data(), best);
     }
 
     // Min-scan the chunk in lattice order (ties keep the earliest point,

@@ -18,7 +18,9 @@ struct VectorResult {
   double value = 0;
   int evaluations = 0;   // scalar-equivalent oracle evaluations (points)
   int blocks = 0;        // block-oracle invocations (0 on scalar paths)
-  double oracle_ns = 0;  // wall time spent inside the block oracle [ns]
+  // Wall time spent inside the block oracle [ns], recorded only while
+  // obs::Tracer::enabled() (call_oracle, opt/batch.h); 0 untraced.
+  double oracle_ns = 0;
   bool converged = false;
 
   // Folds another result's cost counters into this one (solver stages

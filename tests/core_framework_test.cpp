@@ -1,12 +1,15 @@
 // EnergyDelayGame mechanics: (P1), (P2), (P4) on the three paper protocols,
-// cross-validated against brute-force oracles over the 1-D parameter boxes.
+// cross-validated against brute-force oracles over the 1-D parameter boxes,
+// and the cost of the batched fence: one kernel call per oracle block.
 #include "core/game_framework.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "mac/registry.h"
+#include "obs/metrics.h"
 #include "util/math.h"
 
 namespace edb::core {
@@ -176,6 +179,73 @@ TEST(FrameworkEdgeCases, LmacSmallBudgetAtPaperLmaxIsInfeasible) {
   auto out = game.solve();
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error().code, ErrorCode::kInfeasible);
+}
+
+// Forwards every model call to a registered protocol and counts the
+// evaluate_batch calls.  protocol_margin is protected in the wrapped
+// model, so it forwards to the public feasibility_margin, which is the
+// same value under the kV1 default the test solves.
+class CountingModel final : public mac::AnalyticMacModel {
+ public:
+  explicit CountingModel(std::unique_ptr<mac::AnalyticMacModel> inner)
+      : AnalyticMacModel(inner->context()), inner_(std::move(inner)) {}
+
+  std::string_view name() const override { return inner_->name(); }
+  const mac::ParamSpace& params() const override { return inner_->params(); }
+  mac::PowerBreakdown power_at_ring(const std::vector<double>& x,
+                                    int d) const override {
+    return inner_->power_at_ring(x, d);
+  }
+  double hop_latency(const std::vector<double>& x, int d) const override {
+    return inner_->hop_latency(x, d);
+  }
+  double source_wait(const std::vector<double>& x) const override {
+    return inner_->source_wait(x);
+  }
+  double service_time(const std::vector<double>& x) const override {
+    return inner_->service_time(x);
+  }
+  double ring_service_quantum(const std::vector<double>& x,
+                              int d) const override {
+    return inner_->ring_service_quantum(x, d);
+  }
+  void evaluate_batch(const double* xs, std::size_t n, double* energies,
+                      double* latencies, double* margins) const override {
+    ++calls;
+    inner_->evaluate_batch(xs, n, energies, latencies, margins);
+  }
+
+  mutable long long calls = 0;
+
+ protected:
+  double protocol_margin(const std::vector<double>& x) const override {
+    return inner_->feasibility_margin(x);
+  }
+
+ private:
+  std::unique_ptr<mac::AnalyticMacModel> inner_;
+};
+
+// The batched fence makes exactly one kernel call per oracle block: the
+// margin and every metric its slacks and objective read come from one
+// evaluate_batch over the whole block.  The penalty multistart (the one
+// stage that calls the kernel per point, outside any block) must not run.
+TEST(FrameworkBlockOracle, OneKernelCallPerOracleBlock) {
+  const Scenario s = Scenario::paper_default();
+  for (const char* protocol : {"X-MAC", "DMAC", "LMAC"}) {
+    SCOPED_TRACE(protocol);
+    CountingModel model(mac::make_model(protocol, s.context).take());
+    EnergyDelayGame game(model, s.requirements);
+    const std::uint64_t fallbacks_before =
+        obs::Registry::global().counter("solver.penalty_fallbacks").value();
+    auto out = game.solve();
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    ASSERT_EQ(
+        obs::Registry::global().counter("solver.penalty_fallbacks").value(),
+        fallbacks_before);
+    EXPECT_GT(out->stats.blocks, 0);
+    EXPECT_EQ(model.calls, out->stats.blocks);
+  }
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 // counts.  Each case also proves the instrumentation was live: the traced
 // run collected the pipeline's spans, the silent run collected none, and
 // the solver counters advanced by exactly the sweep's own solve and eval
-// counts in both runs.  A solve refused as infeasible counts too, and so
-// do the evals of a penalty multistart that finds no feasible point.
+// counts in both runs, and the oracle stopwatch (SolveStats::oracle_ns)
+// ran only in the traced one.  A solve refused as infeasible counts too,
+// and so do the evals of a penalty multistart that finds no feasible
+// point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,6 +107,8 @@ struct SweepObservation {
   std::vector<double> energies;  // bit-compared via ==
   std::vector<double> xs;
   std::vector<long long> evals;
+  std::vector<long long> blocks;
+  double oracle_ns = 0;  // summed over the cells; timed only while tracing
   std::size_t cells = 0;
   std::uint64_t solves_counted = 0;  // registry deltas over the sweep
   std::uint64_t evals_counted = 0;
@@ -126,6 +130,8 @@ SweepObservation observe_sweep() {
     obs.energies.push_back(cell.outcome->nbs.energy);
     for (double x : cell.outcome->nbs.x) obs.xs.push_back(x);
     obs.evals.push_back(cell.outcome->stats.evaluations);
+    obs.blocks.push_back(cell.outcome->stats.blocks);
+    obs.oracle_ns += cell.outcome->stats.oracle_ns;
   }
   return obs;
 }
@@ -143,6 +149,10 @@ TEST_F(ObsDeterminismTest, SolverOutputsAndEvalCountsIdenticalTracedVsSilent) {
   EXPECT_EQ(silent.energies, traced.energies);  // bit-identical doubles
   EXPECT_EQ(silent.xs, traced.xs);
   EXPECT_EQ(silent.evals, traced.evals);  // same oracle call count
+  EXPECT_EQ(silent.blocks, traced.blocks);
+  // The oracle stopwatch obeys the tracer switch, like a span.
+  EXPECT_EQ(silent.oracle_ns, 0.0);
+  EXPECT_GT(traced.oracle_ns, 0.0);
   EXPECT_TRUE(collected("solver.dual_solve"));
   EXPECT_TRUE(collected("engine.job"));
 

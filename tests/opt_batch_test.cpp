@@ -1,7 +1,8 @@
 // Block-oracle contract tests: the batched grid flavours must be
 // bit-identical to the scalar reference path — same argmin bits, same
-// value bits, same evaluation count — and the zoom refinement must not
-// re-call the oracle on the inherited incumbent.
+// value bits, same evaluation count — the zoom refinement must not
+// re-call the oracle on the inherited incumbent, and oracle_ns is timed
+// only while the tracer is on.
 #include "opt/batch.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <cstdint>
 #include <limits>
 
+#include "obs/trace.h"
 #include "opt/bounds.h"
+#include "opt/descent.h"
 #include "opt/grid.h"
 #include "opt/pareto.h"
 
@@ -157,12 +160,47 @@ TEST(GridRefine, DoesNotReevaluateInheritedIncumbent) {
   expect_identical(r, rb);
 }
 
-TEST(GridRefineBatch, ReportsBlocksAndOracleTime) {
-  Box box({0.0}, {10.0});
-  auto r = grid_refine_min(batch_from_scalar(quadratic1), box,
-                           {.points_per_dim = 33, .rounds = 4, .zoom = 0.2});
+// Runs `solve` with the tracer switch at `on`, then restores the switch.
+// oracle_ns is timed only while the tracer is on (call_oracle).
+template <typename Solve>
+VectorResult with_tracer(bool on, Solve solve) {
+  const bool was = obs::Tracer::enabled();
+  obs::Tracer::set_enabled(on);
+  VectorResult r = solve();
+  obs::Tracer::set_enabled(was);
+  return r;
+}
+
+VectorResult refine_quadratic() {
+  return grid_refine_min(batch_from_scalar(quadratic1), Box({0.0}, {10.0}),
+                         {.points_per_dim = 33, .rounds = 4, .zoom = 0.2});
+}
+
+VectorResult descend_bowl() {
+  return bdca_multistart_min(batch_from_scalar(bowl2),
+                             Box({-3.0, -3.0}, {3.0, 3.0}));
+}
+
+TEST(GridRefineBatch, ReportsBlocksAndNoOracleTimeUntraced) {
+  const VectorResult r = with_tracer(false, refine_quadratic);
   EXPECT_GE(r.blocks, 4);  // at least one block per round
+  EXPECT_EQ(r.oracle_ns, 0.0);
+}
+
+TEST(GridRefineBatch, ReportsOracleTimeWhileTracing) {
+  const VectorResult r = with_tracer(true, refine_quadratic);
+  EXPECT_GE(r.blocks, 4);
   EXPECT_GT(r.oracle_ns, 0.0);
+}
+
+TEST(BdcaMultistartBatch, OracleTimeFollowsTheTracerSwitch) {
+  const VectorResult off = with_tracer(false, descend_bowl);
+  const VectorResult on = with_tracer(true, descend_bowl);
+  EXPECT_GT(off.blocks, 0);
+  EXPECT_EQ(off.oracle_ns, 0.0);
+  EXPECT_GT(on.oracle_ns, 0.0);
+  expect_identical(off, on);  // the timing never feeds back
+  EXPECT_EQ(off.blocks, on.blocks);
 }
 
 TEST(TraceFrontierBatch, IdenticalToScalar) {
