@@ -10,6 +10,11 @@
 //   ms/solve        cold end-to-end solve latency
 //   evals/solve     oracle evaluations per solve (BargainingOutcome::stats;
 //                   deterministic, so it doubles as a regression guard)
+//   blocks/solve    block-oracle calls per solve (same source, same use)
+//   stage-2 skips   dual solves that skipped stage 2 under the 1-D
+//                   one-basin rule (the solver.stage2.skipped counter over
+//                   the timed repeats; 3 per solve when P1, P2 and P4 all
+//                   skip)
 //   ns/eval         solve wall time per evaluation
 //   oracle_share    fraction of solve time spent inside the block oracle;
 //                   the oracle is timed only while tracing (EDB_TRACE_OUT),
@@ -42,8 +47,8 @@
 // With a baseline file (bench/baselines/BENCH_solver.baseline.json in CI),
 // exits non-zero when
 //
-//   - any model's evals/solve regresses more than 10% above the baseline
-//     (deterministic: only real plan changes trip it),
+//   - any model's evals/solve or blocks/solve regresses more than 10%
+//     above the baseline (deterministic: only real plan changes trip it),
 //   - any model's ns/eval exceeds 3x or solves/s falls below 1/3 of the
 //     baseline (loose factors: wall-clock gates must survive noisy
 //     shared runners),
@@ -59,6 +64,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -168,6 +174,9 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    obs::Counter& skips = obs::Registry::global().counter(
+        "solver.stage2.skipped");
+    const std::uint64_t skips_before = skips.value();
     const double t0 = now_ms();
     core::SolveStats stats;
     for (int i = 0; i < repeats; ++i) {
@@ -179,6 +188,7 @@ int main(int argc, char** argv) {
       stats = outcome->stats;  // deterministic: identical every repeat
     }
     const double elapsed = now_ms() - t0;
+    const std::uint64_t skipped = skips.value() - skips_before;
 
     const double solves_per_sec = 1e3 * repeats / elapsed;
     const double ms_per_solve = elapsed / repeats;
@@ -196,6 +206,9 @@ int main(int argc, char** argv) {
         "%6.1f ns/eval  (%s, %lld blocks)\n",
         name.c_str(), solves_per_sec, ms_per_solve, evals_per_solve,
         ns_per_eval, share, stats.blocks);
+    std::printf("%-6s stage-2 skipped %llu times in %d solves\n",
+                name.c_str(), static_cast<unsigned long long>(skipped),
+                repeats);
 
     // P3 proof: Lmax at the agreement latency pins P1's optimum at E*,
     // above a budget shaved to midway between Ebest and E*.
@@ -224,27 +237,32 @@ int main(int argc, char** argv) {
     json.number((tag + "_evals_per_solve").c_str(), evals_per_solve);
     json.number((tag + "_ns_per_eval").c_str(), ns_per_eval);
     json.integer((tag + "_blocks_per_solve").c_str(), stats.blocks);
+    json.number((tag + "_stage2_skips_per_solve").c_str(),
+                static_cast<double>(skipped) / repeats);
 
     total_ms += elapsed;
     total_evals += stats.evaluations * repeats;
     total_solves += repeats;
 
     if (!baseline.empty()) {
-      double base = 0;
-      if (json_number(baseline, tag + "_evals_per_solve", &base)) {
-        if (evals_per_solve > 1.1 * base) {
+      for (const auto& [what, per_solve] :
+           {std::pair{"evals", evals_per_solve},
+            std::pair{"blocks", static_cast<double>(stats.blocks)}}) {
+        const std::string key = tag + "_" + what + "_per_solve";
+        double base = 0;
+        if (!json_number(baseline, key, &base)) {
+          std::fprintf(stderr, "warning: baseline lacks %s\n", key.c_str());
+        } else if (per_solve > 1.1 * base) {
           std::fprintf(stderr,
-                       "REGRESSION %s: %.0f evals/solve vs baseline %.0f "
+                       "REGRESSION %s: %.0f %s/solve vs baseline %.0f "
                        "(>10%%)\n",
-                       name.c_str(), evals_per_solve, base);
+                       name.c_str(), per_solve, what, base);
           regressed = true;
         }
-      } else {
-        std::fprintf(stderr, "warning: baseline lacks %s_evals_per_solve\n",
-                     tag.c_str());
       }
       // Wall-clock gates: deliberately loose (3x) so they catch order-of-
       // magnitude regressions, not shared-runner noise.
+      double base = 0;
       if (json_number(baseline, tag + "_ns_per_eval", &base)) {
         if (ns_per_eval > 3.0 * base) {
           std::fprintf(stderr,

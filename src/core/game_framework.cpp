@@ -31,6 +31,36 @@ struct MetricSlack {
   double cap = 0;            // requirement cap on that metric (> 0)
 };
 
+// The raw objective of a fence, as plain data like MetricSlack: one metric
+// (E for (P1) and the energy envelope, L for (P2) and the latency
+// envelope) or (P4)'s weighted Nash objective with its constants.  The
+// batched fence and the scalar oracle both call operator(), so each
+// combine exists once.
+struct RawObjective {
+  enum class Kind { kEnergy, kLatency, kNash };
+  Kind kind = Kind::kEnergy;
+  // kNash only: the disagreement point, the players' bargaining ranges and
+  // the energy player's bargaining power.
+  double e_worst = 0, l_worst = 0, e_range = 1, l_range = 1, alpha = 0.5;
+
+  bool uses_energy() const { return kind != Kind::kLatency; }
+  bool uses_latency() const { return kind != Kind::kEnergy; }
+
+  // (P4)'s objective is -product when both normalised slacks are positive
+  // and a positive violation measure otherwise (continuous across the
+  // boundary).
+  double operator()(double e, double l) const {
+    if (kind == Kind::kEnergy) return e;
+    if (kind == Kind::kLatency) return l;
+    const double se = (e_worst - e) / e_range;
+    const double sl = (l_worst - l) / l_range;
+    if (se > 0.0 && sl > 0.0) {
+      return -std::pow(se, alpha) * std::pow(sl, 1.0 - alpha);
+    }
+    return (se <= 0.0 ? -se : 0.0) + (sl <= 0.0 ? -sl : 0.0);
+  }
+};
+
 // Indicator-style objective for the grid and descent oracles
 // (opt/batch.h): the raw objective inside the feasible region, +inf
 // outside.  Grid search and the fenced descent tolerate the
@@ -52,10 +82,9 @@ struct MetricSlack {
 class BatchFence {
  public:
   BatchFence(const mac::AnalyticMacModel& model,
-             std::vector<MetricSlack> slacks, bool raw_uses_e,
-             bool raw_uses_l, std::function<double(double, double)> raw)
-      : model_(&model), slacks_(std::move(slacks)), need_e_(raw_uses_e),
-        need_l_(raw_uses_l), raw_(std::move(raw)) {
+             std::vector<MetricSlack> slacks, RawObjective raw)
+      : model_(&model), slacks_(std::move(slacks)),
+        need_e_(raw.uses_energy()), need_l_(raw.uses_latency()), raw_(raw) {
     for (const auto& s : slacks_) {
       (s.uses_energy ? need_e_ : need_l_) = true;
     }
@@ -103,7 +132,7 @@ class BatchFence {
   const mac::AnalyticMacModel* model_;
   std::vector<MetricSlack> slacks_;
   bool need_e_, need_l_;  // metrics the kernel computes (slacks or raw)
-  std::function<double(double, double)> raw_;
+  RawObjective raw_;
   // Scratch (reused across blocks; one fence serves one solve thread).
   std::vector<double> margins_, e_, l_, worst_;
 };
@@ -159,13 +188,11 @@ class PointMetrics {
 // apart: every slack/raw combine exists exactly once, and both flavours
 // read the model through the same metric plumbing.  `metrics` must
 // outlive the returned lambdas (both live on the solve's stack frame).
-opt::Objective make_scalar_objective(
-    PointMetrics& metrics, bool raw_uses_e, bool raw_uses_l,
-    std::function<double(double, double)> raw) {
-  return [&metrics, raw_uses_e, raw_uses_l,
-          raw = std::move(raw)](const std::vector<double>& x) {
-    const double e = raw_uses_e ? metrics.energy(x) : 0.0;
-    const double l = raw_uses_l ? metrics.latency(x) : 0.0;
+opt::Objective make_scalar_objective(PointMetrics& metrics,
+                                     RawObjective raw) {
+  return [&metrics, raw](const std::vector<double>& x) {
+    const double e = raw.uses_energy() ? metrics.energy(x) : 0.0;
+    const double l = raw.uses_latency() ? metrics.latency(x) : 0.0;
     return raw(e, l);
   };
 }
@@ -189,12 +216,9 @@ std::vector<opt::Constraint> make_scalar_slacks(
 // feasible, +inf elsewhere.  The envelope minimises it, and so does the
 // phase-I search of the subproblem that caps that metric.
 BatchFence metric_fence(const mac::AnalyticMacModel& model, bool energy) {
-  if (energy) {
-    return BatchFence(model, {}, /*raw_uses_e=*/true, /*raw_uses_l=*/false,
-                      [](double e, double) { return e; });
-  }
-  return BatchFence(model, {}, /*raw_uses_e=*/false, /*raw_uses_l=*/true,
-                    [](double, double l) { return l; });
+  return BatchFence(model, {},
+                    {energy ? RawObjective::Kind::kEnergy
+                            : RawObjective::Kind::kLatency});
 }
 
 // The feasibility (phase-I) problem of a single-cap subproblem — (P1)'s
@@ -219,7 +243,11 @@ struct PhaseOne {
 // feasible set, the solve is infeasible outright.  Otherwise (and always
 // for P4) the cold stage 2 falls back to the exterior-penalty
 // multistart, whose smooth slacks can still crawl into a narrow feasible
-// sliver.
+// sliver.  A 1-D solve whose stage-1 first-round lattice has one basin
+// (opt::one_basin) skips stage 2, cold multistart and warm descent alike,
+// and counts the skip as solver.stage2.skipped; the polished stage-1
+// incumbent is then the answer.  Any other lattice shape, and every 2-D
+// solve, runs stage 2.
 //
 // kGridVerify: the original dense-grid + penalty pipeline, cold only.  It
 // is the independent verifier for the descent path: both modes share the
@@ -233,14 +261,15 @@ struct PhaseOne {
 // Path independence (kDescent): cold and warm paths share stage 1
 // verbatim and end in the same stage-3 polish anchored at stage 1's
 // incumbent, and stage 2 can only override the polished point by a
-// macroscopic margin.  When the warm stage 2 *does* claim such a margin
-// — or stage 1 found nothing feasible — the warm path falls back to the
-// full cold stage 2 before deciding, so the decision inputs are the cold
-// ones.  The only way the two paths can then disagree is the cold
-// multistart finding a basin that both the full-box scan and the seeded
-// descent missed, which the §2 cross-check philosophy already treats as
-// solver disagreement; the engine's determinism tests and
-// bench/engine_micro guard it.
+// macroscopic margin.  The stage-2 skip rule reads only stage 1's
+// lattice, so both paths skip together.  When the warm stage 2 *does*
+// claim such a margin — or stage 1 found nothing feasible — the warm path
+// falls back to the full cold stage 2 before deciding, so the decision
+// inputs are the cold ones.  The only way the two paths can then
+// disagree is the cold multistart finding a basin that both the full-box
+// scan and the seeded descent missed, which the §2 cross-check philosophy
+// already treats as solver disagreement; the engine's determinism tests
+// and bench/engine_micro guard it.
 Expected<opt::VectorResult> dual_solve(
     const opt::Objective& raw, const std::vector<opt::Constraint>& slacks,
     const opt::BatchObjective& batch_fence, const opt::Box& box,
@@ -296,9 +325,13 @@ Expected<opt::VectorResult> dual_solve(
       use_descent
           ? opt::GridOptions{.points_per_dim = 65, .rounds = 3, .zoom = 0.15}
           : opt::GridOptions{.points_per_dim = 65, .rounds = 4, .zoom = 0.15};
+  // A 1-D descent solve keeps round 0's lattice for the stage-2 skip rule.
+  std::vector<double> lattice;
+  const bool read_shape = mode == SolverMode::kDescent && box.dim() == 1;
   auto grid = [&] {
     EDB_SPAN("solver.stage1.grid");
-    return opt::grid_refine_min(batch_fence, box, stage1_opts);
+    return opt::grid_refine_min(batch_fence, box, stage1_opts,
+                                read_shape ? &lattice : nullptr);
   }();
   const bool grid_ok = !grid.x.empty() && std::isfinite(grid.value);
   cost.absorb_cost(grid);
@@ -393,11 +426,19 @@ Expected<opt::VectorResult> dual_solve(
     return !(descent.value < phase1.cap);
   };
 
+  // The stage-2 skip rule: in 1-D, a stage-1 lattice with one basin
+  // leaves stage 2 nothing to decide.  Its 17 seeds are every fourth point
+  // of that lattice, so each descends into the basin the stage-1
+  // incumbent and the polish already cover.  Warm and cold solves share
+  // the lattice, so they skip together.
+  const bool skip_stage2 = read_shape && grid_ok && opt::one_basin(lattice);
   // A warm solve descends from its seed only inside a basin stage 1
   // found; otherwise it runs the cold stage 2.
-  const bool warm_descent = warm && grid_ok;
+  const bool warm_descent = warm && grid_ok && !skip_stage2;
   opt::VectorResult cand;
-  {
+  if (skip_stage2) {
+    EDB_COUNT("solver.stage2.skipped", 1);
+  } else {
     EDB_SPAN("solver.stage2");
     if (warm_descent) {
       // The fence keeps the descent strictly feasible.
@@ -514,14 +555,12 @@ Expected<OperatingPoint> solve_capped(const mac::AnalyticMacModel& model,
   // One spec drives both oracle flavours (see make_scalar_objective).
   const std::vector<MetricSlack> mslacks = {
       {/*uses_energy=*/!p1, /*cap=*/cap}};
-  const std::function<double(double, double)> raw =
-      [p1](double e, double l) { return p1 ? e : l; };
+  const RawObjective raw{p1 ? RawObjective::Kind::kEnergy
+                            : RawObjective::Kind::kLatency};
   PointMetrics metrics(model);
-  opt::Objective obj = make_scalar_objective(metrics, /*raw_uses_e=*/p1,
-                                             /*raw_uses_l=*/!p1, raw);
+  opt::Objective obj = make_scalar_objective(metrics, raw);
   std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
-  BatchFence batch(model, mslacks, /*raw_uses_e=*/p1, /*raw_uses_l=*/!p1,
-                   raw);
+  BatchFence batch(model, mslacks, raw);
   // Phase I minimises the capped metric.
   BatchFence capped = metric_fence(model, /*energy=*/!p1);
   auto r = dual_solve(obj, slacks, batch.oracle(), model_box(model), mode,
@@ -682,9 +721,7 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
   // (P4): maximise the (weighted) Nash product below the disagreement
   // point.  Slacks are normalised by the players' bargaining ranges so the
   // exponents weight *relative* gains; for alpha = 1/2 the argmax equals
-  // the paper's plain product.  The objective returns -product when both
-  // slacks are positive and a positive violation measure otherwise
-  // (continuous across the boundary).
+  // the paper's plain product (RawObjective::kNash).
   const double e_range = std::max(e_worst - out.e_best(), 1e-300);
   const double l_range = std::max(l_worst - out.l_best(), 1e-300);
   // One spec drives both oracle flavours (see make_scalar_objective).
@@ -693,22 +730,12 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
   const std::vector<MetricSlack> mslacks = {
       {/*uses_energy=*/true, /*cap=*/e_cap},
       {/*uses_energy=*/false, /*cap=*/l_cap}};
-  const std::function<double(double, double)> raw =
-      [e_worst, l_worst, e_range, l_range, alpha](double e, double l) {
-        const double se = (e_worst - e) / e_range;
-        const double sl = (l_worst - l) / l_range;
-        if (se > 0.0 && sl > 0.0) {
-          return -std::pow(se, alpha) * std::pow(sl, 1.0 - alpha);
-        }
-        return (se <= 0.0 ? -se : 0.0) + (sl <= 0.0 ? -sl : 0.0);
-      };
+  const RawObjective raw{RawObjective::Kind::kNash, e_worst, l_worst,
+                         e_range, l_range, alpha};
   PointMetrics metrics(model_);
-  opt::Objective obj =
-      make_scalar_objective(metrics, /*raw_uses_e=*/true,
-                            /*raw_uses_l=*/true, raw);
+  opt::Objective obj = make_scalar_objective(metrics, raw);
   std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
-  BatchFence batch(model_, mslacks, /*raw_uses_e=*/true,
-                   /*raw_uses_l=*/true, raw);
+  BatchFence batch(model_, mslacks, raw);
 
   const opt::Box box = model_box(model_);
   auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, hints.nbs,

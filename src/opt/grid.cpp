@@ -93,9 +93,12 @@ struct BatchScratch {
 // is one oracle call.  A lattice point bit-identical to the inherited
 // incumbent is excluded from the block and its known value merged back in
 // at its lattice position, so selection is exactly the scalar pass's.
+// `values_out`, when non-null, receives every point's value in lattice
+// order.
 VectorResult grid_pass(const BatchObjective& f,
                        const std::vector<std::vector<double>>& axes,
-                       const Incumbent* seed, BatchScratch& s) {
+                       const Incumbent* seed, BatchScratch& s,
+                       std::vector<double>* values_out = nullptr) {
   const std::size_t dim = axes.size();
   std::vector<std::size_t> idx(dim, 0);
   VectorResult best;
@@ -135,6 +138,7 @@ VectorResult grid_pass(const BatchObjective& f,
     std::size_t j = 0;
     for (std::size_t r = 0; r < rows; ++r) {
       const double v = r == seed_row ? seed->value : s.values[j++];
+      if (values_out) values_out->push_back(v);
       if (v < best.value) {
         best.value = v;
         const double* row = s.coords.data() + r * dim;
@@ -227,14 +231,35 @@ VectorResult grid_refine_min(const Objective& f, const Box& box,
 }
 
 VectorResult grid_refine_min(const BatchObjective& f, const Box& box,
-                             const GridOptions& opts) {
+                             const GridOptions& opts,
+                             std::vector<double>* first_round) {
   BatchScratch scratch;
+  if (first_round) first_round->clear();
   return refine_loop(
-      [&f, &scratch](const std::vector<std::vector<double>>& axes,
-                     const Incumbent* seed) {
-        return grid_pass(f, axes, seed, scratch);
+      [&f, &scratch, &first_round](
+          const std::vector<std::vector<double>>& axes,
+          const Incumbent* seed) {
+        auto r = grid_pass(f, axes, seed, scratch, first_round);
+        first_round = nullptr;  // only round 0 is handed back
+        return r;
       },
       box, opts);
+}
+
+bool one_basin(const std::vector<double>& values) {
+  auto lo = std::find_if(values.begin(), values.end(),
+                         [](double v) { return std::isfinite(v); });
+  auto hi = std::find_if(values.rbegin(), values.rend(),
+                         [](double v) { return std::isfinite(v); })
+                .base();
+  if (lo >= hi) return false;  // no finite value
+  if (!std::all_of(lo, hi, [](double v) { return std::isfinite(v); })) {
+    return false;  // a second finite run
+  }
+  auto it = lo + 1;
+  while (it < hi && *it < it[-1]) ++it;  // strictly down to the minimum
+  while (it < hi && *it > it[-1]) ++it;  // then strictly up
+  return it == hi;
 }
 
 }  // namespace edb::opt

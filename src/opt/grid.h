@@ -22,7 +22,15 @@
 // incumbent: the refined lattice is snapped to contain the incumbent point
 // exactly, and its known value is reused instead of re-calling the oracle
 // on it.
+//
+// The batched `grid_refine_min` can also hand back its first round's
+// values in lattice order, and `one_basin` reads the shape of such a
+// lattice: the descent pipeline skips its 1-D multistart cross-check when
+// the first round saw a single basin (core/game_framework.cpp, DESIGN.md
+// §2).
 #pragma once
+
+#include <vector>
 
 #include "opt/batch.h"
 #include "opt/bounds.h"
@@ -42,10 +50,20 @@ VectorResult grid_min(const Objective& f, const Box& box,
 VectorResult grid_min(const BatchObjective& f, const Box& box,
                       int points_per_dim = 101);
 
-// Multi-round zooming search.
+// Multi-round zooming search.  The batched flavour writes round 0's
+// values, one per lattice point in lattice order, to `first_round` when it
+// is non-null; the search itself is the same either way.
 VectorResult grid_refine_min(const Objective& f, const Box& box,
                              const GridOptions& opts = {});
 VectorResult grid_refine_min(const BatchObjective& f, const Box& box,
-                             const GridOptions& opts = {});
+                             const GridOptions& opts = {},
+                             std::vector<double>* first_round = nullptr);
+
+// True when a 1-D lattice of values has one basin: its finite values form
+// one contiguous run that falls strictly to a single minimum and then
+// rises strictly (either side may be empty, so an edge minimum counts).
+// No finite value, a second run, a second local minimum or any tie
+// between neighbours makes it false.
+bool one_basin(const std::vector<double>& values);
 
 }  // namespace edb::opt

@@ -1,11 +1,14 @@
 // EnergyDelayGame mechanics: (P1), (P2), (P4) on the three paper protocols,
 // cross-validated against brute-force oracles over the 1-D parameter boxes,
-// and the cost of the batched fence: one kernel call per oracle block.
+// the cost of the batched fence (one kernel call per oracle block), and
+// the 1-D stage-2 skip rule.
 #include "core/game_framework.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "mac/registry.h"
@@ -246,6 +249,116 @@ TEST(FrameworkBlockOracle, OneKernelCallPerOracleBlock) {
     EXPECT_GT(out->stats.blocks, 0);
     EXPECT_EQ(model.calls, out->stats.blocks);
   }
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+// Each 1-D descent solve that skips stage 2 costs stage 1's three 65-point
+// rounds and the polish's ten 17-point rounds, one oracle block each.
+constexpr long long kSkippedSolveBlocks = 3 + 10;
+
+// On the paper models every stage-1 lattice has one basin: (P1), (P2) and
+// (P4) each skip stage 2, so a bargaining solve is three skipped solves.
+TEST(FrameworkStage2Skip, PaperModelsSkipEveryOneDimensionalSolve) {
+  const Scenario s = Scenario::paper_default();
+  for (const char* protocol : {"X-MAC", "DMAC", "LMAC"}) {
+    SCOPED_TRACE(protocol);
+    auto model = mac::make_model(protocol, s.context).take();
+    EnergyDelayGame game(*model, s.requirements);
+    const std::uint64_t before = counter("solver.stage2.skipped");
+    auto out = game.solve();
+    ASSERT_TRUE(out.ok()) << out.error().to_string();
+    EXPECT_EQ(counter("solver.stage2.skipped") - before, 3u);
+    EXPECT_EQ(out->stats.blocks, 3 * kSkippedSolveBlocks);
+  }
+}
+
+// The rule is 1-D only: S-MAC's 2-D descent is the stage that converges.
+TEST(FrameworkStage2Skip, TwoDimensionalSmacNeverSkips) {
+  const Scenario s = Scenario::paper_default();
+  auto model = mac::make_model("S-MAC", s.context).take();
+  ASSERT_EQ(model->params().dim(), 2u);
+  EnergyDelayGame game(*model, s.requirements);
+  const std::uint64_t before = counter("solver.stage2.skipped");
+  auto out = game.solve();
+  ASSERT_TRUE(out.ok()) << out.error().to_string();
+  EXPECT_EQ(counter("solver.stage2.skipped"), before);
+}
+
+// A synthetic 1-D protocol whose energy has two wells over x in [0, 1]: a
+// shallow one at 0.2 and a deep one at 0.8, both feasible.  Latency rises
+// linearly in x and every x meets the protocol margin.  The metrics are
+// the scalar bodies, so the batch kernel is bit-identical to them.
+class TwoBasinModel final : public mac::AnalyticMacModel {
+ public:
+  explicit TwoBasinModel(const mac::ModelContext& ctx)
+      : AnalyticMacModel(ctx), params_({{"x", 0.0, 1.0, ""}}) {}
+
+  std::string_view name() const override { return "two-basin"; }
+  const mac::ParamSpace& params() const override { return params_; }
+  mac::PowerBreakdown power_at_ring(const std::vector<double>& x,
+                                    int) const override {
+    const double shallow = 1.5 + 50.0 * (x[0] - 0.2) * (x[0] - 0.2);
+    const double deep = 1.0 + 100.0 * (x[0] - 0.8) * (x[0] - 0.8);
+    mac::PowerBreakdown p;
+    p.cs = 1e-4 * std::min(shallow, deep);
+    return p;
+  }
+  double hop_latency(const std::vector<double>& x, int) const override {
+    return 0.2 + x[0];
+  }
+  void evaluate_batch(const double* xs, std::size_t n, double* energies,
+                      double* latencies, double* margins) const override {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<double> x = {xs[i]};
+      if (energies) energies[i] = energy(x);
+      if (latencies) latencies[i] = latency(x);
+      if (margins) margins[i] = feasibility_margin(x);
+    }
+  }
+
+ protected:
+  double protocol_margin(const std::vector<double>&) const override {
+    return 1.0;
+  }
+
+ private:
+  mac::ParamSpace params_;
+};
+
+// TwoBasinModel's (P1) answer under the paper context and req below,
+// pinned from the pipeline before the skip rule existed.
+constexpr double kTwoBasinX = 0x1.99999990912bcp-1;
+constexpr double kTwoBasinEnergy = 0x1.47ae147ae147bp-7;
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// (P1) on the two-basin model sees two local minima in its stage-1
+// lattice, so the rule falls back: nothing is skipped, stage 2 runs
+// (blocks beyond a skipped solve's), and the answer is bit-for-bit the
+// one the pipeline gave before the rule existed.
+TEST(FrameworkStage2Skip, TwoBasinFenceFallsBackToStage2) {
+  const mac::ModelContext ctx = Scenario::paper_default().context;
+  TwoBasinModel model(ctx);
+  const AppRequirements req{.e_budget = 10.0, .l_max = 10.0};
+  EnergyDelayGame game(model, req);
+  const std::uint64_t skipped_before = counter("solver.stage2.skipped");
+  const std::uint64_t blocks_before = counter("solver.oracle.blocks");
+  auto p1 = game.solve_p1();
+  ASSERT_TRUE(p1.ok()) << p1.error().to_string();
+  EXPECT_EQ(counter("solver.stage2.skipped"), skipped_before);
+  EXPECT_GT(counter("solver.oracle.blocks") - blocks_before,
+            static_cast<std::uint64_t>(kSkippedSolveBlocks));
+  ASSERT_EQ(p1->x.size(), 1u);
+  EXPECT_NEAR(p1->x[0], 0.8, 1e-6);  // the deep well
+  EXPECT_EQ(bits_of(p1->x[0]), bits_of(kTwoBasinX));
+  EXPECT_EQ(bits_of(p1->energy), bits_of(kTwoBasinEnergy));
 }
 
 }  // namespace

@@ -9,16 +9,19 @@
 // counts in both runs, and the oracle stopwatch (SolveStats::oracle_ns)
 // ran only in the traced one.  A solve refused as infeasible counts too,
 // and so do the evals of a penalty multistart that finds no feasible
-// point.
+// point.  The stage-2 skip count is a function of the cells alone: thread
+// count and warm chaining leave it unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/game_framework.h"
 #include "core/sweep.h"
 #include "engine/fan.h"
@@ -305,6 +308,41 @@ TEST_F(ObsDeterminismTest, FanResultsIdenticalTracedVsSilent) {
   EXPECT_TRUE(collected("engine.fan"));
   EXPECT_TRUE(collected("engine.job"));
   EXPECT_EQ(counter("engine.fan.jobs") - jobs_before, 2 * silent.size());
+}
+
+// Skips counted over Lmax sweeps of four 1-D protocols (all cells
+// feasible, so a warm chain solves exactly the cells a cold run does).
+std::uint64_t observe_stage2_skips(const core::EngineOptions& opts) {
+  const auto scenario = core::Scenario::paper_default();
+  std::vector<std::unique_ptr<mac::AnalyticMacModel>> models;
+  std::vector<core::SweepJob> jobs;
+  for (const char* protocol : {"X-MAC", "DMAC", "LMAC", "B-MAC"}) {
+    models.push_back(mac::make_model(protocol, scenario.context).take());
+    jobs.push_back(core::SweepJob{.model = models.back().get(),
+                                  .base = scenario.requirements,
+                                  .kind = core::SweepKind::kLmax,
+                                  .values = {4.0, 4.5, 5.0, 6.0}});
+  }
+  core::ScenarioEngine engine(opts);
+  const std::uint64_t before = counter("solver.stage2.skipped");
+  const auto sweeps = engine.run_sweeps(jobs);
+  const std::uint64_t skipped = counter("solver.stage2.skipped") - before;
+  for (const auto& sweep : sweeps) {
+    EXPECT_EQ(sweep.feasible_count(), sweep.cells.size()) << sweep.protocol;
+  }
+  return skipped;
+}
+
+TEST_F(ObsDeterminismTest, Stage2SkipsIdenticalAcrossThreadsAndWarmChains) {
+  const std::uint64_t warm1 = observe_stage2_skips(
+      {.threads = 1, .parallel = false, .warm_start = true});
+  const std::uint64_t warm4 = observe_stage2_skips(
+      {.threads = 4, .parallel = true, .warm_start = true});
+  const std::uint64_t cold4 = observe_stage2_skips(
+      {.threads = 4, .parallel = true, .warm_start = false});
+  EXPECT_GT(warm1, 0u);
+  EXPECT_EQ(warm1, warm4);
+  EXPECT_EQ(warm1, cold4);
 }
 
 }  // namespace
