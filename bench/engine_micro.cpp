@@ -2,14 +2,15 @@
 //
 // Solves a 40-cell Lmax sweep of every registered protocol twice:
 //
-//   baseline — the seed's exact path: a width-1 fan (the calling thread),
-//              cold solves (what core::run_sweep runs);
-//   engine   — a width-4 fan by default, warm-started cells.
+//   baseline — a width-1 fan (the calling thread), what core::run_sweep
+//              runs;
+//   engine   — a width-4 fan by default; every cell of every sweep is one
+//              cold solve and one task.
 //
 // It then cross-checks the two runs cell-for-cell (identical feasibility
 // flags, agreements within 1e-9 relative) and reports the wall-clock
-// speedup, plus each protocol's cold and warm sweep timed on its own.
-// Exit code is non-zero when the runs disagree.
+// speedup, plus each protocol's sweep timed on its own at width 1 and at
+// the engine's width.  Exit code is non-zero when the runs disagree.
 //
 //   $ ./engine_micro [threads] [cells]
 //
@@ -71,35 +72,37 @@ int main(int argc, char** argv) {
 
   // The sequential baseline runs one sweep at a time, so timing each
   // sweep separately costs nothing and splits the total per protocol.
-  core::ScenarioEngine baseline(core::EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = false});
+  core::ScenarioEngine baseline(
+      core::EngineOptions{.threads = 1, .parallel = false});
   std::vector<core::SweepResult> seq;
-  std::vector<double> cold_ms;
+  std::vector<double> width1_ms;
   for (const auto& job : jobs) {
     const double t = now_ms();
     seq.push_back(baseline.run_sweep(job));
-    cold_ms.push_back(now_ms() - t);
+    width1_ms.push_back(now_ms() - t);
   }
   double t_seq = 0.0;
-  for (double t : cold_ms) t_seq += t;
-  std::printf("baseline (sequential, cold): %8.1f ms\n", t_seq);
+  for (double t : width1_ms) t_seq += t;
+  std::printf("baseline (width 1)  : %8.1f ms\n", t_seq);
 
-  core::ScenarioEngine engine(core::EngineOptions{
-      .threads = threads, .parallel = true, .warm_start = true});
+  core::ScenarioEngine engine(
+      core::EngineOptions{.threads = threads, .parallel = true});
   const double t1 = now_ms();
   auto par = engine.run_sweeps(jobs);
   const double t_par = now_ms() - t1;
-  std::printf("engine   (%d threads, warm)  : %8.1f ms\n", threads, t_par);
+  std::printf("engine   (width %d)  : %8.1f ms\n", threads, t_par);
 
-  // Per-protocol warm sweep: one chain, so one thread.
-  std::vector<double> warm_ms;
-  std::printf("  %-8s %10s %10s\n", "protocol", "cold ms", "warm ms");
+  // Per-protocol sweep at the engine's width: its cells fan out.
+  std::vector<double> widthn_ms;
+  const std::string widthn_col = "width " + std::to_string(threads) + " ms";
+  std::printf("  %-8s %12s %12s\n", "protocol", "width 1 ms",
+              widthn_col.c_str());
   for (std::size_t p = 0; p < jobs.size(); ++p) {
     const double t = now_ms();
     engine.run_sweep(jobs[p]);
-    warm_ms.push_back(now_ms() - t);
-    std::printf("  %-8s %10.1f %10.1f\n", protocols[p].c_str(), cold_ms[p],
-                warm_ms[p]);
+    widthn_ms.push_back(now_ms() - t);
+    std::printf("  %-8s %12.1f %12.1f\n", protocols[p].c_str(), width1_ms[p],
+                widthn_ms[p]);
   }
 
   // Cross-check: identical feasibility flags, agreements within 1e-9.
@@ -139,8 +142,8 @@ int main(int argc, char** argv) {
   json.number("baseline_ms", t_seq);
   json.number("engine_ms", t_par);
   for (std::size_t p = 0; p < protocols.size(); ++p) {
-    json.number(("baseline_ms." + protocols[p]).c_str(), cold_ms[p]);
-    json.number(("engine_ms." + protocols[p]).c_str(), warm_ms[p]);
+    json.number(("baseline_ms." + protocols[p]).c_str(), width1_ms[p]);
+    json.number(("engine_ms." + protocols[p]).c_str(), widthn_ms[p]);
   }
   json.number("speedup", t_seq / t_par);
   json.number("worst_rel_diff", worst_rel);

@@ -71,15 +71,12 @@ inline int run_figure(const std::string& protocol, core::SweepKind kind,
   }
   curve.print(std::cout);
 
-  // (b) The trade-off points, via the scenario engine.  A warm-started
-  // sweep is one chained task, so with threads > 1 the engine switches to
-  // cold per-cell fan-out instead — same results bit-for-bit (dual_solve
-  // is path-independent), the thread count just trades the warm chain's
-  // savings for cross-cell parallelism.
+  // (b) The trade-off points, via the scenario engine.  Every cell is one
+  // cold solve, so the thread count only decides when a cell is computed:
+  // the table is byte-identical at every width.
   std::printf("\nNash-bargaining trade-off points:\n");
-  core::ScenarioEngine engine(core::EngineOptions{
-      .threads = threads, .parallel = threads > 1,
-      .warm_start = threads <= 1});
+  core::ScenarioEngine engine(
+      core::EngineOptions{.threads = threads, .parallel = threads > 1});
   const core::SweepResult sweep = engine.run_sweep(
       core::SweepJob{model.get(), scenario.requirements, kind,
                      core::paper_sweep_values(kind)});

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
   }
 
   // Per-case timing on a width-1 engine (the calling thread).
-  core::ScenarioEngine sequential(core::EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = false});
+  core::ScenarioEngine sequential(
+      core::EngineOptions{.threads = 1, .parallel = false});
   double total_seq_ms = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto start = std::chrono::steady_clock::now();
@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // The same batch fanned at width `threads`.
-  core::ScenarioEngine parallel(core::EngineOptions{
-      .threads = threads, .parallel = true, .warm_start = false});
+  core::ScenarioEngine parallel(
+      core::EngineOptions{.threads = threads, .parallel = true});
   const auto start = std::chrono::steady_clock::now();
   auto batch = parallel.solve_batch(jobs);
   const double par_ms = std::chrono::duration<double, std::milli>(

@@ -5,7 +5,7 @@
 // layer's quantization must absorb) and serves it twice:
 //
 //   served — TuningService with the sharded cache and batch planner:
-//            distinct scenarios solved once (grouped into warm chains),
+//            distinct scenarios solved once (grouped into sweeps),
 //            everything else is cache hits;
 //   cold   — the same service with the cache disabled and batching off
 //            (max_batch = 1): every query pays a full solve.  Measured on
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
               "%zu protocols, %d threads ==\n",
               n_queries, distinct, protocols.size(), threads);
 
-  // Shared workload (bench/workload.h): warm-chainable scenario pool,
+  // Shared workload (bench/workload.h): Lmax-only scenario pool,
   // Zipf(1.2) popularity, sub-quantum float noise.  The seed pins this
   // bench's historical byte-identical mix.
   const std::vector<core::Scenario> pool = bench::scenario_pool(distinct);
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
                       static_cast<double>(stats.planner.protocol_queries)
           : 0.0;
   std::printf("served : %8.1f ms  (%.0f queries/s, hit rate %.3f, "
-              "dedup %.3f, %zu solves in %zu chains)\n",
+              "dedup %.3f, %zu solves in %zu sweeps)\n",
               served_ms, qps_served, stats.cache.hit_rate(), dedup_rate,
               stats.planner.solved, stats.planner.sweep_jobs);
   // The whole mix is submitted as one burst, so admit -> done is mostly
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   json.number("hit_rate", stats.cache.hit_rate());
   json.number("dedup_rate", dedup_rate);
   json.integer("solved_cells", static_cast<long long>(stats.planner.solved));
-  json.integer("sweep_chains",
+  json.integer("sweep_jobs",
                static_cast<long long>(stats.planner.sweep_jobs));
   json.number("p50_ms", stats.p50_ms);
   json.number("p95_ms", stats.p95_ms);

@@ -3,7 +3,7 @@
 // The three serving benches (service_throughput, chaos_service,
 // server_loadgen) exercise the same realistic mix: a pool of
 // paper_default() scenarios distinguished only by their delay bound —
-// exactly what the batch planner folds into warm chains — queried with
+// exactly what the batch planner folds into sweeps — queried with
 // Zipf(1.2) rank-frequency popularity plus per-draw relative float
 // noise far below the key layer's 10-significant-digit quantization, so
 // noisy twins must collide in the cache.
@@ -29,7 +29,7 @@ namespace edb::bench {
 
 // The scenario pool: paper_default() with the delay bound spread over
 // [2, 6] s.  Queries differ only in requirements, which is exactly what
-// the planner groups into warm-startable sweep chains.
+// the planner groups into sweeps.
 inline std::vector<core::Scenario> scenario_pool(int distinct) {
   std::vector<core::Scenario> pool;
   pool.reserve(static_cast<std::size_t>(std::max(1, distinct)));

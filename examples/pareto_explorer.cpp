@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   }
 
   core::ScenarioEngine engine(core::EngineOptions{
-      .threads = threads, .parallel = threads > 1, .warm_start = false});
+      .threads = threads, .parallel = threads > 1});
   auto outcomes = engine.solve_batch(jobs);
 
   for (std::size_t i = 0; i < names.size(); ++i) {

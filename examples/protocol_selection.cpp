@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   }
 
   core::ScenarioEngine engine(core::EngineOptions{
-      .threads = threads, .parallel = threads > 1, .warm_start = false});
+      .threads = threads, .parallel = threads > 1});
   auto outcomes = engine.solve_batch(jobs);
 
   Table table({"protocol", "E* [J]", "L* [ms]", "Nash product", "param",

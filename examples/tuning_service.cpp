@@ -3,8 +3,8 @@
 // The figure drivers answer one scenario at a time by running the whole
 // pipeline; the tuning service (src/service) answers *streams* of
 // scenarios: queries are canonicalized into cache keys, misses are
-// deduplicated, grouped into warm-startable sweep chains and fanned
-// through the scenario engine, and repeats are served from the sharded
+// deduplicated, grouped into sweeps whose cells fan through the scenario
+// engine as independent cold solves, and repeats are served from the sharded
 // cache in microseconds.
 //
 //   $ ./tuning_service [threads]
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     tickets.push_back(service.submit(pq));
   }
   // The dispatcher micro-batches whatever is queued: the four distinct
-  // Lmax values group into one warm sweep chain per protocol, and the
+  // Lmax values group into one sweep per protocol, and the
   // repeat of Lmax = 6 (already cached from step 1) never reaches the
   // engine.
   for (std::size_t i = 0; i < tickets.size(); ++i) {
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
               "%zu entries\n",
               stats.cache.hits, stats.cache.misses, stats.cache.hit_rate(),
               stats.cache.entries);
-  std::printf("planner      : %zu solves in %zu warm chains, %zu coalesced\n",
+  std::printf("planner      : %zu solves in %zu sweeps, %zu coalesced\n",
               stats.planner.solved, stats.planner.sweep_jobs,
               stats.planner.coalesced);
   std::printf("latency      : p50 %.2f ms, p95 %.2f ms over %zu queries\n",

@@ -234,53 +234,33 @@ struct PhaseOne {
 //
 // kDescent (production): a coarse full-box grid scan locates the basin,
 // a BDCA-style boosted descent (opt/descent.h) runs on the batched fence
-// — cold: deterministic multistart seeded from the coarse incumbent (and
-// any untrusted hint); warm: a single descent from the trusted seed —
-// and a tight anchored grid polish finishes.  When the coarse scan finds
-// no feasible lattice point the fence is +inf almost everywhere and no
+// as a deterministic multistart seeded from the coarse incumbent, and a
+// tight anchored grid polish finishes.  When the coarse scan finds no
+// feasible lattice point the fence is +inf almost everywhere and no
 // descent can start.  A single-cap subproblem then runs phase I: if the
 // capped metric cannot get below its cap anywhere in the protocol's
 // feasible set, the solve is infeasible outright.  Otherwise (and always
-// for P4) the cold stage 2 falls back to the exterior-penalty
+// for P4) stage 2 falls back to the exterior-penalty
 // multistart, whose smooth slacks can still crawl into a narrow feasible
 // sliver.  A 1-D solve whose stage-1 first-round lattice has one basin
-// (opt::one_basin) skips stage 2, cold multistart and warm descent alike,
-// and counts the skip as solver.stage2.skipped; the polished stage-1
-// incumbent is then the answer.  Any other lattice shape, and every 2-D
-// solve, runs stage 2.
+// (opt::one_basin) skips stage 2 and counts the skip as
+// solver.stage2.skipped; the polished stage-1 incumbent is then the
+// answer.  Any other lattice shape, and every 2-D solve, runs stage 2.
 //
-// kGridVerify: the original dense-grid + penalty pipeline, cold only.  It
-// is the independent verifier for the descent path: both modes share the
+// kGridVerify: the original dense-grid + penalty pipeline.  It is the
+// independent verifier for the descent path: both modes share the
 // stage-1 lattice family and the stage-3 anchored polish, so at the
 // agreement points they must select the same operating point with
 // objectives equal within tolerance (tests/opt_descent_test.cpp,
-// bench/solve_cold.cpp).  A trusted seed does not change its path: by the
-// path-independence contract below its warm answer is its cold one, so it
-// runs the cold pipeline (without the seed) every time.
-//
-// Path independence (kDescent): cold and warm paths share stage 1
-// verbatim and end in the same stage-3 polish anchored at stage 1's
-// incumbent, and stage 2 can only override the polished point by a
-// macroscopic margin.  The stage-2 skip rule reads only stage 1's
-// lattice, so both paths skip together.  When the warm stage 2 *does*
-// claim such a margin — or stage 1 found nothing feasible — the warm path
-// falls back to the full cold stage 2 before deciding, so the decision
-// inputs are the cold ones.  The only way the two paths can then
-// disagree is the cold multistart finding a basin that both the full-box
-// scan and the seeded descent missed, which the §2 cross-check philosophy
-// already treats as solver disagreement; the engine's determinism tests
-// and bench/engine_micro guard it.
+// bench/solve_cold.cpp).
 Expected<opt::VectorResult> dual_solve(
     const opt::Objective& raw, const std::vector<opt::Constraint>& slacks,
     const opt::BatchObjective& batch_fence, const opt::Box& box,
-    SolverMode mode, const std::vector<double>& seed = {},
-    bool trusted = false, const SolveControl& ctl = {},
+    SolverMode mode, const SolveControl& ctl = {},
     long long spent_before = 0, const PhaseOne& phase1 = {}) {
   EDB_SPAN("solver.dual_solve");
   const bool coarse = mode == SolverMode::kCoarse;
   const bool use_descent = mode == SolverMode::kDescent || coarse;
-  const bool warm =
-      mode == SolverMode::kDescent && trusted && seed.size() == box.dim();
 
   // Total oracle cost of the solve: every stage's evaluations (and block
   // counters) accumulate here, independent of which candidate wins — the
@@ -315,12 +295,12 @@ Expected<opt::VectorResult> dual_solve(
   };
   if (auto stop = interrupted(0)) return *stop;
 
-  // Stage 1 — coarse global scan, IDENTICAL in the cold and warm paths:
-  // the full-box zooming grid locates the optimum's basin.  Running the
-  // exact same scan in both paths matters beyond cost: its incumbent
-  // anchors the polish window below.  kDescent stops a round earlier
-  // (~3.5e-4 of the box width — well inside the polish window); the
-  // descent stage recovers the rest for a fraction of a round's lattice.
+  // Stage 1 — coarse global scan: the full-box zooming grid locates the
+  // optimum's basin, and its incumbent anchors the polish window below.
+  // kDescent and kGridVerify share the lattice family.  kDescent stops a
+  // round earlier (~3.5e-4 of the box width — well inside the polish
+  // window); the descent stage recovers the rest for a fraction of a
+  // round's lattice.
   const opt::GridOptions stage1_opts =
       use_descent
           ? opt::GridOptions{.points_per_dim = 65, .rounds = 3, .zoom = 0.15}
@@ -349,16 +329,6 @@ Expected<opt::VectorResult> dual_solve(
   }
   if (auto stop = interrupted(grid.evaluations)) return *stop;
 
-  // The descent stage's shared budget (cold multistart and warm descent):
-  // enough iterations to run the basin to far below the polish window,
-  // small enough that a full cold solve stays ~15x under the kGridVerify
-  // pipeline's evaluation count.
-  const auto descent_opts = [&]() {
-    opt::DescentOptions d;
-    d.max_iterations = 12;
-    return d;
-  };
-
   // Exterior-penalty multistart — kGridVerify's stage 2, and the descent
   // pipeline's fallback when stage 1 found nothing feasible and phase I
   // did not refuse (a sliver the lattice stepped over, or P4).  Its evals
@@ -366,14 +336,7 @@ Expected<opt::VectorResult> dual_solve(
   auto penalty_stage2 = [&]() {
     opt::VectorResult r;
     r.value = kInf;
-    opt::PenaltyOptions pen_opts;
-    // Only an *untrusted* seed joins the multistart: the cold stage 2 of a
-    // trusted solve (kGridVerify's, or the warm path's fallback) must be
-    // the one a seedless solve runs, and a trusted seed is not part of it.
-    if (!trusted && seed.size() == box.dim()) {
-      pen_opts.extra_seeds.push_back(seed);
-    }
-    const auto pen = opt::constrained_min(raw, slacks, box, pen_opts);
+    const auto pen = opt::constrained_min(raw, slacks, box);
     r.evaluations = pen.evaluations;
     // Re-check against the fence (penalty tolerates tiny violations).
     const bool strictly_ok =
@@ -387,35 +350,28 @@ Expected<opt::VectorResult> dual_solve(
     return r;
   };
 
-  // BDCA multistart on `f` — kDescent's cold stage 2 on the fence, and
-  // phase I's second step.  Seeded from a scan's incumbent (when it found
-  // one) and any untrusted hint; the seeding lattice keeps the global
-  // cross-check role the penalty multistart played.
+  // BDCA multistart on `f` — kDescent's stage 2 on the fence, and phase
+  // I's second step.  Seeded from a scan's incumbent (when it found one);
+  // the seeding lattice keeps the global cross-check role the penalty
+  // multistart played.  Its iteration budget runs the basin to far below
+  // the polish window yet keeps a full solve ~15x under the kGridVerify
+  // pipeline's evaluation count.
   auto multistart_from = [&](const opt::BatchObjective& f,
                              const opt::VectorResult& scan) {
-    opt::DescentOptions dopts = descent_opts();
+    opt::DescentOptions dopts;
+    dopts.max_iterations = 12;
     if (!scan.x.empty() && std::isfinite(scan.value)) {
       dopts.extra_seeds.push_back(scan.x);
     }
-    if (!trusted && seed.size() == box.dim()) {
-      dopts.extra_seeds.push_back(seed);
-    }
     return opt::bdca_multistart_min(f, box, dopts);
-  };
-  auto descent_stage2 = [&]() { return multistart_from(batch_fence, grid); };
-
-  // Cold stage 2 of the active mode (also the warm path's fallback).
-  auto cold_stage2 = [&]() {
-    return use_descent && grid_ok ? descent_stage2() : penalty_stage2();
   };
 
   // Phase I — kDescent's feasibility certificate for a single-cap
   // subproblem whose coarse scan found nothing feasible: minimise the
   // capped metric over the protocol's own feasible set with the stage-1
-  // lattice, then the BDCA multistart from its incumbent (and any
-  // untrusted hint, so a feasible hint can never be refused).  A minimum
-  // not strictly below the cap answers infeasible; a reachable cap leaves
-  // the decision to the penalty multistart, verbatim.
+  // lattice, then the BDCA multistart from its incumbent.  A minimum not
+  // strictly below the cap answers infeasible; a reachable cap leaves the
+  // decision to the penalty multistart, verbatim.
   auto phase1_refuses = [&]() {
     EDB_SPAN("solver.stage2.phase1");
     auto scan = opt::grid_refine_min(phase1.oracle, box, stage1_opts);
@@ -429,36 +385,27 @@ Expected<opt::VectorResult> dual_solve(
   // The stage-2 skip rule: in 1-D, a stage-1 lattice with one basin
   // leaves stage 2 nothing to decide.  Its 17 seeds are every fourth point
   // of that lattice, so each descends into the basin the stage-1
-  // incumbent and the polish already cover.  Warm and cold solves share
-  // the lattice, so they skip together.
+  // incumbent and the polish already cover.
   const bool skip_stage2 = read_shape && grid_ok && opt::one_basin(lattice);
-  // A warm solve descends from its seed only inside a basin stage 1
-  // found; otherwise it runs the cold stage 2.
-  const bool warm_descent = warm && grid_ok && !skip_stage2;
   opt::VectorResult cand;
   if (skip_stage2) {
     EDB_COUNT("solver.stage2.skipped", 1);
   } else {
     EDB_SPAN("solver.stage2");
-    if (warm_descent) {
-      // The fence keeps the descent strictly feasible.
-      cand = opt::bdca_descend(batch_fence, box, box.clamp(seed),
-                               descent_opts());
-    } else {
-      if (use_descent && !grid_ok) {
-        if (phase1.oracle && phase1_refuses()) {
-          EDB_COUNT("solver.phase1_certified", 1);
-          return make_error(ErrorCode::kInfeasible,
-                            "no feasible point satisfies the constraints");
-        }
-        EDB_COUNT("solver.penalty_fallbacks", 1);
+    if (use_descent && !grid_ok) {
+      if (phase1.oracle && phase1_refuses()) {
+        EDB_COUNT("solver.phase1_certified", 1);
+        return make_error(ErrorCode::kInfeasible,
+                          "no feasible point satisfies the constraints");
       }
-      cand = cold_stage2();
+      EDB_COUNT("solver.penalty_fallbacks", 1);
     }
+    cand = use_descent && grid_ok ? multistart_from(batch_fence, grid)
+                                  : penalty_stage2();
   }
   cost.absorb_cost(cand);
 
-  bool cand_ok = !cand.x.empty() && std::isfinite(cand.value);
+  const bool cand_ok = !cand.x.empty() && std::isfinite(cand.value);
   if (!grid_ok && !cand_ok) {
     return make_error(ErrorCode::kInfeasible,
                       "no feasible point satisfies the constraints");
@@ -468,14 +415,14 @@ Expected<opt::VectorResult> dual_solve(
   if (auto stop = interrupted(cost.evaluations)) return *stop;
 
   // Stage 3 — deep polish: a self-centring grid zoom in a tight window
-  // anchored at the stage-1 incumbent (identical across paths), refined to
-  // the arithmetic's limits.  Objectives here are flat around interior
-  // optima at the sqrt(machine-eps) scale, so an argmin is only pinned
-  // down to ~1e-8 in x by its value; anchoring the window and its lattice
-  // to the shared stage-1 point makes both paths land on the *same* point
-  // inside that flat zone, not just equally good ones.  kDescent thins
-  // the lattice (17 points; final spacing ~5e-12 of the box width after
-  // 10 zoom rounds — still far below the flat zone).
+  // anchored at the stage-1 incumbent, refined to the arithmetic's limits.
+  // Objectives here are flat around interior optima at the
+  // sqrt(machine-eps) scale, so an argmin is only pinned down to ~1e-8 in
+  // x by its value; anchoring the window and its lattice to the stage-1
+  // point makes kDescent and kGridVerify land on the *same* point inside
+  // that flat zone, not just equally good ones.  kDescent thins the
+  // lattice (17 points; final spacing ~5e-12 of the box width after 10
+  // zoom rounds — still far below the flat zone).
   opt::VectorResult best = grid_ok ? grid : cand;
   const std::vector<double>& anchor = grid_ok ? grid.x : cand.x;
   {
@@ -502,23 +449,11 @@ Expected<opt::VectorResult> dual_solve(
 
   // The stage-2 result may displace the polished point only by beating it
   // at macroscopic scale — a better basin the coarse scan missed — never
-  // by convergence noise (which differs between the cold and warm stage-2
-  // solvers and would make the answer path-dependent).
-  auto macro_better = [](const opt::VectorResult& challenger,
-                         const opt::VectorResult& incumbent) {
-    return incumbent.value - challenger.value >
-           1e-6 * std::max(std::abs(incumbent.value),
-                           std::abs(challenger.value));
-  };
-  if (cand_ok && macro_better(cand, best) && warm_descent) {
-    // The warm descent claims a basin the coarse scan missed.  Decide the
-    // rare case with the cold machinery so the warm path cannot override
-    // the polished point where the cold path would not have.
-    cand = cold_stage2();
-    cost.absorb_cost(cand);
-    cand_ok = !cand.x.empty() && std::isfinite(cand.value);
-  }
-  if (cand_ok && macro_better(cand, best)) {
+  // by convergence noise, which differs between the two solver families
+  // and would make the answer mode-dependent.
+  if (cand_ok && best.value - cand.value >
+                     1e-6 * std::max(std::abs(best.value),
+                                     std::abs(cand.value))) {
     best = cand;
   }
 
@@ -538,47 +473,7 @@ OperatingPoint operating_point(const mac::AnalyticMacModel& model,
   return p;
 }
 
-// (P1) and (P2) are one problem with the players' roles swapped: minimise
-// your own metric under a cap on the other's — E under Lmax for the
-// energy player, L under Ebudget for the delay player.
-enum class Subproblem { kP1, kP2 };
-
-// `stats`, when non-null, accumulates the dual_solve's oracle cost.
-Expected<OperatingPoint> solve_capped(const mac::AnalyticMacModel& model,
-                                      const AppRequirements& req,
-                                      Subproblem problem, SolverMode mode,
-                                      const SolveControl& ctl,
-                                      const std::vector<double>& seed,
-                                      bool trusted, SolveStats* stats) {
-  const bool p1 = problem == Subproblem::kP1;
-  const double cap = p1 ? req.l_max : req.e_budget;
-  // One spec drives both oracle flavours (see make_scalar_objective).
-  const std::vector<MetricSlack> mslacks = {
-      {/*uses_energy=*/!p1, /*cap=*/cap}};
-  const RawObjective raw{p1 ? RawObjective::Kind::kEnergy
-                            : RawObjective::Kind::kLatency};
-  PointMetrics metrics(model);
-  opt::Objective obj = make_scalar_objective(metrics, raw);
-  std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
-  BatchFence batch(model, mslacks, raw);
-  // Phase I minimises the capped metric.
-  BatchFence capped = metric_fence(model, /*energy=*/!p1);
-  auto r = dual_solve(obj, slacks, batch.oracle(), model_box(model), mode,
-                      seed, trusted, ctl, stats ? stats->evaluations : 0,
-                      PhaseOne{capped.oracle(), cap});
-  if (!r.ok()) {
-    // Transient codes (deadline, cancellation) describe this attempt, not
-    // the problem — they must surface as themselves, never as kInfeasible.
-    if (is_transient(r.error().code)) return r.error();
-    return p1 ? p1_infeasible_error(model.name())
-              : p2_infeasible_error(model.name());
-  }
-  if (stats) stats->absorb(stats_of(*r));
-  return operating_point(model, r->x);
-}
-
-}  // namespace
-
+// The pipeline's infeasibility errors, in the wording every solve attaches.
 Error p1_infeasible_error(std::string_view protocol) {
   return make_error(ErrorCode::kInfeasible,
                     std::string(protocol) +
@@ -598,6 +493,46 @@ Error p3_infeasible_error(std::string_view protocol) {
           " (P3): no operating point satisfies both the energy budget "
           "and the delay bound");
 }
+
+// (P1) and (P2) are one problem with the players' roles swapped: minimise
+// your own metric under a cap on the other's — E under Lmax for the
+// energy player, L under Ebudget for the delay player.
+enum class Subproblem { kP1, kP2 };
+
+// `stats`, when non-null, accumulates the dual_solve's oracle cost.
+Expected<OperatingPoint> solve_capped(const mac::AnalyticMacModel& model,
+                                      const AppRequirements& req,
+                                      Subproblem problem, SolverMode mode,
+                                      const SolveControl& ctl,
+                                      SolveStats* stats) {
+  const bool p1 = problem == Subproblem::kP1;
+  const double cap = p1 ? req.l_max : req.e_budget;
+  // One spec drives both oracle flavours (see make_scalar_objective).
+  const std::vector<MetricSlack> mslacks = {
+      {/*uses_energy=*/!p1, /*cap=*/cap}};
+  const RawObjective raw{p1 ? RawObjective::Kind::kEnergy
+                            : RawObjective::Kind::kLatency};
+  PointMetrics metrics(model);
+  opt::Objective obj = make_scalar_objective(metrics, raw);
+  std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
+  BatchFence batch(model, mslacks, raw);
+  // Phase I minimises the capped metric.
+  BatchFence capped = metric_fence(model, /*energy=*/!p1);
+  auto r = dual_solve(obj, slacks, batch.oracle(), model_box(model), mode,
+                      ctl, stats ? stats->evaluations : 0,
+                      PhaseOne{capped.oracle(), cap});
+  if (!r.ok()) {
+    // Transient codes (deadline, cancellation) describe this attempt, not
+    // the problem — they must surface as themselves, never as kInfeasible.
+    if (is_transient(r.error().code)) return r.error();
+    return p1 ? p1_infeasible_error(model.name())
+              : p2_infeasible_error(model.name());
+  }
+  if (stats) stats->absorb(stats_of(*r));
+  return operating_point(model, r->x);
+}
+
+}  // namespace
 
 ProtocolEnvelope protocol_envelope(const mac::AnalyticMacModel& model) {
   EDB_SPAN("solver.envelope");
@@ -636,36 +571,31 @@ EnergyDelayGame::EnergyDelayGame(const mac::AnalyticMacModel& model,
 }
 
 Expected<OperatingPoint> EnergyDelayGame::solve_p1() const {
-  return solve_capped(model_, req_, Subproblem::kP1, mode_, control_, {},
-                      false, nullptr);
+  return solve_capped(model_, req_, Subproblem::kP1, mode_, control_,
+                      nullptr);
 }
 
 Expected<OperatingPoint> EnergyDelayGame::solve_p2() const {
-  return solve_capped(model_, req_, Subproblem::kP2, mode_, control_, {},
-                      false, nullptr);
+  return solve_capped(model_, req_, Subproblem::kP2, mode_, control_,
+                      nullptr);
 }
 
 Expected<BargainingOutcome> EnergyDelayGame::solve() const {
   return solve_weighted(0.5);
 }
 
-Expected<BargainingOutcome> EnergyDelayGame::solve(
-    const SolveHints& hints) const {
-  return solve_weighted(0.5, hints);
-}
-
 Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
-    double alpha, const SolveHints& hints) const {
+    double alpha) const {
   if (!(alpha > 0.0 && alpha < 1.0)) {
     return make_error(ErrorCode::kInvalidArgument,
                       "bargaining power alpha must lie in (0, 1)");
   }
   SolveStats stats;
   auto p1 = solve_capped(model_, req_, Subproblem::kP1, mode_, control_,
-                         hints.p1, hints.trusted, &stats);
+                         &stats);
   if (!p1.ok()) return p1.error();
   auto p2 = solve_capped(model_, req_, Subproblem::kP2, mode_, control_,
-                         hints.p2, hints.trusted, &stats);
+                         &stats);
   if (!p2.ok()) return p2.error();
 
   BargainingOutcome out;
@@ -711,7 +641,7 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
   // Empty bargaining set (DESIGN.md §2): l_cap <= Lmax makes every point
   // of the P4 set P1-feasible, so its energy is >= e_best; likewise its
   // latency is >= l_best.  When a player's own optimum already misses its
-  // cap by more than solver tolerance (dual_solve's macro_better margin),
+  // cap by more than solver tolerance (dual_solve's 1e-6 macro margin),
   // the set is empty and P4 would only search for nothing.
   if (out.e_best() > e_cap * (1 + 1e-6) || out.l_best() > l_cap * (1 + 1e-6)) {
     EDB_COUNT("solver.p3_certified", 1);
@@ -738,8 +668,8 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
   BatchFence batch(model_, mslacks, raw);
 
   const opt::Box box = model_box(model_);
-  auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, hints.nbs,
-                      hints.trusted, control_, stats.evaluations);
+  auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, control_,
+                      stats.evaluations);
   if (!r.ok()) {
     // Deadline/cancellation first: the corner fallback answers
     // "degenerate bargaining set", not "we ran out of budget".

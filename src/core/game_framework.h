@@ -19,7 +19,7 @@
 // library's substitute for a convex-programming package (DESIGN.md §2).
 // The production pipeline (SolverMode::kDescent) pairs a coarse grid scan
 // with a BDCA-style boosted descent and a tight anchored polish; the
-// original dense-grid/penalty pipeline survives, cold only, as
+// original dense-grid/penalty pipeline survives as
 // SolverMode::kGridVerify, the independent verifier the descent path is
 // gated against at the agreement points.  (P1) and (P2) share one
 // implementation: a single-cap subproblem with the metrics swapped.
@@ -44,8 +44,7 @@ namespace edb::core {
 //                 path replaced, retained as its independent verifier:
 //                 both modes must select the same operating point with
 //                 objectives equal within tolerance, asserted by
-//                 tests/opt_descent_test.cpp and bench/solve_cold.  It
-//                 always solves cold; trusted hints do not change it.
+//                 tests/opt_descent_test.cpp and bench/solve_cold.
 enum class SolverMode {
   kDescent,
   kGridVerify,
@@ -121,37 +120,13 @@ struct BargainingOutcome {
   double latency_gain_ratio() const;
 };
 
-// Warm-start hints carried between neighbouring solves (core/engine.h).
-// An untrusted seed joins the cold stage 2's multistart list (descent,
-// phase I or penalty) for the matching subproblem.  Under kDescent, a
-// `trusted` seed (the scenario engine's chain) replaces the multistart
-// with a single fenced descent from the seed — the cost saving behind
-// warm-started sweeps; the shared coarse scan and anchored polish of
-// dual_solve keep the result equal to the cold path's (DESIGN.md §2).
-// kGridVerify ignores a trusted seed and solves cold.
-struct SolveHints {
-  std::vector<double> p1;   // seed for the energy player's optimum
-  std::vector<double> p2;   // seed for the delay player's optimum
-  std::vector<double> nbs;  // seed for the agreement point (P4)
-  bool trusted = false;
-
-  bool empty() const { return p1.empty() && p2.empty() && nbs.empty(); }
-};
-
-// The pipeline's infeasibility errors, exposed as builders so the scenario
-// engine can derive below-frontier reasons (core/engine.h) in the exact
-// wording a cold solve attaches.
-Error p1_infeasible_error(std::string_view protocol);
-Error p2_infeasible_error(std::string_view protocol);
-Error p3_infeasible_error(std::string_view protocol);
-
 // Requirement-independent protocol envelope: the smallest energy and
 // latency reachable anywhere inside the protocol's own feasible set
 // (feasibility_margin > 0), ignoring the application requirements.  (P1)
 // is infeasible exactly when l_min >= Lmax and (P2) exactly when
-// e_min >= Ebudget, so the envelope turns per-cell infeasibility reasons
-// into two comparisons.  Computed with the same zooming-grid family as
-// dual_solve's coarse scan — no full bargaining solve.
+// e_min >= Ebudget, so benches and tests use it to place requirements
+// relative to a protocol's reach.  Computed with the same zooming-grid
+// family as dual_solve's coarse scan — no full bargaining solve.
 struct ProtocolEnvelope {
   double e_min = 0;  // min E(X) over the margin-feasible set [J]
   double l_min = 0;  // min L(X) over the margin-feasible set [s]
@@ -168,16 +143,13 @@ class EnergyDelayGame {
   // (P2): delay player.  kInfeasible when no parameter setting meets the
   // budget.
   Expected<OperatingPoint> solve_p2() const;
-  // Full pipeline: P1, P2, then the Nash bargaining problem (P4),
-  // optionally warm-started from a neighbouring solve's hints.
+  // Full pipeline: P1, P2, then the Nash bargaining problem (P4).
   Expected<BargainingOutcome> solve() const;
-  Expected<BargainingOutcome> solve(const SolveHints& hints) const;
 
   // Asymmetric extension (beyond the paper): maximises the weighted Nash
   // product (Eworst - E)^alpha (Lworst - L)^(1-alpha).  alpha in (0, 1) is
   // the energy player's bargaining power; alpha = 1/2 recovers solve().
-  Expected<BargainingOutcome> solve_weighted(double alpha,
-                                             const SolveHints& hints = {}) const;
+  Expected<BargainingOutcome> solve_weighted(double alpha) const;
 
   // The protocol's feasible E-L frontier (for plotting the trade-off
   // curves behind the paper's figures).  Not clipped to the requirements.

@@ -49,9 +49,8 @@ std::vector<std::size_t> SweepResult::saturated_tail(double tol) const {
 SweepResult run_sweep(const mac::AnalyticMacModel& model,
                       AppRequirements base, SweepKind kind,
                       const std::vector<double>& values) {
-  // Seed-compatible configuration: sequential, cold solves.
-  ScenarioEngine engine(EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = false});
+  // The sequential reference: the width-1 fan.
+  ScenarioEngine engine(EngineOptions{.threads = 1, .parallel = false});
   return engine.run_sweep(SweepJob{&model, base, kind, values});
 }
 

@@ -50,12 +50,11 @@ struct SweepResult {
 
 // Runs the sweep.  `model` must outlive the call.  Values must be positive
 // and ascending.  This is the compatibility entry point: it routes through
-// the scenario engine (core/engine.h) configured as sequential and cold —
-// the engine's reference configuration, bit-identical to any other engine
-// configuration over the same values.  (The solver pipeline
-// itself evolves across PRs, so numbers are pinned to the current
-// dual_solve, not to historic output.)  Callers that want parallel
-// fan-out or warm-started cells construct a ScenarioEngine themselves.
+// the scenario engine (core/engine.h) at width 1 — the engine's reference
+// configuration, bit-identical to any other width over the same values.
+// (The solver pipeline itself evolves, so numbers are pinned to the
+// current dual_solve, not to historic output.)  Callers that want
+// parallel fan-out construct a ScenarioEngine themselves.
 SweepResult run_sweep(const mac::AnalyticMacModel& model,
                       AppRequirements base, SweepKind kind,
                       const std::vector<double>& values);

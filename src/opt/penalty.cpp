@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "opt/nelder_mead.h"
 #include "util/math.h"
@@ -25,33 +24,12 @@ ConstrainedResult constrained_min(
     const PenaltyOptions& opts) {
   int evals = 0;
 
-  // Deterministic multistart seeds: caller-provided warm starts, then the
-  // midpoint, then fixed-seed uniform samples.
+  // Deterministic multistart seeds: the midpoint, then fixed-seed uniform
+  // samples.
   std::vector<std::vector<double>> seeds;
-  for (const auto& s : opts.extra_seeds) {
-    if (s.size() == box.dim()) seeds.push_back(box.clamp(s));
-  }
   seeds.push_back(box.midpoint());
   Rng rng(0xedb0427ULL);
   for (int i = 1; i < opts.multistarts; ++i) seeds.push_back(box.sample(rng));
-
-  // Dedup bit-identical seeds (coarse-grid ties, or a warm start landing
-  // on the midpoint): each duplicate would burn an identical inner-solver
-  // budget to reach the same point.  First occurrence wins, so the seed
-  // order — and therefore the result — is unchanged.
-  std::vector<std::vector<double>> unique_seeds;
-  unique_seeds.reserve(seeds.size());
-  for (auto& s : seeds) {
-    bool seen = false;
-    for (const auto& u : unique_seeds) {
-      if (std::memcmp(s.data(), u.data(), s.size() * sizeof(double)) == 0) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) unique_seeds.push_back(std::move(s));
-  }
-  seeds = std::move(unique_seeds);
 
   ConstrainedResult best;
   best.value = kInf;

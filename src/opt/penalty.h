@@ -12,10 +12,9 @@
 // re-checked and `feasible` reflects true feasibility.
 //
 // The one caller is core/game_framework.cpp's dual_solve: kGridVerify's
-// stage 2 (the verifier the production pipeline is gated against, always
-// run cold), and kDescent's sliver path when the coarse scan found
-// nothing feasible — for (P1)/(P2) only after the phase-I search found
-// the cap reachable.  It no longer proves P1/P2 infeasibility in
+// stage 2 (the verifier the production pipeline is gated against), and
+// kDescent's sliver path when the coarse scan found nothing feasible —
+// for (P1)/(P2) only after the phase-I search found the cap reachable.  It no longer proves P1/P2 infeasibility in
 // production (DESIGN.md §2).  This multistart is the only user of
 // opt/nelder_mead.
 #pragma once
@@ -32,10 +31,6 @@ struct PenaltyOptions {
   int rounds = 9;                 // final rho = initial * growth^(rounds-1)
   int multistarts = 6;            // deterministic seeds per round
   double feasibility_tol = 1e-7;  // max violation accepted as feasible
-  // Caller-provided starting points (clamped into the box), tried before
-  // the built-in seeds every round — e.g. an untrusted warm start from a
-  // neighbouring solve (core/game_framework.cpp's dual_solve).
-  std::vector<std::vector<double>> extra_seeds;
   NelderMeadOptions inner;
 };
 

@@ -495,7 +495,7 @@ struct TuningServer::Impl {
     push_local_response(conn,
                         error_frame(*conn, {true, code, std::move(message)}, seq));
     conn->close_after_flush = true;
-    // Stop reading: nothing after a protocol violation is trusted.
+    // Stop reading: nothing after a protocol violation can be relied on.
     epoll_event ev{};
     ev.events = conn->want_write ? EPOLLOUT : 0u;
     ev.data.fd = conn->fd;

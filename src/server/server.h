@@ -21,7 +21,7 @@
 //                   the only caller of ServiceCore::serve(), so pipelined
 //                   clients and concurrent connections feed the batch
 //                   planner real batches and get cross-connection
-//                   dedup/warm-chaining for free.
+//                   dedup and sweep grouping for free.
 //
 // Admission, latency accounting and shutdown order are the dispatcher's,
 // identical to the in-process tier.  A worker claims a query's response

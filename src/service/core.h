@@ -2,7 +2,7 @@
 //
 // ServiceCore is the part of the tuning service every front door shares —
 // the value-preserving result cache, the batch planner's dedup/coalesce/
-// warm-chain pipeline and the scenario engine it fans misses through —
+// group pipeline and the scenario engine it fans misses through —
 // with no threads, no tickets, no sockets and no admission control.  The
 // one serving shell in front of it is service::Dispatcher
 // (service/dispatcher.h), which both front doors — TuningService
@@ -16,12 +16,11 @@
 // cancel() is the exception — any thread may trip the cooperative-
 // cancellation token (shutdown paths do).
 //
-// Determinism: serve() is value-preserving — every result's outcomes and
-// feasibility flags are bit-identical to a cold sequential core::run_sweep
-// over the same canonical inputs, which is what makes the server tier's
-// wire-vs-in-process byte-identity gate possible (DESIGN.md §11).  A
-// warm-chained dead cell's infeasibility reason is envelope-derived and
-// can name another stage than the cold pipeline's (rare; DESIGN.md §4).
+// Determinism: serve() is value-preserving — every result's outcomes,
+// feasibility flags and infeasibility reasons are bit-identical to a cold
+// sequential core::run_sweep over the same canonical inputs, which is
+// what makes the server tier's wire-vs-in-process byte-identity gate
+// possible (DESIGN.md §11).
 #pragma once
 
 #include <atomic>

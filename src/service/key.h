@@ -28,7 +28,7 @@
 // uses a '.' or ',' decimal point (',' is normalised; processes that
 // install an exotic LC_NUMERIC separator are on their own).  Two keys
 // are equal iff their canonical strings are equal; the hash is derived
-// and never trusted alone.
+// and never relied on alone.
 //
 // Thread-safety: every function here is a pure function of its
 // arguments — no shared or global state — and safe to call concurrently

@@ -156,8 +156,7 @@ std::vector<Expected<TuningResult>> BatchPlanner::run(
   }
 
   // Stage 3: build one model per distinct (deployment, protocol), group
-  // the misses into warm-startable sweep chains and fan them through the
-  // engine.
+  // the misses into sweeps and fan their cells through the engine.
   if (!misses.empty()) {
     std::vector<std::unique_ptr<mac::AnalyticMacModel>> models;
     std::unordered_map<std::string, std::size_t> model_index;

@@ -9,15 +9,15 @@
 //                 each distinct question is solved exactly once;
 //   3. group    — hand the remaining distinct misses to
 //                 core::plan_point_queries, which folds queries differing
-//                 only in Lmax into warm-startable sweep chains, and fan
-//                 the resulting jobs through the scenario engine;
+//                 only in Lmax into sweeps, and fan every cell of those
+//                 sweeps through the scenario engine as one cold solve;
 //   4. install  — write every solved outcome into the cache and scatter it
 //                 to all the queries that asked.
 //
 // Serving results are bit-identical to a cold sequential core::run_sweep
 // over the same canonical inputs: the cache is value-preserving by
-// construction (service/cache.h) and the engine's warm chains are
-// bit-identical to its cold path (core/engine.h).
+// construction (service/cache.h) and the engine's width never changes a
+// cell (core/engine.h).
 //
 // Thread-safety: a BatchPlanner is NOT thread-safe — run() mutates
 // planner state and enters the engine's deterministic pool, so exactly
@@ -74,7 +74,7 @@ struct PlannerStats {
   std::size_t cache_hits = 0;
   std::size_t coalesced = 0;   // within-batch duplicate lookups
   std::size_t solved = 0;      // cells actually solved by the engine
-  std::size_t sweep_jobs = 0;  // warm chains those cells were grouped into
+  std::size_t sweep_jobs = 0;  // sweeps those cells were grouped into
   // Resilience counters (DESIGN.md §10).
   std::size_t transient_failures = 0;  // miss-path slots that failed transiently
   std::size_t degraded_stale = 0;      // slots served by a stale re-read

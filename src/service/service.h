@@ -8,7 +8,7 @@
 // A TuningService is a Dispatcher (service/dispatcher.h: admission
 // order, micro-batching, latency accounting, shutdown) whose routing tag
 // is the ticket, so concurrent submitters get cross-request dedup and
-// warm-chain grouping for free.  A query the dispatcher rejects (shed,
+// sweep grouping for free.  A query the dispatcher rejects (shed,
 // shut down) comes back as an immediately-failed ticket; the tenant for
 // per-tenant limits is TuningQuery::tenant.  stats() is the dispatcher's;
 // metrics_text() / metrics_json() render the process-wide registry.
@@ -19,13 +19,11 @@
 // server that cannot guarantee that calls shutdown() first, after which
 // racing submitters get failed tickets instead of undefined behaviour.
 //
-// Determinism: serving is value-preserving — every result's outcomes and
-// feasibility flags are bit-identical to a cold sequential core::run_sweep
-// over the same canonical inputs, whatever mix of cache hits, batch order,
-// thread count or sync/async entry produced it.  The infeasibility reason
-// of a warm-chained dead cell is derived from the protocol envelope and
-// can name another stage than the cold pipeline's (8 of 4,828 infeasible
-// cells in one measurement, DESIGN.md §4).
+// Determinism: serving is value-preserving — every result's outcomes,
+// feasibility flags and infeasibility reasons are bit-identical to a cold
+// sequential core::run_sweep over the same canonical inputs, whatever mix
+// of cache hits, batch order, thread count or sync/async entry produced
+// it.
 #pragma once
 
 #include <cstddef>

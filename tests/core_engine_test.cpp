@@ -2,28 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "mac/registry.h"
 
 namespace edb::core {
 namespace {
 
-EngineOptions sequential_opts(bool warm) {
-  return EngineOptions{.threads = 1, .parallel = false, .warm_start = warm};
+EngineOptions sequential_opts() {
+  return EngineOptions{.threads = 1, .parallel = false};
 }
 
-EngineOptions parallel_opts(int threads, bool warm) {
-  return EngineOptions{
-      .threads = threads, .parallel = true, .warm_start = warm};
+EngineOptions parallel_opts(int threads) {
+  return EngineOptions{.threads = threads, .parallel = true};
 }
 
 class EngineTest : public ::testing::Test {
  protected:
   EngineTest() : scenario_(Scenario::paper_default()) {
     // X-MAC is fully feasible over the fig. 1 range; LMAC has an
-    // infeasible prefix, which exercises the chain's frontier search.
+    // infeasible prefix.
     for (const char* name : {"X-MAC", "LMAC"}) {
       models_.push_back(mac::make_model(name, scenario_.context).take());
       jobs_.push_back(SweepJob{models_.back().get(), scenario_.requirements,
@@ -38,8 +39,8 @@ class EngineTest : public ::testing::Test {
       ASSERT_EQ(a.cells[i].feasible(), b.cells[i].feasible())
           << a.protocol << " cell " << i;
       if (!a.cells[i].feasible()) {
-        // Same engine configuration on both sides: even the inherited
-        // infeasible reasons must match.
+        // Every cell is a cold solve at any width, so even the reason
+        // strings must match byte for byte.
         EXPECT_EQ(a.cells[i].infeasible_reason, b.cells[i].infeasible_reason)
             << a.protocol << " cell " << i;
         continue;
@@ -63,8 +64,8 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, ParallelSweepMatchesSequentialCellForCell) {
-  ScenarioEngine sequential(sequential_opts(true));
-  ScenarioEngine parallel(parallel_opts(4, true));
+  ScenarioEngine sequential(sequential_opts());
+  ScenarioEngine parallel(parallel_opts(4));
   auto seq = sequential.run_sweeps(jobs_);
   auto par = parallel.run_sweeps(jobs_);
   ASSERT_EQ(seq.size(), par.size());
@@ -74,39 +75,21 @@ TEST_F(EngineTest, ParallelSweepMatchesSequentialCellForCell) {
 }
 
 TEST_F(EngineTest, ColdParallelCellsMatchSequential) {
-  // Without warm start every cell is its own task; partitioning across
-  // threads must still not change anything.
-  ScenarioEngine sequential(sequential_opts(false));
-  ScenarioEngine parallel(parallel_opts(3, false));
+  // Every cell is its own task; an uneven partition across three threads
+  // must still not change anything.
+  ScenarioEngine sequential(sequential_opts());
+  ScenarioEngine parallel(parallel_opts(3));
   auto seq = sequential.run_sweeps({jobs_[0]});
   auto par = parallel.run_sweeps({jobs_[0]});
   expect_identical(seq[0], par[0]);
-}
-
-TEST_F(EngineTest, WarmStartNoWorseNashProductThanCold) {
-  ScenarioEngine warm(sequential_opts(true));
-  ScenarioEngine cold(sequential_opts(false));
-  for (const auto& job : jobs_) {
-    auto w = warm.run_sweep(job);
-    auto c = cold.run_sweep(job);
-    ASSERT_EQ(w.cells.size(), c.cells.size());
-    for (std::size_t i = 0; i < w.cells.size(); ++i) {
-      ASSERT_EQ(w.cells[i].feasible(), c.cells[i].feasible())
-          << w.protocol << " cell " << i;
-      if (!w.cells[i].feasible()) continue;
-      EXPECT_GE(w.cells[i].outcome->nash_product,
-                c.cells[i].outcome->nash_product * (1.0 - 1e-9))
-          << w.protocol << " cell " << i;
-    }
-  }
 }
 
 TEST_F(EngineTest, LegacyRunSweepMatchesEngine) {
   auto legacy = run_sweep(*models_[0], scenario_.requirements,
                           SweepKind::kLmax,
                           paper_sweep_values(SweepKind::kLmax));
-  ScenarioEngine cold(sequential_opts(false));
-  auto engine = cold.run_sweep(jobs_[0]);
+  ScenarioEngine sequential(sequential_opts());
+  auto engine = sequential.run_sweep(jobs_[0]);
   expect_identical(legacy, engine);
 }
 
@@ -115,7 +98,7 @@ TEST_F(EngineTest, SolveBatchMatchesDirectSolves) {
   for (const auto& m : models_) {
     jobs.push_back(SolveJob{m.get(), scenario_.requirements});
   }
-  ScenarioEngine engine(parallel_opts(2, true));
+  ScenarioEngine engine(parallel_opts(2));
   auto batch = engine.solve_batch(jobs);
   ASSERT_EQ(batch.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -128,50 +111,26 @@ TEST_F(EngineTest, SolveBatchMatchesDirectSolves) {
   }
 }
 
-TEST_F(EngineTest, BudgetSweepFrontierSearchMatchesCold) {
-  // The kBudget kind exercises the monotone frontier search on the other
-  // requirement axis.
+TEST_F(EngineTest, BudgetSweepMatchesAcrossWidths) {
+  // The kBudget kind sweeps the other requirement axis.
   SweepJob job{models_[1].get(), scenario_.requirements, SweepKind::kBudget,
                paper_sweep_values(SweepKind::kBudget)};
-  ScenarioEngine warm(sequential_opts(true));
-  ScenarioEngine cold(sequential_opts(false));
-  auto w = warm.run_sweep(job);
-  auto c = cold.run_sweep(job);
-  ASSERT_EQ(w.cells.size(), c.cells.size());
-  for (std::size_t i = 0; i < w.cells.size(); ++i) {
-    EXPECT_EQ(w.cells[i].feasible(), c.cells[i].feasible())
-        << "cell " << i;
-  }
+  ScenarioEngine wide(parallel_opts(4));
+  ScenarioEngine sequential(sequential_opts());
+  expect_identical(wide.run_sweep(job), sequential.run_sweep(job));
 }
 
-TEST_F(EngineTest, UntrustedSeedMatchesColdSolve) {
-  // An untrusted seed only joins the penalty multistart; the macro-margin
-  // rule in dual_solve keeps the result equal to the unseeded cold solve.
-  EnergyDelayGame game(*models_[0], scenario_.requirements);
-  auto cold = game.solve();
-  ASSERT_TRUE(cold.ok());
-
-  SolveHints hints{cold->p1.x, cold->p2.x, cold->nbs.x, /*trusted=*/false};
-  auto seeded = game.solve(hints);
-  ASSERT_TRUE(seeded.ok());
-  EXPECT_EQ(seeded->nbs.energy, cold->nbs.energy);
-  EXPECT_EQ(seeded->nbs.latency, cold->nbs.latency);
-  EXPECT_EQ(seeded->nash_product, cold->nash_product);
-}
-
-TEST_F(EngineTest, WarmChainInfeasibleReasonsMatchColdPerCell) {
-  // LMAC has an infeasible prefix over a fine Lmax grid, so the warm
-  // chain's frontier search leaves unprobed dead cells whose reasons are
-  // derived from the protocol envelope rather than solved.  They must
-  // still be byte-identical to the cold path's solver-produced strings.
+TEST_F(EngineTest, InfeasibleReasonsMatchAcrossWidthsPerCell) {
+  // LMAC has an infeasible prefix over a fine Lmax grid: the dead cells'
+  // reason strings at width 4 must equal the width-1 ones cell for cell.
   std::vector<double> values;
   for (int i = 0; i < 12; ++i) values.push_back(1.0 + 5.0 * i / 11.0);
   SweepJob job{models_[1].get(), scenario_.requirements, SweepKind::kLmax,
                values};
-  ScenarioEngine warm(sequential_opts(true));
-  ScenarioEngine cold(sequential_opts(false));
-  auto w = warm.run_sweep(job);
-  auto c = cold.run_sweep(job);
+  ScenarioEngine wide(parallel_opts(4));
+  ScenarioEngine sequential(sequential_opts());
+  auto w = wide.run_sweep(job);
+  auto c = sequential.run_sweep(job);
   ASSERT_EQ(w.cells.size(), c.cells.size());
   for (std::size_t i = 0; i < w.cells.size(); ++i) {
     ASSERT_EQ(w.cells[i].feasible(), c.cells[i].feasible()) << "cell " << i;
@@ -180,22 +139,21 @@ TEST_F(EngineTest, WarmChainInfeasibleReasonsMatchColdPerCell) {
   }
 }
 
-TEST_F(EngineTest, AllInfeasibleSweepDerivesMixedReasons) {
+TEST_F(EngineTest, AllInfeasibleSweepKeepsMixedReasonsAcrossWidths) {
   // A starvation budget makes every cell infeasible, but not for one
   // reason: tight-Lmax cells die at (P1) before the budget is even
-  // consulted, the rest die at (P2).  The warm chain probes only the two
-  // ends, so the middle cells' reasons are all derived — and must match
-  // the cold path's cell for cell.
+  // consulted, the rest die at (P2).  Width 4 must match width 1 cell for
+  // cell.
   AppRequirements req = scenario_.requirements;
   req.e_budget = 1e-4;
   // LMAC's envelope floor is l_min ~ 0.135 s: the first two cells sit
   // below it (P1 territory), the rest above (P2 territory).
   std::vector<double> values = {0.05, 0.1, 0.5, 1.5, 3.0, 4.5, 6.0};
   SweepJob job{models_[1].get(), req, SweepKind::kLmax, values};
-  ScenarioEngine warm(sequential_opts(true));
-  ScenarioEngine cold(sequential_opts(false));
-  auto w = warm.run_sweep(job);
-  auto c = cold.run_sweep(job);
+  ScenarioEngine wide(parallel_opts(4));
+  ScenarioEngine sequential(sequential_opts());
+  auto w = wide.run_sweep(job);
+  auto c = sequential.run_sweep(job);
   std::size_t p1_cells = 0, p2_cells = 0;
   for (std::size_t i = 0; i < w.cells.size(); ++i) {
     ASSERT_FALSE(c.cells[i].feasible()) << "cell " << i;
@@ -212,6 +170,49 @@ TEST_F(EngineTest, AllInfeasibleSweepDerivesMixedReasons) {
   // The scenario really exercises both failure modes.
   EXPECT_GT(p1_cells, 0u);
   EXPECT_GT(p2_cells, 0u);
+}
+
+// A served Lmax ladder names the stage a cold run_sweep names in every
+// dead cell.  The deployment is catalog entry cc1000-legacy #0 and the
+// ladder is servebench's sweep_inproc shape: 32 rungs from a quarter of
+// the deployment's Lmax up a decade.  LMAC's rung 1 sits just below its
+// latency floor, where a (P1) refusal is easy to mislabel (P3) by
+// comparing against an independently computed envelope.
+TEST(EngineReasonsTest, ServedLmacLadderReasonsMatchColdRunSweep) {
+  const Scenario sc = catalog::Catalog::builtin()
+                          .expand("cc1000-legacy", 0, catalog::kDefaultSeed)
+                          .scenario;
+  auto model = mac::make_model("LMAC", sc.context).take();
+  constexpr int kRungs = 32;
+  std::vector<double> values;
+  std::vector<PointQuery> queries;
+  for (int r = 0; r < kRungs; ++r) {
+    AppRequirements req = sc.requirements;
+    req.l_max =
+        sc.requirements.l_max * 0.25 * std::pow(10.0, r / (kRungs - 1.0));
+    values.push_back(req.l_max);
+    queries.push_back(PointQuery{model.get(), req});
+  }
+  const SweepPlan plan = plan_point_queries(queries);
+  ScenarioEngine engine(parallel_opts(2));
+  const auto served = engine.run_sweeps(plan.jobs);
+  const SweepResult cold =
+      run_sweep(*model, sc.requirements, SweepKind::kLmax, values);
+
+  ASSERT_NE(cold.cells[1].infeasible_reason.find("(P1)"), std::string::npos)
+      << cold.cells[1].infeasible_reason;
+  std::size_t dead = 0;
+  for (std::size_t k = 0; k < queries.size(); ++k) {
+    const SweepCell& cell =
+        served[plan.slots[k].job].cells[plan.slots[k].cell];
+    ASSERT_EQ(cell.feasible(), cold.cells[k].feasible()) << "rung " << k;
+    if (cell.feasible()) continue;
+    ++dead;
+    EXPECT_EQ(cell.infeasible_reason, cold.cells[k].infeasible_reason)
+        << "rung " << k;
+  }
+  EXPECT_GT(dead, 1u);
+  EXPECT_LT(dead, queries.size());
 }
 
 TEST(PlanPointQueriesTest, GroupsBudgetSiblingsIntoSweeps) {
@@ -271,7 +272,7 @@ TEST(PlanPointQueriesTest, PlannedCellsSolveLikeAStandaloneSweep) {
   const SweepPlan plan = plan_point_queries(queries);
   ASSERT_EQ(plan.jobs.size(), 1u);
 
-  ScenarioEngine engine(sequential_opts(true));
+  ScenarioEngine engine(sequential_opts());
   auto results = engine.run_sweeps(plan.jobs);
   auto reference = run_sweep(*model, scenario.requirements, SweepKind::kLmax,
                              {4.0, 5.0, 6.0});

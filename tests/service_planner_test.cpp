@@ -13,8 +13,7 @@ namespace {
 // Sequential engine: the planner's grouping, not the executor, is under
 // test, and a deterministic single thread keeps failures readable.
 core::EngineOptions test_engine_opts() {
-  return core::EngineOptions{
-      .threads = 1, .parallel = false, .warm_start = true};
+  return core::EngineOptions{.threads = 1, .parallel = false};
 }
 
 TuningQuery xmac_query(double l_max) {

@@ -22,8 +22,7 @@ namespace {
 
 ServiceOptions small_opts() {
   ServiceOptions opts;
-  opts.engine = core::EngineOptions{
-      .threads = 2, .parallel = true, .warm_start = true};
+  opts.engine = core::EngineOptions{.threads = 2, .parallel = true};
   opts.cache_capacity = 64;
   opts.cache_shards = 4;
   return opts;
