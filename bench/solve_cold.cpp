@@ -34,6 +34,11 @@
 //   p2_proof_us     cold solve at Ebudget = 0.9 e_min: P1 solves, then
 //                   (P2) is refused by the phase-I certificate
 //
+// Each proof is timed against its feasible solve in kTrials interleaved
+// trials of `repeats` solves per side; the proof rows and their gates use
+// the per-side medians, so a busy host slows both sides of a trial alike
+// and one disturbed trial moves neither.
+//
 // plus a descent-vs-grid parity check for every registered protocol: one
 // SolverMode::kGridVerify solve per model must select the same operating
 // points (E/L within 1e-6 relative) as the production kDescent pipeline —
@@ -69,6 +74,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <sstream>
@@ -104,6 +110,35 @@ std::string field_tag(const std::string& name) {
     }
   }
   return out;
+}
+
+// Wall-clock trials per proof-vs-feasible comparison (odd: one middle).
+constexpr int kTrials = 5;
+
+// Median microseconds per call of each of `calls`: one untimed warm-up
+// call each, then kTrials trials, each timing `repeats` calls of every
+// entry in turn.  Empty as soon as a call returns false.
+std::vector<double> interleaved_median_us(
+    int repeats, const std::vector<std::function<bool()>>& calls) {
+  for (const auto& call : calls) {
+    if (!call()) return {};
+  }
+  std::vector<std::vector<double>> trials(calls.size());
+  for (int t = 0; t < kTrials; ++t) {
+    for (std::size_t c = 0; c < calls.size(); ++c) {
+      const double t0 = now_ms();
+      for (int i = 0; i < repeats; ++i) {
+        if (!calls[c]()) return {};
+      }
+      trials[c].push_back(1e3 * (now_ms() - t0) / repeats);
+    }
+  }
+  std::vector<double> medians;
+  for (auto& us : trials) {
+    std::nth_element(us.begin(), us.begin() + kTrials / 2, us.end());
+    medians.push_back(us[kTrials / 2]);
+  }
+  return medians;
 }
 
 // Minimal flat-JSON number lookup ("\"key\": value") — enough for the
@@ -211,24 +246,29 @@ int main(int argc, char** argv) {
                 repeats);
 
     // P3 proof: Lmax at the agreement latency pins P1's optimum at E*,
-    // above a budget shaved to midway between Ebest and E*.
+    // above a budget shaved to midway between Ebest and E*.  Timed in
+    // trials interleaved with the feasible solve it is gated against.
     core::AppRequirements p3_req = scenario.requirements;
     p3_req.l_max = first->nbs.latency;
     p3_req.e_budget = 0.5 * (first->e_best() + first->nbs.energy);
     core::EnergyDelayGame p3_game(*model, p3_req);
-    const double p3_t0 = now_ms();
-    for (int i = 0; i < repeats; ++i) {
-      auto proof = p3_game.solve();
-      if (proof.ok() || proof.error().message.find("(P3)") ==
-                            std::string::npos) {
-        std::fprintf(stderr, "%s: P3 proof pair did not prove (P3)\n",
-                     name.c_str());
-        return 2;
-      }
+    const std::vector<double> p3_medians = interleaved_median_us(
+        repeats, {[&] { return game.solve().ok(); },
+                  [&] {
+                    auto proof = p3_game.solve();
+                    return !proof.ok() && proof.error().message.find(
+                                              "(P3)") != std::string::npos;
+                  }});
+    if (p3_medians.empty()) {
+      std::fprintf(stderr, "%s: P3 proof pair did not prove (P3)\n",
+                   name.c_str());
+      return 2;
     }
-    const double p3_proof_us = 1e3 * (now_ms() - p3_t0) / repeats;
-    std::printf("       P3 proof: %8.1f us  (%.2fx a feasible solve)\n",
-                p3_proof_us, p3_proof_us / (1e3 * ms_per_solve));
+    const double p3_feasible_us = p3_medians[0];
+    const double p3_proof_us = p3_medians[1];
+    std::printf("       P3 proof: %8.1f us  (%.2fx a %.1f us feasible "
+                "solve)\n",
+                p3_proof_us, p3_proof_us / p3_feasible_us, p3_feasible_us);
 
     const std::string tag = field_tag(name);
     json.number((tag + "_p3_proof_us").c_str(), p3_proof_us);
@@ -287,11 +327,11 @@ int main(int argc, char** argv) {
         regressed = true;
       }
       // Infeasibility proofs must stay feasible-solve cheap.
-      if (p3_proof_us > 3e3 * ms_per_solve) {
+      if (p3_proof_us > 3.0 * p3_feasible_us) {
         std::fprintf(stderr,
                      "REGRESSION %s: P3 proof %.1f us vs feasible %.1f us "
                      "(>3x)\n",
-                     name.c_str(), p3_proof_us, 1e3 * ms_per_solve);
+                     name.c_str(), p3_proof_us, p3_feasible_us);
         regressed = true;
       }
       if (json_number(baseline, tag + "_p3_proof_us", &base) &&
@@ -356,32 +396,28 @@ int main(int argc, char** argv) {
     core::AppRequirements p2_req = scenario.requirements;
     p2_req.e_budget = 0.9 * env.e_min;
 
-    // Mean microseconds per cold solve of `req` after one untimed warm-up;
-    // false when a solve does not prove `proves` (nullptr: must solve).
-    auto time_us = [&](const core::AppRequirements& req, const char* proves,
-                       double* us) {
-      core::EnergyDelayGame game(*model, req);
-      auto answered = [&] {
-        auto r = game.solve();
-        if (proves == nullptr) return r.ok();
-        return !r.ok() && r.error().message.find(proves) != std::string::npos;
-      };
-      if (!answered()) return false;
-      const double t0 = now_ms();
-      for (int i = 0; i < repeats; ++i) {
-        if (!answered()) return false;
-      }
-      *us = 1e3 * (now_ms() - t0) / repeats;
-      return true;
+    // One cold solve of `game`; true when it solves (proves == nullptr)
+    // or fails with a reason naming `proves`.
+    auto answers = [](core::EnergyDelayGame& game, const char* proves) {
+      auto r = game.solve();
+      if (proves == nullptr) return r.ok();
+      return !r.ok() && r.error().message.find(proves) != std::string::npos;
     };
-    double feasible_us = 0, p1_us = 0, p2_us = 0;
-    if (!time_us(scenario.requirements, nullptr, &feasible_us) ||
-        !time_us(p1_req, "(P1)", &p1_us) ||
-        !time_us(p2_req, "(P2)", &p2_us)) {
+    core::EnergyDelayGame feasible_game(*model, scenario.requirements);
+    core::EnergyDelayGame p1_game(*model, p1_req);
+    core::EnergyDelayGame p2_game(*model, p2_req);
+    const std::vector<double> medians = interleaved_median_us(
+        repeats, {[&] { return answers(feasible_game, nullptr); },
+                  [&] { return answers(p1_game, "(P1)"); },
+                  [&] { return answers(p2_game, "(P2)"); }});
+    if (medians.empty()) {
       std::fprintf(stderr, "%s: proof pairs did not prove (P1)/(P2)\n",
                    name.c_str());
       return 2;
     }
+    const double feasible_us = medians[0];
+    const double p1_us = medians[1];
+    const double p2_us = medians[2];
     std::printf("%-7s P1 proof %7.1f us, P2 proof %7.1f us  "
                 "(%.2fx / %.2fx a %.1f us feasible solve)\n",
                 name.c_str(), p1_us, p2_us, p1_us / feasible_us,

@@ -13,6 +13,19 @@
 namespace edb::catalog {
 namespace {
 
+// Sim-scaled twin shape: the deployment is clamped to at most kMaxDepth
+// rings of density kMaxDensity, its per-source rate into [kMinFs, kMaxFs]
+// (a floor so packets flow, a ceiling so the corridor stays unsaturated)
+// and its burst factor to kMaxBurstFactor; the simulated duration is
+// sized for kTargetPackets per source, capped at kMaxDuration.
+constexpr int kMaxDepth = 3;
+constexpr double kMaxDensity = 4.0;
+constexpr double kMinFs = 4e-3;  // [packets/s]
+constexpr double kMaxFs = 0.02;  // [packets/s]
+constexpr double kMaxBurstFactor = 8.0;
+constexpr double kTargetPackets = 8.0;
+constexpr double kMaxDuration = 2500.0;  // [s] simulated
+
 // Preferred fraction of the analytic parameter box per protocol, chosen
 // so the twin runs unsaturated (small LMAC frames, short DMAC cycles)
 // without exploding the kernel event count (X-MAC polls).  The probe
@@ -65,9 +78,9 @@ SimTwin sim_twin(const CatalogScenario& scenario,
   // model prediction is evaluated on exactly this scaled context, so the
   // comparison is exact wherever the twin lands.
   mac::ModelContext ctx = scenario.scenario.context;
-  ctx.ring.depth = std::min(ctx.ring.depth, options.max_depth);
-  ctx.ring.density = std::min(ctx.ring.density, options.max_density);
-  ctx.fs = clamp(ctx.fs, options.min_fs, options.max_fs);
+  ctx.ring.depth = std::min(ctx.ring.depth, kMaxDepth);
+  ctx.ring.density = std::min(ctx.ring.density, kMaxDensity);
+  ctx.fs = clamp(ctx.fs, kMinFs, kMaxFs);
   // The model sees the same arrival shape the campaign will simulate
   // (burst factor clamped identically to the campaign cell below) and
   // the requested fidelity.  Under kV1 these fields are inert, so the
@@ -79,8 +92,7 @@ SimTwin sim_twin(const CatalogScenario& scenario,
                      : (scenario.sim.burst_factor > 1.0
                             ? net::ArrivalProcess::kBursty
                             : net::ArrivalProcess::kPeriodic);
-  ctx.burst_factor =
-      std::min(scenario.sim.burst_factor, options.max_burst_factor);
+  ctx.burst_factor = std::min(scenario.sim.burst_factor, kMaxBurstFactor);
   ctx.model_version = options.model_version;
 
   const std::size_t nodes = total_twin_nodes(ctx.ring);
@@ -118,8 +130,7 @@ SimTwin sim_twin(const CatalogScenario& scenario,
   c.burst_factor = ctx.burst_factor;
   c.jitter_frac = ctx.jitter_frac;
   c.loss_probability = scenario.sim.loss_probability;
-  c.duration =
-      std::min(options.max_duration, options.target_packets / ctx.fs);
+  c.duration = std::min(kMaxDuration, kTargetPackets / ctx.fs);
   c.lmac_slots = lmac_slots;
   // The satellite fix of this PR: *every* family keys its campaign
   // streams off the scenario's own sim seed, so catalog-wide campaign
@@ -149,7 +160,7 @@ ValidationAtlas run_validation_atlas(const Catalog& catalog,
     }
     std::size_t skipped = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      Pending p{family.get(), family->expand(i, options.seed), {}};
+      Pending p{family.get(), family->expand(i, kDefaultSeed), {}};
       p.twin = sim_twin(p.scenario, options);
       if (!p.twin.capable) {
         ++skipped;
@@ -168,7 +179,7 @@ ValidationAtlas run_validation_atlas(const Catalog& catalog,
   sim::CampaignOptions copts;
   copts.replications = options.replications;
   copts.threads = options.threads;
-  copts.seed = options.seed;
+  copts.seed = kDefaultSeed;
   sim::Campaign campaign(copts);
   const auto results = campaign.run(cells);
 

@@ -39,11 +39,14 @@
 
 namespace edb::catalog {
 
+// Scenarios expand from the catalog's kDefaultSeed, which also seeds the
+// campaign streams.  The sim-scaled twin's shape caps are fixed
+// (validation.cpp): they keep a replication in the sub-second range while
+// preserving the deployment physics being validated.
 struct ValidationOptions {
   int replications = 3;
   int threads = 4;          // campaign fan width; 0 = hardware threads
   std::size_t per_family_cap = 0;  // 0 = every scenario
-  std::uint64_t seed = kDefaultSeed;
 
   // Analytic fidelity the predictions are computed at.  kV1 reproduces
   // the pre-queueing atlas byte-for-byte; kV2Queueing evaluates (and
@@ -51,16 +54,6 @@ struct ValidationOptions {
   // arrival-shape inputs the twin copies from the scenario's SimProfile —
   // exactly what the campaign simulates (mac/model.h ModelVersion).
   mac::ModelVersion model_version = mac::ModelVersion::kV1;
-
-  // Sim-scaled twin shape: caps keep a replication in the sub-second
-  // range while preserving the deployment physics being validated.
-  int max_depth = 3;
-  double max_density = 4.0;
-  double min_fs = 4e-3;          // [packets/s] floor so packets flow
-  double max_fs = 0.02;          // ceiling so the corridor stays unsaturated
-  double max_burst_factor = 8.0;
-  double target_packets = 8.0;   // per source; sizes the duration
-  double max_duration = 2500.0;  // [s] simulated
 };
 
 // The sim-scaled twin of one catalog scenario: what the campaign actually

@@ -353,17 +353,14 @@ Expected<opt::VectorResult> dual_solve(
   // BDCA multistart on `f` — kDescent's stage 2 on the fence, and phase
   // I's second step.  Seeded from a scan's incumbent (when it found one);
   // the seeding lattice keeps the global cross-check role the penalty
-  // multistart played.  Its iteration budget runs the basin to far below
-  // the polish window yet keeps a full solve ~15x under the kGridVerify
-  // pipeline's evaluation count.
+  // multistart played.  Its iteration budget (opt/descent.cpp) runs the
+  // basin to far below the polish window yet keeps a full solve ~15x under
+  // the kGridVerify pipeline's evaluation count.
   auto multistart_from = [&](const opt::BatchObjective& f,
                              const opt::VectorResult& scan) {
-    opt::DescentOptions dopts;
-    dopts.max_iterations = 12;
-    if (!scan.x.empty() && std::isfinite(scan.value)) {
-      dopts.extra_seeds.push_back(scan.x);
-    }
-    return opt::bdca_multistart_min(f, box, dopts);
+    std::vector<std::vector<double>> seeds;
+    if (!scan.x.empty() && std::isfinite(scan.value)) seeds.push_back(scan.x);
+    return opt::bdca_multistart_min(f, box, seeds);
   };
 
   // Phase I — kDescent's feasibility certificate for a single-cap
@@ -699,8 +696,7 @@ std::vector<opt::ParetoPoint> EnergyDelayGame::frontier(
   opt::BatchConstraint feas = [this](const opt::PointBlock& b, double* v) {
     model_.evaluate_batch(b.xs, b.n, nullptr, nullptr, v);
   };
-  return opt::trace_frontier(f1, f2, box, feas,
-                             {.points_per_dim = points_per_dim});
+  return opt::trace_frontier(f1, f2, box, feas, points_per_dim);
 }
 
 }  // namespace edb::core

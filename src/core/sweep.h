@@ -30,7 +30,7 @@ struct SweepCell {
   // matters downstream is is_transient(): deterministic codes (kInfeasible)
   // are properties of the cell and may be negatively cached; transient
   // codes (kDeadlineExceeded, kCancelled, kUnavailable) describe one
-  // attempt and must not be (service/planner.cpp, DESIGN.md §10).
+  // attempt and must not be (service/core.cpp, DESIGN.md §10).
   ErrorCode infeasible_code = ErrorCode::kInfeasible;
 
   bool feasible() const { return outcome.has_value(); }

@@ -16,6 +16,36 @@ using internal::advance;
 using internal::kBlockPoints;
 using internal::lattice_axes;
 
+// Seed pool (multistart entry point only): one batched pass over a
+// kSeedLattice-per-axis lattice, pooled with the caller's extra seeds;
+// descents start from the first kMultistarts survivors at least
+// kSeedSeparation (L-inf, box widths) apart.
+constexpr int kSeedLattice = 17;
+constexpr std::size_t kMultistarts = 2;
+constexpr double kSeedSeparation = 0.04;
+
+// Per-descent iteration budget and stopping scales: stop when the step
+// falls below kXTol box widths and the relative improvement below kFTol.
+// Twelve iterations run the basin far below the polish window.
+constexpr int kMaxIterations = 12;
+constexpr double kXTol = 1e-9;
+constexpr double kFTol = 1e-12;
+
+// Finite-difference stencil and Armijo line search.  The unit-step probe
+// is the diagonally-preconditioned (Newton) displacement on axes with
+// usable positive curvature; kInitialStep only scales the gradient
+// fallback on axes where the stencil saw no curvature (fence shadow,
+// boundary pin, concave stretch).
+constexpr double kGradStep = 2e-6;     // stencil half-width, axis fraction
+constexpr double kArmijoC = 1e-4;      // sufficient-decrease slope fraction
+constexpr double kBacktrack = 0.5;     // step shrink per rejected probe
+constexpr int kMaxBacktracks = 16;
+constexpr double kInitialStep = 0.25;  // fallback probe length, box widths
+
+// Boost stage: extend along the accepted step while improving.
+constexpr int kMaxBoosts = 6;
+constexpr double kBoostGrow = 2.0;
+
 // Charges every block-oracle call to the owning result's cost counters
 // (call_oracle, opt/batch.h; the batched grid pass does the same).
 class Oracle {
@@ -123,8 +153,7 @@ bool fd_gradient(Oracle& oracle, const Box& box, const std::vector<double>& x,
 
 // One boosted projected-gradient descent from a point with a known value.
 VectorResult descend_impl(const BatchObjective& f, const Box& box,
-                          std::vector<double> x0, double f0, bool have_f0,
-                          const DescentOptions& opts) {
+                          std::vector<double> x0, double f0, bool have_f0) {
   EDB_SPAN("opt.descent");
   EDB_COUNT("opt.descent.descends", 1);
   const std::size_t dim = box.dim();
@@ -140,22 +169,22 @@ VectorResult descend_impl(const BatchObjective& f, const Box& box,
   std::vector<double> g(dim), curv(dim), d(dim), trial(dim), s(dim), cand(dim);
   std::vector<double> arm_xs, arm_vs;
 
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    if (!fd_gradient(oracle, box, x, fx, opts.grad_step, g, curv, arm_xs,
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
+    if (!fd_gradient(oracle, box, x, fx, kGradStep, g, curv, arm_xs,
                      arm_vs)) {
       break;  // stationary at stencil resolution
     }
 
     // Unit-step displacement d: the diagonal-Newton move g/curv on axes
     // whose stencil saw usable positive curvature, a steepest-descent
-    // move scaled to initial_step box widths on the rest.  One shared
+    // move scaled to kInitialStep box widths on the rest.  One shared
     // gradient scale keeps the fallback axes' direction (not just the
     // step length) equal to -g.
     double t_grad = kInf;
     for (std::size_t i = 0; i < dim; ++i) {
       if (g[i] != 0.0 && !(std::isfinite(curv[i]) && curv[i] > 0.0)) {
-        t_grad = std::min(t_grad, opts.initial_step * box.width(i) /
-                                      std::abs(g[i]));
+        t_grad =
+            std::min(t_grad, kInitialStep * box.width(i) / std::abs(g[i]));
       }
     }
     bool any_move = false;
@@ -173,12 +202,12 @@ VectorResult descend_impl(const BatchObjective& f, const Box& box,
     if (!any_move) break;
 
     // Armijo backtracking on the projected probe x - t*d, t from 1 (the
-    // preconditioned step): accept when the decrease beats armijo_c/t
+    // preconditioned step): accept when the decrease beats kArmijoC/t
     // times the squared realised (post-clamp) step.
     bool accepted = false;
     double ft = kInf;
     double t = 1.0;
-    for (int bt = 0; bt <= opts.max_backtracks; ++bt, t *= opts.backtrack) {
+    for (int bt = 0; bt <= kMaxBacktracks; ++bt, t *= kBacktrack) {
       double step2 = 0.0;
       for (std::size_t i = 0; i < dim; ++i) {
         trial[i] = std::clamp(x[i] - t * d[i], box.lo(i), box.hi(i));
@@ -187,7 +216,7 @@ VectorResult descend_impl(const BatchObjective& f, const Box& box,
       }
       if (step2 == 0.0) continue;  // fully projected out at this length
       ft = oracle.eval1(trial);
-      if (std::isfinite(ft) && ft <= fx - (opts.armijo_c / t) * step2) {
+      if (std::isfinite(ft) && ft <= fx - (kArmijoC / t) * step2) {
         accepted = true;
         break;
       }
@@ -198,7 +227,7 @@ VectorResult descend_impl(const BatchObjective& f, const Box& box,
     // step s = trial - x while the extension keeps strictly improving.
     for (std::size_t i = 0; i < dim; ++i) s[i] = trial[i] - x[i];
     double beta = 1.0;
-    for (int b = 0; b < opts.max_boosts; ++b, beta *= opts.boost_grow) {
+    for (int b = 0; b < kMaxBoosts; ++b, beta *= kBoostGrow) {
       bool moved = false;
       for (std::size_t i = 0; i < dim; ++i) {
         cand[i] = std::clamp(trial[i] + beta * s[i], box.lo(i), box.hi(i));
@@ -215,7 +244,7 @@ VectorResult descend_impl(const BatchObjective& f, const Box& box,
     const double impr = (fx - ft) / std::max(1.0, std::abs(fx));
     x = trial;
     fx = ft;
-    if (frac < opts.x_tol && impr < opts.f_tol) break;
+    if (frac < kXTol && impr < kFTol) break;
   }
 
   r.x = std::move(x);
@@ -227,13 +256,14 @@ VectorResult descend_impl(const BatchObjective& f, const Box& box,
 }  // namespace
 
 VectorResult bdca_descend(const BatchObjective& f, const Box& box,
-                          std::vector<double> x0, const DescentOptions& opts) {
+                          std::vector<double> x0) {
   EDB_ASSERT(x0.size() == box.dim(), "bdca_descend: x0/box dim mismatch");
-  return descend_impl(f, box, std::move(x0), 0.0, /*have_f0=*/false, opts);
+  return descend_impl(f, box, std::move(x0), 0.0, /*have_f0=*/false);
 }
 
-VectorResult bdca_multistart_min(const BatchObjective& f, const Box& box,
-                                 const DescentOptions& opts) {
+VectorResult bdca_multistart_min(
+    const BatchObjective& f, const Box& box,
+    const std::vector<std::vector<double>>& extra_seeds) {
   EDB_SPAN("opt.descent.multistart");
   const std::size_t dim = box.dim();
   VectorResult total;
@@ -243,8 +273,8 @@ VectorResult bdca_multistart_min(const BatchObjective& f, const Box& box,
   // Seed pool: the lattice pass plus every caller seed (clamped), all
   // evaluated through the block oracle in kBlockPoints chunks.
   std::vector<double> coords;
-  if (opts.seed_lattice >= 2 && dim > 0) {
-    const auto axes = lattice_axes(box, opts.seed_lattice);
+  if (dim > 0) {
+    const auto axes = lattice_axes(box, kSeedLattice);
     std::vector<std::size_t> idx(dim, 0);
     bool more = true;
     while (more) {
@@ -252,7 +282,7 @@ VectorResult bdca_multistart_min(const BatchObjective& f, const Box& box,
       more = advance(idx, axes);
     }
   }
-  for (const auto& s : opts.extra_seeds) {
+  for (const auto& s : extra_seeds) {
     if (s.size() != dim) continue;
     const auto c = box.clamp(s);
     coords.insert(coords.end(), c.begin(), c.end());
@@ -282,22 +312,20 @@ VectorResult bdca_multistart_min(const BatchObjective& f, const Box& box,
   });
 
   // Greedy separation dedup over the ranked pool: a seed within
-  // seed_separation (L-inf, box widths) of an already-chosen one would
+  // kSeedSeparation (L-inf, box widths) of an already-chosen one would
   // descend into the same basin and burn an identical budget.
   std::vector<const Seed*> chosen;
   for (const Seed& s : pool) {
     if (!std::isfinite(s.value)) break;  // sorted: only +inf remains
     bool separated = true;
     for (const Seed* c : chosen) {
-      if (step_fraction(box, s.x, c->x) < opts.seed_separation) {
+      if (step_fraction(box, s.x, c->x) < kSeedSeparation) {
         separated = false;
         break;
       }
     }
     if (separated) chosen.push_back(&s);
-    if (static_cast<int>(chosen.size()) >= std::max(1, opts.multistarts)) {
-      break;
-    }
+    if (chosen.size() >= kMultistarts) break;
   }
 
   if (chosen.empty()) {
@@ -316,7 +344,7 @@ VectorResult bdca_multistart_min(const BatchObjective& f, const Box& box,
   best.value = kInf;
   for (const Seed* s : chosen) {
     VectorResult r =
-        descend_impl(f, box, s->x, s->value, /*have_f0=*/true, opts);
+        descend_impl(f, box, s->x, s->value, /*have_f0=*/true);
     total.absorb_cost(r);
     if (best.x.empty() ||
         ranked_less(r.value, r.x, best.value, best.x)) {

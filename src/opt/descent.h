@@ -21,12 +21,16 @@
 // differences, line-search probes shrink past the fence.  Bound
 // constraints are handled by clamping every probe onto the box.
 //
+// The tuning constants (seed lattice, multistarts, iteration budget,
+// stencil, line search, boost) are fixed in descent.cpp and listed in
+// DESIGN.md §2; the production pipeline runs exactly one setting.
+//
 // Determinism: seeding (`bdca_multistart_min`) ranks the pooled seeds by
 // (value, lexicographic x), greedily drops near-duplicates (L-inf
-// separation below `seed_separation`, width-normalised), and descends
-// from the first `multistarts` survivors; the winner is again selected by
-// (value, lexicographic x).  The result is bit-stable under any
-// permutation of `extra_seeds` — asserted by tests/opt_descent_test.cpp.
+// separation below 0.04 box widths), and descends from the first two
+// survivors; the winner is again selected by (value, lexicographic x).
+// The result is bit-stable under any permutation of `extra_seeds` —
+// asserted by tests/opt_descent_test.cpp.
 #pragma once
 
 #include "opt/batch.h"
@@ -35,45 +39,18 @@
 
 namespace edb::opt {
 
-struct DescentOptions {
-  // Seed pool (multistart entry point only): one batched pass over a
-  // `seed_lattice`-per-axis lattice, pooled with caller `extra_seeds`.
-  int seed_lattice = 17;
-  int multistarts = 2;
-  double seed_separation = 0.04;  // min L-inf seed distance, box widths
-  std::vector<std::vector<double>> extra_seeds;
-
-  // Per-descent iteration budget and stopping scales.
-  int max_iterations = 16;
-  double x_tol = 1e-9;   // stop when the step falls below this, box widths
-  double f_tol = 1e-12;  // ... and relative improvement below this
-
-  // Finite-difference stencil and Armijo line search.  The unit-step
-  // probe is the diagonally-preconditioned (Newton) displacement on axes
-  // with usable positive curvature; `initial_step` only scales the
-  // gradient fallback on axes where the stencil saw no curvature (fence
-  // shadow, boundary pin, concave stretch).
-  double grad_step = 2e-6;   // stencil half-width, fraction of axis width
-  double armijo_c = 1e-4;    // sufficient-decrease slope fraction
-  double backtrack = 0.5;    // step shrink per rejected probe
-  int max_backtracks = 16;
-  double initial_step = 0.25;  // fallback probe length, fraction of width
-
-  // Boost stage: extend along the accepted step while improving.
-  int max_boosts = 6;
-  double boost_grow = 2.0;
-};
-
 // One descent from `x0` (clamped onto the box).  Returns the best point
 // found with full cost accounting (evaluations/blocks/oracle_ns);
 // `converged` is false iff every probed point was infeasible (+inf).
 VectorResult bdca_descend(const BatchObjective& f, const Box& box,
-                          std::vector<double> x0,
-                          const DescentOptions& opts = {});
+                          std::vector<double> x0);
 
-// Deterministic multistart: batched lattice seeding pass + `extra_seeds`,
-// ranked/deduped as described above, one `bdca_descend` per survivor.
-VectorResult bdca_multistart_min(const BatchObjective& f, const Box& box,
-                                 const DescentOptions& opts = {});
+// Deterministic multistart: one batched pass over a 17-per-axis seed
+// lattice pooled with the caller's `extra_seeds` (clamped onto the box;
+// wrong-dimension seeds are ignored), ranked/deduped as described above,
+// one `bdca_descend` per survivor.
+VectorResult bdca_multistart_min(
+    const BatchObjective& f, const Box& box,
+    const std::vector<std::vector<double>>& extra_seeds = {});
 
 }  // namespace edb::opt

@@ -8,10 +8,17 @@
 #include "util/math.h"
 
 namespace edb::opt {
+namespace {
+
+constexpr int kMaxIterations = 2000;
+constexpr double kFTol = 1e-13;       // simplex value spread at convergence
+constexpr double kXTol = 1e-12;       // simplex diameter at convergence
+constexpr double kInitialStep = 0.1;  // first simplex size, box widths
+
+}  // namespace
 
 VectorResult nelder_mead_min(const Objective& f, const Box& box,
-                             std::vector<double> x0,
-                             const NelderMeadOptions& opts) {
+                             std::vector<double> x0) {
   const std::size_t n = box.dim();
   EDB_ASSERT(x0.size() == n, "nelder_mead: start point dimension mismatch");
   x0 = box.clamp(std::move(x0));
@@ -39,7 +46,7 @@ VectorResult nelder_mead_min(const Objective& f, const Box& box,
   simplex.push_back({x0, eval(x0)});
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<double> v = x0;
-    double step = opts.initial_step * box.width(i);
+    double step = kInitialStep * box.width(i);
     if (v[i] + step > box.hi(i)) step = -step;
     v[i] = clamp(v[i] + step, box.lo(i), box.hi(i));
     if (v[i] == x0[i]) v[i] = clamp(x0[i] + 1e-9 * box.width(i), box.lo(i),
@@ -63,7 +70,7 @@ VectorResult nelder_mead_min(const Objective& f, const Box& box,
   };
 
   bool converged = false;
-  for (int it = 0; it < opts.max_iterations; ++it) {
+  for (int it = 0; it < kMaxIterations; ++it) {
     std::sort(simplex.begin(), simplex.end(), by_value);
 
     // Convergence: value spread and simplex diameter.
@@ -78,7 +85,7 @@ VectorResult nelder_mead_min(const Objective& f, const Box& box,
       }
       diameter = std::max(diameter, hi - lo);
     }
-    if (spread < opts.f_tol && diameter < opts.x_tol) {
+    if (spread < kFTol && diameter < kXTol) {
       converged = true;
       break;
     }

@@ -12,15 +12,10 @@
 
 namespace edb::opt {
 
-struct NelderMeadOptions {
-  int max_iterations = 2000;
-  double f_tol = 1e-13;      // spread of simplex values at convergence
-  double x_tol = 1e-12;      // simplex diameter at convergence
-  double initial_step = 0.1; // first simplex size, fraction of box width
-};
-
+// At most 2,000 iterations; converged when the simplex values spread
+// less than 1e-13 and its diameter is below 1e-12.  The first simplex
+// steps 0.1 of each box width from x0.
 VectorResult nelder_mead_min(const Objective& f, const Box& box,
-                             std::vector<double> x0,
-                             const NelderMeadOptions& opts = {});
+                             std::vector<double> x0);
 
 }  // namespace edb::opt

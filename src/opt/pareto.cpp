@@ -35,13 +35,13 @@ std::vector<ParetoPoint> pareto_filter(std::vector<ParetoPoint> points) {
 std::vector<ParetoPoint> trace_frontier(const Objective& f1,
                                         const Objective& f2, const Box& box,
                                         const Constraint& feasible_slack,
-                                        const ParetoOptions& opts) {
-  EDB_ASSERT(opts.points_per_dim >= 2, "frontier needs >= 2 grid points");
+                                        int points_per_dim) {
+  EDB_ASSERT(points_per_dim >= 2, "frontier needs >= 2 grid points");
 
   const std::size_t n = box.dim();
   std::vector<std::vector<double>> axes(n);
   for (std::size_t i = 0; i < n; ++i) {
-    axes[i] = linspace(box.lo(i), box.hi(i), opts.points_per_dim);
+    axes[i] = linspace(box.lo(i), box.hi(i), points_per_dim);
   }
 
   std::vector<ParetoPoint> points;
@@ -67,11 +67,11 @@ std::vector<ParetoPoint> trace_frontier(const BatchObjective& f1,
                                         const BatchObjective& f2,
                                         const Box& box,
                                         const BatchConstraint& feasible_slack,
-                                        const ParetoOptions& opts) {
-  EDB_ASSERT(opts.points_per_dim >= 2, "frontier needs >= 2 grid points");
+                                        int points_per_dim) {
+  EDB_ASSERT(points_per_dim >= 2, "frontier needs >= 2 grid points");
 
   const std::size_t n = box.dim();
-  const auto axes = internal::lattice_axes(box, opts.points_per_dim);
+  const auto axes = internal::lattice_axes(box, points_per_dim);
 
   constexpr std::size_t kBlock = internal::kBlockPoints;
   std::vector<double> xs(kBlock * n);

@@ -20,22 +20,19 @@ struct ParetoPoint {
   double f2 = 0;
 };
 
-struct ParetoOptions {
-  int points_per_dim = 512;  // grid resolution (per axis)
-};
-
 // True iff a dominates b for cost minimisation (<= in both, < in one).
 bool dominates(const ParetoPoint& a, const ParetoPoint& b);
 
 // Filters an arbitrary point set to its non-dominated subset, sorted by f1.
 std::vector<ParetoPoint> pareto_filter(std::vector<ParetoPoint> points);
 
-// Traces the frontier of (f1, f2) over `box`, skipping points where
-// `feasible` returns false.  `feasible` may be null (all points kept).
+// Traces the frontier of (f1, f2) over a `points_per_dim`-per-axis grid
+// on `box`, skipping points where `feasible_slack` is not positive.
+// `feasible_slack` may be null (all points kept).
 std::vector<ParetoPoint> trace_frontier(const Objective& f1,
                                         const Objective& f2, const Box& box,
                                         const Constraint& feasible_slack,
-                                        const ParetoOptions& opts = {});
+                                        int points_per_dim);
 
 // Block-oracle flavour of the same scan (opt/batch.h): the lattice is
 // evaluated in contiguous blocks — feasibility first, then f1/f2 only on
@@ -45,6 +42,6 @@ std::vector<ParetoPoint> trace_frontier(const BatchObjective& f1,
                                         const BatchObjective& f2,
                                         const Box& box,
                                         const BatchConstraint& feasible_slack,
-                                        const ParetoOptions& opts = {});
+                                        int points_per_dim);
 
 }  // namespace edb::opt

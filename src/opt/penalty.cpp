@@ -10,6 +10,15 @@
 namespace edb::opt {
 namespace {
 
+// Penalty schedule: rho = kRhoInitial * kRhoGrowth^round for kRounds
+// rounds (final rho 1e9), kMultistarts deterministic seeds per round.
+constexpr double kRhoInitial = 10.0;
+constexpr double kRhoGrowth = 10.0;
+constexpr int kRounds = 9;
+constexpr int kMultistarts = 6;
+// Largest constraint violation still accepted as feasible.
+constexpr double kFeasibilityTol = 1e-7;
+
 double worst_violation(const std::vector<Constraint>& slacks,
                        const std::vector<double>& x) {
   double worst = 0.0;
@@ -19,9 +28,9 @@ double worst_violation(const std::vector<Constraint>& slacks,
 
 }  // namespace
 
-ConstrainedResult constrained_min(
-    const Objective& f, const std::vector<Constraint>& slacks, const Box& box,
-    const PenaltyOptions& opts) {
+ConstrainedResult constrained_min(const Objective& f,
+                                  const std::vector<Constraint>& slacks,
+                                  const Box& box) {
   int evals = 0;
 
   // Deterministic multistart seeds: the midpoint, then fixed-seed uniform
@@ -29,16 +38,16 @@ ConstrainedResult constrained_min(
   std::vector<std::vector<double>> seeds;
   seeds.push_back(box.midpoint());
   Rng rng(0xedb0427ULL);
-  for (int i = 1; i < opts.multistarts; ++i) seeds.push_back(box.sample(rng));
+  for (int i = 1; i < kMultistarts; ++i) seeds.push_back(box.sample(rng));
 
   ConstrainedResult best;
   best.value = kInf;
   best.worst_violation = kInf;
 
-  double rho = opts.rho_initial;
+  double rho = kRhoInitial;
   std::vector<double> incumbent;
 
-  for (int round = 0; round < opts.rounds; ++round, rho *= opts.rho_growth) {
+  for (int round = 0; round < kRounds; ++round, rho *= kRhoGrowth) {
     Objective penalised = [&, rho](const std::vector<double>& x) {
       double p = 0.0;
       for (const auto& s : slacks) {
@@ -54,7 +63,7 @@ ConstrainedResult constrained_min(
     VectorResult round_best;
     round_best.value = kInf;
     for (const auto& s0 : starts) {
-      VectorResult r = nelder_mead_min(penalised, box, s0, opts.inner);
+      VectorResult r = nelder_mead_min(penalised, box, s0);
       evals += r.evaluations;
       if (r.value < round_best.value) round_best = r;
     }
@@ -66,8 +75,8 @@ ConstrainedResult constrained_min(
 
     // Prefer feasible points; among feasible, lower objective wins; among
     // infeasible, lower violation wins.
-    const bool cand_feas = viol <= opts.feasibility_tol;
-    const bool best_feas = best.worst_violation <= opts.feasibility_tol;
+    const bool cand_feas = viol <= kFeasibilityTol;
+    const bool best_feas = best.worst_violation <= kFeasibilityTol;
     const bool better = (cand_feas && !best_feas) ||
                         (cand_feas && best_feas && val < best.value) ||
                         (!cand_feas && !best_feas &&
@@ -81,7 +90,7 @@ ConstrainedResult constrained_min(
 
   best.evaluations = evals;
   best.feasible = !best.x.empty() &&
-                  best.worst_violation <= opts.feasibility_tol;
+                  best.worst_violation <= kFeasibilityTol;
   return best;
 }
 

@@ -6,10 +6,12 @@
 // Nelder-Mead from several deterministic multistart seeds (box midpoint,
 // corners-ish latin points, and the previous round's incumbent).
 //
-// Constraint slacks should be scaled to O(1) (the MAC models' feasibility
-// margins and the normalised budget slacks both are), so a final rho of
-// 1e9 pushes violations below ~1e-5 of scale; the returned point is then
-// re-checked and `feasible` reflects true feasibility.
+// The schedule is fixed (penalty.cpp): rho = 10, 100, ..., 1e9 over nine
+// rounds, six seeds per round.  Constraint slacks should be scaled to O(1)
+// (the MAC models' feasibility margins and the normalised budget slacks
+// both are), so the final rho pushes violations below ~1e-5 of scale; the
+// returned point is then re-checked and `feasible` reflects true
+// feasibility (worst violation at most 1e-7).
 //
 // The one caller is core/game_framework.cpp's dual_solve: kGridVerify's
 // stage 2 (the verifier the production pipeline is gated against), and
@@ -20,19 +22,9 @@
 #pragma once
 
 #include "opt/bounds.h"
-#include "opt/nelder_mead.h"
 #include "opt/types.h"
 
 namespace edb::opt {
-
-struct PenaltyOptions {
-  double rho_initial = 10.0;
-  double rho_growth = 10.0;
-  int rounds = 9;                 // final rho = initial * growth^(rounds-1)
-  int multistarts = 6;            // deterministic seeds per round
-  double feasibility_tol = 1e-7;  // max violation accepted as feasible
-  NelderMeadOptions inner;
-};
 
 struct ConstrainedResult {
   std::vector<double> x;
@@ -43,10 +35,10 @@ struct ConstrainedResult {
 };
 
 // Returns the best point found, with its full evaluation count whether or
-// not it is feasible: `feasible` is false when no point within
-// feasibility_tol was located (worst_violation > tol everywhere tried).
-ConstrainedResult constrained_min(
-    const Objective& f, const std::vector<Constraint>& slacks, const Box& box,
-    const PenaltyOptions& opts = {});
+// not it is feasible: `feasible` is false when no point within the 1e-7
+// tolerance was located (worst_violation above it everywhere tried).
+ConstrainedResult constrained_min(const Objective& f,
+                                  const std::vector<Constraint>& slacks,
+                                  const Box& box);
 
 }  // namespace edb::opt

@@ -28,6 +28,11 @@ namespace edb::server {
 namespace {
 
 constexpr std::size_t kInitialRing = 4096;
+// Fixed listener and connection limits.  One frame's payload is at most
+// kMaxFrame (server/wire.h) bytes, and so is a pending JSON line.
+constexpr int kListenBacklog = 128;
+constexpr std::size_t kMaxOutputBuffer = 8u << 20;  // per-connection out ring
+constexpr std::size_t kMaxConnections = 1024;
 
 // One client connection.  Owned by exactly one worker loop; only the
 // `closed` flag is ever read from another thread (the serve thread
@@ -144,7 +149,7 @@ struct TuningServer::Impl {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         return;  // listener shut down (EINVAL) or broken: stop accepting
       }
-      if (draining.load() || open_conns.load() >= opts.max_connections) {
+      if (draining.load() || open_conns.load() >= kMaxConnections) {
         ::close(fd);
         continue;
       }
@@ -288,7 +293,7 @@ struct TuningServer::Impl {
   }
 
   void read_input(Worker& w, const ConnPtr& conn) {
-    const std::size_t max_input = 4 + static_cast<std::size_t>(opts.max_frame);
+    const std::size_t max_input = 4 + std::size_t{kMaxFrame};
     for (;;) {
       if (conn->in.free_space() == 0 &&
           !conn->in.reserve(conn->in.capacity() * 2, max_input * 2)) {
@@ -343,7 +348,7 @@ struct TuningServer::Impl {
   void parse_binary_input(Worker& w, const ConnPtr& conn) {
     for (;;) {
       FrameView fv;
-      switch (next_frame(conn->in, opts.max_frame, &fv)) {
+      switch (next_frame(conn->in, kMaxFrame, &fv)) {
         case FrameStatus::kNeedMore:
           return;
         case FrameStatus::kTooLarge:
@@ -412,7 +417,7 @@ struct TuningServer::Impl {
       conn->in.copy_out(0, n, conn->json_line.data() + old);
       conn->in.consume(n);
     }
-    if (conn->json_line.size() > opts.max_frame) {
+    if (conn->json_line.size() > kMaxFrame) {
       fatal_error(w, conn, ErrorCode::kInvalidArgument,
                   "json line exceeds the frame limit", 0);
       return;
@@ -512,12 +517,12 @@ struct TuningServer::Impl {
       bool moved = false;
       while (!conn->pending.empty() && conn->pending.front().ready) {
         Connection::Slot& slot = conn->pending.front();
-        if (slot.bytes.size() > opts.max_output_buffer) {
+        if (slot.bytes.size() > kMaxOutputBuffer) {
           close_conn(w, conn);  // cannot ever fit: shed the connection
           return;
         }
         if (!conn->out.append(slot.bytes.data(), slot.bytes.size(),
-                              opts.max_output_buffer)) {
+                              kMaxOutputBuffer)) {
           break;  // ring at cap: drain first, then move the rest
         }
         conn->pending.pop_front();
@@ -623,7 +628,7 @@ struct TuningServer::Impl {
     socklen_t len = sizeof addr;
     ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
     bound_port = ntohs(addr.sin_port);
-    if (::listen(listen_fd, opts.backlog) != 0) {
+    if (::listen(listen_fd, kListenBacklog) != 0) {
       return make_error(ErrorCode::kUnavailable, errno_message("listen"));
     }
 

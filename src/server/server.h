@@ -59,16 +59,14 @@
 namespace edb::server {
 
 // The serving pipeline's options (engine, cache, max_batch, resilience)
-// plus the listener and wire limits.
+// plus the listener address and worker count.  The wire and connection
+// limits are fixed (server.cpp): frames up to kMaxFrame, an 8 MiB
+// output ring per connection, 1,024 open connections, a listen backlog
+// of 128.
 struct ServerOptions : service::ServiceOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; port() reports the bound one
   int workers = 1;         // epoll worker loops
-  int backlog = 128;
-
-  std::uint32_t max_frame = kMaxFrame;       // one frame's payload bytes
-  std::size_t max_output_buffer = 8u << 20;  // per-connection out ring cap
-  std::size_t max_connections = 1024;
 };
 
 struct ServerStats {

@@ -58,7 +58,7 @@ struct ProtocolOutcome {
   // Machine-readable counterpart of infeasible_reason.  Gates negative
   // caching: only deterministic codes (!is_transient) may be installed —
   // a transient failure cached as "infeasible" would poison the key until
-  // eviction (service/planner.cpp, DESIGN.md §10).
+  // eviction (service/core.cpp, DESIGN.md §10).
   ErrorCode infeasible_code = ErrorCode::kInfeasible;
 
   bool feasible() const { return outcome.has_value(); }

@@ -1,24 +1,274 @@
 #include "service/core.h"
 
+#include <algorithm>
+#include <memory>
+#include <unordered_map>
+#include <utility>
+
+#include "mac/registry.h"
+#include "obs/obs.h"
 #include "util/fault.h"
 
 namespace edb::service {
+namespace {
+
+// Attempts at the "service.dispatch" injection site before a query is
+// failed with kUnavailable (same bound as engine.job's retry ladder).
+constexpr std::uint32_t kDispatchAttempts = 4;
+
+ResultQuality worse(ResultQuality a, ResultQuality b) {
+  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
+}
+
+// One distinct cache miss: a (scenario, protocol, options) question plus
+// every (query, protocol-slot) pair waiting for its answer.
+struct Miss {
+  QueryKey key;
+  std::string protocol;
+  const TuningQuery* query = nullptr;  // representative (canonical twin)
+  std::vector<std::pair<std::size_t, std::size_t>> sinks;
+};
+
+int pick_recommended(const TuningResult& result, double e_budget) {
+  int best = -1;
+  double best_headroom = 0;
+  for (std::size_t i = 0; i < result.per_protocol.size(); ++i) {
+    const auto& p = result.per_protocol[i];
+    if (!p.feasible()) continue;
+    const double headroom = e_budget - p.outcome->nbs.energy;
+    if (best < 0 || headroom > best_headroom) {
+      best = static_cast<int>(i);
+      best_headroom = headroom;
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 ServiceCore::ServiceCore(const CoreOptions& opts)
-    : cache_(opts.cache_capacity, opts.cache_shards),
-      engine_(opts.engine),
-      planner_(engine_, cache_) {
+    : cache_(opts.cache_capacity, opts.cache_shards), engine_(opts.engine) {
   // EDB_FAULT_PLAN takes effect for any process that serves queries:
   // chaos runs configure injection by environment alone (util/fault.h).
   // No-op when the variable is unset.
   fault::install_from_env();
-  planner_.set_cancel(&cancel_);
-  planner_.set_degrade(opts.degrade);
 }
 
 std::vector<Expected<TuningResult>> ServiceCore::serve(
     const std::vector<TuningQuery>& queries) {
-  return planner_.run(queries);
+  EDB_SPAN("service.plan.batch");
+  ++stats_.batches;
+  stats_.queries += queries.size();
+
+  std::vector<Expected<TuningResult>> out(
+      queries.size(),
+      Expected<TuningResult>(make_error(ErrorCode::kInternal, "not planned")));
+  std::vector<TuningResult> partial(queries.size());
+  std::vector<bool> failed(queries.size(), false);
+
+  // Stage 1+2: resolve keys, drain the cache, coalesce in-batch repeats.
+  std::vector<Miss> misses;
+  std::unordered_map<std::string, std::size_t> miss_index;
+  {
+    EDB_SPAN("service.plan.resolve");
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      const TuningQuery& q = queries[qi];
+      auto valid = q.scenario.validate();
+      if (!valid.ok()) {
+        out[qi] = valid.error();
+        failed[qi] = true;
+        continue;
+      }
+      if (!(q.options.alpha > 0.0 && q.options.alpha < 1.0)) {
+        // Reject here rather than letting the engine's assertion abort the
+        // dispatcher: a malformed query is the caller's error, not ours.
+        out[qi] = make_error(ErrorCode::kInvalidArgument,
+                             "bargaining power alpha must lie in (0, 1)");
+        failed[qi] = true;
+        continue;
+      }
+      auto protocols = canonical_protocol_set(q.protocols);
+      if (!protocols.ok()) {
+        out[qi] = protocols.error();
+        failed[qi] = true;
+        continue;
+      }
+      partial[qi].key = query_key(q.scenario, *protocols, q.options);
+      // "service.dispatch" injection site: request processing itself,
+      // keyed on the whole-query canonical hash (a stable identity, so
+      // the same query faults identically at any thread count or arrival
+      // order).  Bounded deterministic retries absorb short blips; on
+      // exhaustion the query fails with kUnavailable.
+      if (fault::active()) {
+        bool lost = false;
+        for (std::uint32_t attempt = 0;; ++attempt) {
+          const fault::Action a = fault::inject("service.dispatch",
+                                                partial[qi].key.hash, attempt);
+          if (a.kind == fault::Kind::kStall) {
+            fault::apply_stall(a);
+            break;
+          }
+          if (a.kind == fault::Kind::kNone) break;
+          if (attempt + 1 >= kDispatchAttempts) {
+            lost = true;
+            break;
+          }
+        }
+        if (lost) {
+          out[qi] = make_error(ErrorCode::kUnavailable,
+                               "injected fault at service.dispatch");
+          count_service_error(ErrorCode::kUnavailable);
+          failed[qi] = true;
+          continue;
+        }
+      }
+      partial[qi].per_protocol.resize(protocols->size());
+      for (std::size_t pi = 0; pi < protocols->size(); ++pi) {
+        const std::string& name = (*protocols)[pi];
+        const QueryKey key = protocol_key(q.scenario, name, q.options);
+        ++stats_.protocol_queries;
+        // "cache.lookup" injection site: a fired fault suppresses this
+        // attempt's lookup (the entry may exist, but the attempt cannot
+        // see it), so the slot falls through to the miss path — where the
+        // degradation ladder's stale re-read may still recover it.
+        auto cached = [&]() -> std::optional<ProtocolOutcome> {
+          if (fault::active()) {
+            const fault::Action a = fault::inject("cache.lookup", key.hash);
+            if (a.kind == fault::Kind::kStall) {
+              fault::apply_stall(a);
+            } else if (a.fires()) {
+              return std::nullopt;
+            }
+          }
+          return cache_.get(key);
+        }();
+        if (cached) {
+          ++stats_.cache_hits;
+          partial[qi].per_protocol[pi] = std::move(*cached);
+          continue;
+        }
+        const auto it = miss_index.find(key.canonical);
+        if (it != miss_index.end()) {
+          ++stats_.coalesced;
+          misses[it->second].sinks.emplace_back(qi, pi);
+          continue;
+        }
+        miss_index.emplace(key.canonical, misses.size());
+        misses.push_back(Miss{key, name, &q, {{qi, pi}}});
+      }
+    }
+  }
+
+  // Stage 3: build one model per distinct (deployment, protocol), group
+  // the misses into sweeps and fan their cells through the engine.
+  if (!misses.empty()) {
+    std::vector<std::unique_ptr<mac::AnalyticMacModel>> models;
+    std::unordered_map<std::string, std::size_t> model_index;
+    std::vector<core::PointQuery> points;
+    points.reserve(misses.size());
+    for (const Miss& m : misses) {
+      const std::string model_key =
+          context_key(m.query->scenario.context).canonical + m.protocol;
+      auto it = model_index.find(model_key);
+      if (it == model_index.end()) {
+        // The protocol name came out of the registry, so this cannot fail.
+        models.push_back(
+            mac::make_model(m.protocol, m.query->scenario.context).take());
+        it = model_index.emplace(model_key, models.size() - 1).first;
+      }
+      points.push_back(core::PointQuery{
+          models[it->second].get(), m.query->scenario.requirements,
+          m.query->options.alpha,
+          core::SolveControl{&cancel_, m.query->options.eval_budget}});
+    }
+
+    core::SweepPlan plan = core::plan_point_queries(points);
+    auto results = [&] {
+      EDB_SPAN("service.plan.solve");
+      return engine_.run_sweeps(plan.jobs);
+    }();
+    stats_.sweep_jobs += plan.jobs.size();
+    for (const auto& r : results) stats_.solved += r.cells.size();
+
+    // Stage 4: install and scatter, through the resilience machinery
+    // (DESIGN.md §10).  Per distinct miss:
+    //
+    //   1. "planner.solve" injection (keyed on the slot's canonical key
+    //      hash): a fired fault discards this attempt's answer.
+    //   2. Transient failures (injected, kDeadlineExceeded, kCancelled)
+    //      walk the degradation ladder — stale cache re-read first (no
+    //      injection: the degraded path IS the recovery), then a
+    //      coarse-grid quick answer.
+    //   3. Only full-quality outcomes install into the cache.  Every
+    //      transient code walked the ladder, so no transient negative
+    //      entry and no degraded answer is cached (both describe this
+    //      attempt, not the question).
+    EDB_SPAN("service.plan.install");
+    for (std::size_t mi = 0; mi < misses.size(); ++mi) {
+      const core::SweepSlot slot = plan.slots[mi];
+      const core::SweepCell& cell = results[slot.job].cells[slot.cell];
+      ProtocolOutcome po{misses[mi].protocol, cell.outcome,
+                         cell.infeasible_reason, cell.infeasible_code};
+
+      if (fault::active()) {
+        const fault::Action a =
+            fault::inject("planner.solve", misses[mi].key.hash);
+        if (a.kind == fault::Kind::kStall) {
+          fault::apply_stall(a);
+        } else if (a.fires()) {
+          po = ProtocolOutcome{misses[mi].protocol, std::nullopt,
+                               "injected fault at planner.solve",
+                               ErrorCode::kUnavailable};
+        }
+      }
+
+      ResultQuality quality = ResultQuality::kFull;
+      if (!po.feasible() && is_transient(po.infeasible_code)) {
+        ++stats_.transient_failures;
+        count_service_error(po.infeasible_code);
+        if (auto stale = cache_.get(misses[mi].key)) {
+          po = std::move(*stale);
+          quality = ResultQuality::kStale;
+          ++stats_.degraded_stale;
+        } else {
+          const core::PointQuery& pq = points[mi];
+          core::EnergyDelayGame game(*pq.model, pq.req);
+          game.set_solver_mode(core::SolverMode::kCoarse);
+          // Cancellation still binds (shutdown must win) but no eval
+          // budget: the coarse pipeline is bounded by construction —
+          // it IS the deadline fallback.
+          game.set_control(core::SolveControl{&cancel_, 0});
+          auto coarse = game.solve_weighted(pq.alpha);
+          if (coarse.ok()) {
+            po = ProtocolOutcome{misses[mi].protocol,
+                                 std::move(coarse).take(), "",
+                                 ErrorCode::kInfeasible};
+          } else {
+            po = ProtocolOutcome{misses[mi].protocol, std::nullopt,
+                                 coarse.error().to_string(),
+                                 coarse.error().code};
+          }
+          quality = ResultQuality::kCoarse;
+          ++stats_.degraded_coarse;
+        }
+        count_degraded(quality);
+      }
+
+      if (quality == ResultQuality::kFull) cache_.put(misses[mi].key, po);
+      for (const auto& [qi, pi] : misses[mi].sinks) {
+        partial[qi].per_protocol[pi] = po;
+        partial[qi].quality = worse(partial[qi].quality, quality);
+      }
+    }
+  }
+
+  for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+    if (failed[qi]) continue;
+    partial[qi].recommended =
+        pick_recommended(partial[qi], queries[qi].scenario.requirements.e_budget);
+    out[qi] = std::move(partial[qi]);
+  }
+  return out;
 }
 
 }  // namespace edb::service

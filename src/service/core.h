@@ -1,26 +1,42 @@
-// Transport-free serving core: cache + planner + engine, no threads.
+// Transport-free serving core: cache + miss pipeline + engine, no threads.
 //
 // ServiceCore is the part of the tuning service every front door shares —
-// the value-preserving result cache, the batch planner's dedup/coalesce/
-// group pipeline and the scenario engine it fans misses through —
-// with no threads, no tickets, no sockets and no admission control.  The
-// one serving shell in front of it is service::Dispatcher
-// (service/dispatcher.h), which both front doors — TuningService
-// (service/service.h) and TuningServer (server/server.h) — wrap.  Benches
-// and tests that want the pipeline without any dispatch machinery call
-// serve() directly.
+// the value-preserving result cache, the miss pipeline and the scenario
+// engine it fans misses through — with no threads, no tickets, no
+// sockets and no admission control.  The one serving shell in front of
+// it is service::Dispatcher (service/dispatcher.h), which both front
+// doors — TuningService (service/service.h) and TuningServer
+// (server/server.h) — wrap.  Benches and tests that want the pipeline
+// without any dispatch machinery call serve() directly.
+//
+// serve() runs a batch through four deterministic stages:
+//
+//   1. resolve  — validate the scenario, canonicalize the protocol set,
+//                 derive one cache key per (query, protocol);
+//   2. dedup    — look every key up in the sharded cache; among the
+//                 misses, coalesce keys that repeat within the batch so
+//                 each distinct question is solved exactly once;
+//   3. group    — hand the remaining distinct misses to
+//                 core::plan_point_queries, which folds queries differing
+//                 only in Lmax into sweeps, and fan every cell of those
+//                 sweeps through the scenario engine as one cold solve;
+//   4. install  — write every solved outcome into the cache and scatter it
+//                 to all the queries that asked; a transient failure is
+//                 served down the degradation ladder (service/resilience.h).
 //
 // Thread-safety: NOT thread-safe.  Exactly one thread may call serve()
-// at a time (the planner mutates state and enters the engine's
+// at a time (the pipeline mutates its counters and enters the engine's
 // deterministic pool); the dispatcher's serve thread is that thread.
 // cancel() is the exception — any thread may trip the cooperative-
 // cancellation token (shutdown paths do).
 //
 // Determinism: serve() is value-preserving — every result's outcomes,
 // feasibility flags and infeasibility reasons are bit-identical to a cold
-// sequential core::run_sweep over the same canonical inputs, which is
-// what makes the server tier's wire-vs-in-process byte-identity gate
-// possible (DESIGN.md §11).
+// sequential core::run_sweep over the same canonical inputs (the cache is
+// value-preserving by construction, service/cache.h, and the engine's
+// width never changes a cell, core/engine.h), which is what makes the
+// server tier's wire-vs-in-process byte-identity gate possible
+// (DESIGN.md §11).
 #pragma once
 
 #include <atomic>
@@ -38,9 +54,6 @@ struct CoreOptions {
   core::EngineOptions engine;         // miss-path engine configuration
   std::size_t cache_capacity = 4096;  // protocol outcomes; 0 = no caching
   std::size_t cache_shards = 16;
-  // Degradation ladder (service/resilience.h): serve stale/coarse answers
-  // instead of transient miss-path errors.
-  bool degrade = true;
 };
 
 // Everything a front door configures about serving (the socket tier's
@@ -76,8 +89,9 @@ class ServiceCore {
   ServiceCore(const ServiceCore&) = delete;
   ServiceCore& operator=(const ServiceCore&) = delete;
 
-  // Answers one batch; slot i answers queries[i].  Single caller at a
-  // time (see header comment).
+  // Answers one batch; slot i answers queries[i].  Per-query errors
+  // (invalid scenario, unknown protocol) come back in the slot, not as a
+  // batch failure.  Single caller at a time (see header comment).
   std::vector<Expected<TuningResult>> serve(
       const std::vector<TuningQuery>& queries);
 
@@ -88,12 +102,12 @@ class ServiceCore {
 
   CacheStats cache_stats() const { return cache_.stats(); }
   // Valid between serve() calls only (same exclusion as serve itself).
-  const PlannerStats& planner_stats() const { return planner_.stats(); }
+  const PlannerStats& planner_stats() const { return stats_; }
 
  private:
   ShardedResultCache cache_;
   core::ScenarioEngine engine_;
-  BatchPlanner planner_;
+  PlannerStats stats_;
   std::atomic<bool> cancel_{false};
 };
 

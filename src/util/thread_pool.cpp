@@ -7,8 +7,8 @@ namespace edb {
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = hardware_threads();
   threads = std::max(1, threads);
-  // The run_all caller drains its own batch, so it is one of the compute
-  // threads: spawn threads - 1 workers to get exactly `threads` of
+  // The parallel_for caller drains its own batch, so it is one of the
+  // compute threads: spawn threads - 1 workers to get exactly `threads` of
   // concurrency without oversubscribing.  A size-1 pool has no workers.
   workers_.reserve(static_cast<std::size_t>(threads - 1));
   for (int i = 0; i < threads - 1; ++i) {
@@ -31,13 +31,11 @@ int ThreadPool::hardware_threads() {
 }
 
 void ThreadPool::drain(Batch& batch) {
-  const auto& tasks = *batch.tasks;
-  const std::size_t n = tasks.size();
   for (;;) {
     const std::size_t i = batch.next.fetch_add(1);
-    if (i >= n) return;
+    if (i >= batch.n) return;
     try {
-      tasks[i]();
+      (*batch.fn)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(batch.error_mutex);
       batch.errors.emplace_back(i, std::current_exception());
@@ -46,10 +44,12 @@ void ThreadPool::drain(Batch& batch) {
   }
 }
 
-void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
   Batch batch;
-  batch.tasks = &tasks;
+  batch.fn = &fn;
+  batch.n = n;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     batch_ = &batch;
@@ -62,12 +62,11 @@ void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
 
   // Unpublish, then wait until every worker has left the batch: a worker
   // that grabbed the batch pointer may still be inside drain() even after
-  // all task indices are claimed, and `batch` lives on this stack frame.
+  // all indices are claimed, and `batch` lives on this stack frame.
   std::unique_lock<std::mutex> lock(mutex_);
   batch_ = nullptr;
-  idle_.wait(lock, [&] {
-    return visitors_ == 0 && batch.done.load() == tasks.size();
-  });
+  idle_.wait(lock,
+             [&] { return visitors_ == 0 && batch.done.load() == n; });
   lock.unlock();
 
   if (!batch.errors.empty()) {
@@ -76,16 +75,6 @@ void ThreadPool::run_all(const std::vector<std::function<void()>>& tasks) {
         [](const auto& a, const auto& b) { return a.first < b.first; });
     std::rethrow_exception(first->second);
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks.push_back([&fn, i] { fn(i); });
-  }
-  run_all(tasks);
 }
 
 void ThreadPool::worker_loop() {

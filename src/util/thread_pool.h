@@ -1,18 +1,18 @@
-// Deterministic fixed-size thread pool for independent task batches.
+// Deterministic fixed-size thread pool for independent index batches.
 //
 // The scenario engine fans independent solves across threads.  Results must
 // not depend on scheduling, so the pool is deliberately work-stealing-free:
-// a batch is a vector of closures, workers claim indices from a single
-// atomic counter in submission order, and every task writes only its own
-// output slot.  `run_all` blocks until the whole batch settles, so callers
-// never observe a half-finished batch, and the pool never interleaves two
-// batches.
+// a batch is fn(0) .. fn(n - 1), workers claim indices from a single
+// atomic counter in submission order, and every call writes only its own
+// output slot.  `parallel_for` blocks until the whole batch settles, so
+// callers never observe a half-finished batch, and the pool never
+// interleaves two batches.
 //
 // The library avoids exceptions on hot paths, but std::bad_alloc and user
-// closures can still unwind out of a task.  A throwing task never takes
-// down a worker: the batch keeps running to completion, each exception is
-// captured, and the first one (by task index, not by completion time —
-// again deterministic) is rethrown from run_all on the calling thread.
+// code can still unwind out of a call.  A throwing call never takes down a
+// worker: the batch keeps running to completion, each exception is
+// captured, and the first one (by index, not by completion time — again
+// deterministic) is rethrown from parallel_for on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -31,32 +31,31 @@ class ThreadPool {
  public:
   // A pool of `threads` compute threads (clamped to >= 1); 0 picks the
   // hardware concurrency.  The calling thread counts as one of them during
-  // run_all, so `threads - 1` workers are spawned.
+  // parallel_for, so `threads - 1` workers are spawned.
   explicit ThreadPool(int threads = 0);
-  // Joins all workers.  Must not be called while run_all is in flight on
-  // another thread.
+  // Joins all workers.  Must not be called while parallel_for is in
+  // flight on another thread.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Compute concurrency of a run_all: the workers plus the caller.
+  // Compute concurrency of a parallel_for: the workers plus the caller.
   int size() const { return static_cast<int>(workers_.size()) + 1; }
 
-  // Runs the batch and blocks until every task has finished.  The calling
-  // thread participates, so a size-1 pool still makes progress and a batch
-  // of one task costs no handoff.  Rethrows the lowest-indexed captured
-  // exception after the whole batch has settled.
-  void run_all(const std::vector<std::function<void()>>& tasks);
-
-  // Convenience: run_all over fn(0) .. fn(n - 1).
+  // Runs fn(0) .. fn(n - 1) and blocks until every call has finished.
+  // The calling thread participates, so a size-1 pool runs the batch
+  // itself in index order and a batch of one costs no handoff.  Rethrows
+  // the lowest-indexed captured exception after the whole batch has
+  // settled.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   static int hardware_threads();
 
  private:
   struct Batch {
-    const std::vector<std::function<void()>>* tasks = nullptr;
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t n = 0;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex error_mutex;

@@ -208,11 +208,11 @@ TEST(TraceFrontierBatch, IdenticalToScalar) {
   auto f2 = [](const std::vector<double>& x) { return (x[0] - 3.0) * (x[0] - 3.0); };
   auto feas = [](const std::vector<double>& x) { return 2.5 - x[0]; };
   Box box({0.0}, {4.0});
-  const ParetoOptions opts{.points_per_dim = 700};  // > one block
-  auto scalar = trace_frontier(f1, f2, box, feas, opts);
+  constexpr int kPointsPerDim = 700;  // > one block
+  auto scalar = trace_frontier(f1, f2, box, feas, kPointsPerDim);
   auto batch =
       trace_frontier(batch_from_scalar(f1), batch_from_scalar(f2), box,
-                     batch_from_scalar(feas), opts);
+                     batch_from_scalar(feas), kPointsPerDim);
   ASSERT_EQ(scalar.size(), batch.size());
   for (std::size_t i = 0; i < scalar.size(); ++i) {
     EXPECT_TRUE(bits_eq(scalar[i].f1, batch[i].f1));

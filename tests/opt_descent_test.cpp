@@ -30,7 +30,6 @@ namespace {
 using opt::bdca_descend;
 using opt::bdca_multistart_min;
 using opt::Box;
-using opt::DescentOptions;
 
 ::testing::AssertionResult bits_eq(double a, double b) {
   if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
@@ -134,14 +133,11 @@ TEST(BdcaMultistart, BitStableUnderShuffledExtraSeeds) {
   const std::vector<std::vector<double>> seeds = {
       {0.9}, {-0.9}, {0.31}, {1.77}, {-0.31}, {0.9}};  // incl. a duplicate
 
-  DescentOptions a;
-  a.extra_seeds = seeds;
-  auto ra = bdca_multistart_min(batched(dwell), box, a);
+  auto ra = bdca_multistart_min(batched(dwell), box, seeds);
 
-  DescentOptions b;
-  b.extra_seeds = seeds;
-  std::reverse(b.extra_seeds.begin(), b.extra_seeds.end());
-  auto rb = bdca_multistart_min(batched(dwell), box, b);
+  auto reversed = seeds;
+  std::reverse(reversed.begin(), reversed.end());
+  auto rb = bdca_multistart_min(batched(dwell), box, reversed);
 
   ASSERT_EQ(ra.x.size(), rb.x.size());
   for (std::size_t i = 0; i < ra.x.size(); ++i) {

@@ -22,7 +22,7 @@ TEST(NelderMead, Rosenbrock2D) {
     const double a = 1 - x[0];
     const double b = x[1] - x[0] * x[0];
     return a * a + 100 * b * b;
-  }, box, {-1.0, 1.0}, {.max_iterations = 5000});
+  }, box, {-1.0, 1.0});
   EXPECT_NEAR(r.x[0], 1.0, 1e-3);
   EXPECT_NEAR(r.x[1], 1.0, 1e-3);
 }
@@ -55,7 +55,7 @@ TEST(NelderMead, FourDimensionalSphere) {
       s += d * d;
     }
     return s;
-  }, box, {1, 1, 1, 1}, {.max_iterations = 5000});
+  }, box, {1, 1, 1, 1});
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(r.x[i], 0.3 * (static_cast<double>(i) + 1), 1e-4);
   }

@@ -54,7 +54,7 @@ TEST(TraceFrontier, HyperbolicTradeoffIsFullyNonDominated) {
   auto front = trace_frontier(
       [](const std::vector<double>& x) { return x[0]; },
       [](const std::vector<double>& x) { return 1.0 / x[0]; }, box, nullptr,
-      {.points_per_dim = 101});
+      101);
   EXPECT_EQ(front.size(), 101u);
 }
 
@@ -64,7 +64,7 @@ TEST(TraceFrontier, FeasibilityFilterApplied) {
       [](const std::vector<double>& x) { return x[0]; },
       [](const std::vector<double>& x) { return 1.0 - x[0]; }, box,
       [](const std::vector<double>& x) { return x[0] - 0.5; },  // x > 0.5
-      {.points_per_dim = 101});
+      101);
   for (const auto& p : front) {
     EXPECT_GT(p.x[0], 0.5);
   }
@@ -80,7 +80,7 @@ TEST(TraceFrontier, UShapedObjectiveProducesPartialFrontier) {
         return (x[0] - 0.5) * (x[0] - 0.5);
       },
       [](const std::vector<double>& x) { return x[0]; }, box, nullptr,
-      {.points_per_dim = 101});
+      101);
   for (const auto& p : front) {
     EXPECT_LE(p.x[0], 0.5 + 1e-9);
   }

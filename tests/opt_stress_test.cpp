@@ -23,7 +23,7 @@ TEST(NelderMeadStress, SixDimensionalSphere) {
         for (double v : x) s += (v - 0.5) * (v - 0.5);
         return s;
       },
-      box, std::vector<double>(n, -2.0), {.max_iterations = 20000});
+      box, std::vector<double>(n, -2.0));
   for (double v : r.x) EXPECT_NEAR(v, 0.5, 1e-2);
 }
 
@@ -37,7 +37,7 @@ TEST(NelderMeadStress, ScaleMismatchedAxes) {
         const double b = (x[1] - 500.0) / 1e3;
         return a * a + b * b;
       },
-      box, {1e-4, 100.0}, {.max_iterations = 10000});
+      box, {1e-4, 100.0});
   EXPECT_NEAR(r.x[0], 5e-4, 1e-5);
   EXPECT_NEAR(r.x[1], 500.0, 10.0);
 }

@@ -3,8 +3,9 @@
 // localhost port.  Covers the handshake, the byte-identity contract
 // (wire RESULT == encoded in-process ServiceCore answer), pipelined
 // response ordering, admission shed on the wire (global bucket, tenant
-// bucket, queue bound), the fatal path for malformed frames, the JSON
-// debug mode over a raw socket, and drain and no-drain shutdown.
+// bucket, queue bound), the fatal path for malformed and oversized frames
+// and JSON lines, the JSON debug mode over a raw socket, and drain and
+// no-drain shutdown.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -60,6 +61,44 @@ service::CoreOptions reference_options(const ServerOptions& s) {
 
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
+}
+
+// A plain blocking TCP connection to the local server, for tests that
+// speak raw bytes instead of going through WireClient; -1 on failure.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& bytes) {
+  for (std::size_t off = 0; off < bytes.size();) {
+    const ssize_t r = ::send(fd, bytes.data() + off, bytes.size() - off,
+                             MSG_NOSIGNAL);
+    if (r <= 0) return false;
+    off += static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
+// Reads until a newline arrives; empty if the server closed first.
+std::string recv_line(int fd) {
+  std::string got;
+  char buf[4096];
+  while (got.find('\n') == std::string::npos) {
+    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+    if (r <= 0) return {};
+    got.append(buf, static_cast<std::size_t>(r));
+  }
+  return got;
 }
 
 TEST(ServerSocket, ServesOneQueryBitIdenticalToInProcessCore) {
@@ -345,20 +384,61 @@ TEST(ServerSocket, UndecodableQueryBodyIsFatal) {
   srv.shutdown(/*drain=*/true);
 }
 
+TEST(ServerSocket, OversizedFrameAndJsonLineGetFatalErrorAndClose) {
+  TuningServer srv(test_options(1));
+  ASSERT_TRUE(srv.start().ok());
+
+  // Binary: a length prefix one past kMaxFrame is refused on sight,
+  // before any payload arrives.
+  {
+    WireClient client;
+    ASSERT_TRUE(client.connect("127.0.0.1", srv.port()).ok());
+    const std::uint32_t len = kMaxFrame + 1;
+    const std::string prefix = {static_cast<char>(len & 0xff),
+                                static_cast<char>((len >> 8) & 0xff),
+                                static_cast<char>((len >> 16) & 0xff),
+                                static_cast<char>(len >> 24)};
+    ASSERT_TRUE(send_all(client.fd(), prefix));
+    auto resp = client.next_response();
+    ASSERT_TRUE(resp.ok()) << resp.error().to_string();
+    ASSERT_TRUE(resp->error.has_value());
+    EXPECT_TRUE(resp->error->fatal);
+    EXPECT_EQ(resp->error->code, ErrorCode::kInvalidArgument);
+    EXPECT_EQ(resp->error->message, "frame exceeds the negotiated maximum");
+    EXPECT_FALSE(client.connected());
+  }
+
+  // JSON: a line that grows past kMaxFrame without a newline.  The
+  // handshake goes first, so the oversized line is all the server holds
+  // when it refuses — it has read every byte, and closes with a FIN.
+  const int fd = connect_raw(srv.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "{\"hello\": 1, \"tenant\": \"t\"}\n"));
+  const std::string hello_ok = recv_line(fd);
+  EXPECT_NE(hello_ok.find("\"hello_ok\":1"), std::string::npos) << hello_ok;
+  ASSERT_TRUE(send_all(fd, std::string(std::size_t{kMaxFrame} + 1, 'x')));
+  const std::string err = recv_line(fd);
+  EXPECT_NE(err.find("\"fatal\":true"), std::string::npos) << err;
+  EXPECT_NE(err.find("\"code\":\"invalid_argument\""), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("json line exceeds the frame limit"), std::string::npos)
+      << err;
+  char buf[64];
+  EXPECT_EQ(::recv(fd, buf, sizeof buf, 0), 0);
+  ::close(fd);
+
+  EXPECT_EQ(srv.stats().protocol_errors, 2u);
+  srv.shutdown(/*drain=*/true);
+}
+
 TEST(ServerSocket, VersionMismatchedHelloIsRefused) {
   TuningServer srv(test_options(1));
   ASSERT_TRUE(srv.start().ok());
 
   // WireClient always sends a well-formed v1 HELLO, so speak raw bytes:
   // the frame itself decodes fine, the server rejects the version field.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(srv.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(srv.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
 
   Hello hello;
   hello.version = kWireVersion + 1;
@@ -396,14 +476,8 @@ TEST(ServerSocket, JsonDebugModeOverARawSocket) {
   TuningServer srv(test_options(1));
   ASSERT_TRUE(srv.start().ok());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(srv.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(srv.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
-            0);
 
   const std::string lines =
       "{\"hello\": 1, \"tenant\": \"debug\"}\n"

@@ -1,4 +1,4 @@
-#include "service/planner.h"
+#include "service/core.h"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +10,14 @@
 namespace edb::service {
 namespace {
 
-// Sequential engine: the planner's grouping, not the executor, is under
+// Sequential engine: the pipeline's grouping, not the executor, is under
 // test, and a deterministic single thread keeps failures readable.
-core::EngineOptions test_engine_opts() {
-  return core::EngineOptions{.threads = 1, .parallel = false};
+CoreOptions test_core_opts() {
+  CoreOptions opts;
+  opts.engine = core::EngineOptions{.threads = 1, .parallel = false};
+  opts.cache_capacity = 64;
+  opts.cache_shards = 4;
+  return opts;
 }
 
 TuningQuery xmac_query(double l_max) {
@@ -26,17 +30,14 @@ TuningQuery xmac_query(double l_max) {
 
 class PlannerTest : public ::testing::Test {
  protected:
-  PlannerTest()
-      : cache_(64, 4), engine_(test_engine_opts()), planner_(engine_, cache_) {}
+  PlannerTest() : core_(test_core_opts()) {}
 
-  ShardedResultCache cache_;
-  core::ScenarioEngine engine_;
-  BatchPlanner planner_;
+  ServiceCore core_;
 };
 
-TEST_F(PlannerTest, GroupsLmaxSiblingsIntoOneWarmChain) {
-  auto results = planner_.run({xmac_query(3.0), xmac_query(4.0),
-                               xmac_query(5.0)});
+TEST_F(PlannerTest, GroupsLmaxSiblingsIntoOneSweep) {
+  auto results = core_.serve({xmac_query(3.0), xmac_query(4.0),
+                              xmac_query(5.0)});
   ASSERT_EQ(results.size(), 3u);
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok());
@@ -44,15 +45,15 @@ TEST_F(PlannerTest, GroupsLmaxSiblingsIntoOneWarmChain) {
     EXPECT_TRUE(r->per_protocol[0].feasible());
     EXPECT_EQ(r->recommended, 0);
   }
-  const auto& stats = planner_.stats();
-  EXPECT_EQ(stats.sweep_jobs, 1u);  // one chain answered all three
+  const auto& stats = core_.planner_stats();
+  EXPECT_EQ(stats.sweep_jobs, 1u);  // one sweep answered all three
   EXPECT_EQ(stats.solved, 3u);
   EXPECT_EQ(stats.cache_hits, 0u);
 }
 
 TEST_F(PlannerTest, ResultsBitIdenticalToColdRunSweep) {
-  auto results = planner_.run({xmac_query(3.0), xmac_query(4.0),
-                               xmac_query(5.0)});
+  auto results = core_.serve({xmac_query(3.0), xmac_query(4.0),
+                              xmac_query(5.0)});
   auto model =
       mac::make_model("X-MAC", core::Scenario::paper_default().context)
           .take();
@@ -81,20 +82,20 @@ TEST_F(PlannerTest, CoalescesDuplicatesWithinABatch) {
   auto q = xmac_query(4.0);
   auto noisy = q;
   noisy.scenario.requirements.l_max *= 1.0 + 1e-13;  // quantizes identically
-  auto results = planner_.run({q, q, noisy});
+  auto results = core_.serve({q, q, noisy});
   ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(planner_.stats().solved, 1u);
-  EXPECT_EQ(planner_.stats().coalesced, 2u);
+  EXPECT_EQ(core_.planner_stats().solved, 1u);
+  EXPECT_EQ(core_.planner_stats().coalesced, 2u);
   EXPECT_EQ(results[0]->per_protocol[0].outcome->nbs.energy,
             results[2]->per_protocol[0].outcome->nbs.energy);
 }
 
 TEST_F(PlannerTest, SecondBatchIsAllCacheHits) {
-  planner_.run({xmac_query(4.0), xmac_query(5.0)});
-  const std::size_t solved_before = planner_.stats().solved;
-  auto again = planner_.run({xmac_query(4.0), xmac_query(5.0)});
-  EXPECT_EQ(planner_.stats().solved, solved_before);  // nothing new
-  EXPECT_EQ(planner_.stats().cache_hits, 2u);
+  core_.serve({xmac_query(4.0), xmac_query(5.0)});
+  const std::size_t solved_before = core_.planner_stats().solved;
+  auto again = core_.serve({xmac_query(4.0), xmac_query(5.0)});
+  EXPECT_EQ(core_.planner_stats().solved, solved_before);  // nothing new
+  EXPECT_EQ(core_.planner_stats().cache_hits, 2u);
   for (const auto& r : again) ASSERT_TRUE(r.ok());
 }
 
@@ -105,7 +106,7 @@ TEST_F(PlannerTest, PerQueryErrorsDoNotFailTheBatch) {
   bad_scenario.scenario.requirements.l_max = -1.0;
   auto bad_alpha = xmac_query(4.0);
   bad_alpha.options.alpha = 1.0;  // solve_weighted wants (0, 1) open
-  auto results = planner_.run(
+  auto results = core_.serve(
       {bad_protocol, xmac_query(4.0), bad_scenario, bad_alpha});
   ASSERT_EQ(results.size(), 4u);
   EXPECT_FALSE(results[0].ok());
@@ -120,7 +121,7 @@ TEST_F(PlannerTest, RecommendationMaximisesEnergyHeadroom) {
   TuningQuery q;
   q.scenario = core::Scenario::paper_default();
   q.protocols = {"X-MAC", "DMAC"};
-  auto results = planner_.run({q});
+  auto results = core_.serve({q});
   ASSERT_TRUE(results[0].ok());
   const auto& r = *results[0];
   ASSERT_EQ(r.per_protocol.size(), 2u);
@@ -144,7 +145,7 @@ TEST_F(PlannerTest, ProtocolOrderIsCanonical) {
   TuningQuery q;
   q.scenario = core::Scenario::paper_default();
   q.protocols = {"xmac", "dmac"};
-  auto results = planner_.run({q});
+  auto results = core_.serve({q});
   ASSERT_TRUE(results[0].ok());
   EXPECT_EQ(results[0]->per_protocol[0].protocol, "DMAC");
   EXPECT_EQ(results[0]->per_protocol[1].protocol, "X-MAC");

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace edb {
@@ -23,17 +24,13 @@ TEST(ThreadPoolTest, ZeroPicksHardwareConcurrency) {
   EXPECT_EQ(pool.size(), ThreadPool::hardware_threads());
 }
 
-TEST(ThreadPoolTest, RunAllExecutesEveryTaskExactlyOnce) {
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kTasks = 100;
   std::vector<std::atomic<int>> counts(kTasks);
-  std::vector<std::function<void()>> tasks;
+  pool.parallel_for(kTasks, [&](std::size_t i) { counts[i].fetch_add(1); });
   for (std::size_t i = 0; i < kTasks; ++i) {
-    tasks.push_back([&counts, i] { counts[i].fetch_add(1); });
-  }
-  pool.run_all(tasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
+    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
   }
 }
 
@@ -47,9 +44,10 @@ TEST(ThreadPoolTest, ParallelForWritesOwnSlots) {
 }
 
 TEST(ThreadPoolTest, EmptyBatchIsANoop) {
-  ThreadPool pool(2);
-  pool.run_all({});
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
+  for (int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
+  }
 }
 
 TEST(ThreadPoolTest, PoolIsReusableAcrossBatches) {
@@ -63,21 +61,17 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossBatches) {
 
 TEST(ThreadPoolTest, LowestIndexedExceptionPropagates) {
   ThreadPool pool(4);
-  std::vector<std::function<void()>> tasks;
   std::atomic<int> executed{0};
-  for (std::size_t i = 0; i < 16; ++i) {
-    tasks.push_back([&executed, i] {
+  try {
+    pool.parallel_for(16, [&](std::size_t i) {
       executed.fetch_add(1);
       if (i == 3 || i == 11) {
         throw std::runtime_error("task " + std::to_string(i));
       }
     });
-  }
-  try {
-    pool.run_all(tasks);
     FAIL() << "expected the captured exception to be rethrown";
   } catch (const std::runtime_error& e) {
-    // Deterministic: the lowest task index wins regardless of completion
+    // Deterministic: the lowest index wins regardless of completion
     // order, and the batch still ran to completion first.
     EXPECT_STREQ(e.what(), "task 3");
   }
@@ -86,9 +80,9 @@ TEST(ThreadPoolTest, LowestIndexedExceptionPropagates) {
 
 TEST(ThreadPoolTest, UsableAfterAnExceptionalBatch) {
   ThreadPool pool(2);
-  std::vector<std::function<void()>> bad;
-  bad.push_back([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.run_all(bad), std::runtime_error);
+  EXPECT_THROW(pool.parallel_for(
+                   1, [](std::size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
 
   std::atomic<int> ok{0};
   pool.parallel_for(5, [&](std::size_t) { ok.fetch_add(1); });
