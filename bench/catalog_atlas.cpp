@@ -25,14 +25,14 @@
 #include "bench_json.h"
 #include "catalog/atlas.h"
 #include "catalog/catalog.h"
+#include "engine/fan.h"
 #include "service/service.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace edb;
   int threads = argc > 1 ? std::atoi(argv[1]) : 4;
-  if (threads <= 0) threads = ThreadPool::hardware_threads();
+  if (threads <= 0) threads = engine::Fan::hardware_threads();
   const std::size_t cap =
       argc > 2 ? static_cast<std::size_t>(std::atoll(argv[2])) : 0;
 

@@ -24,11 +24,11 @@
 
 #include "bench_json.h"
 #include "core/engine.h"
+#include "engine/fan.h"
 #include "mac/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/math.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   using namespace edb;
 
   int threads = argc > 1 ? std::atoi(argv[1]) : 4;
-  if (threads <= 0) threads = ThreadPool::hardware_threads();
+  if (threads <= 0) threads = engine::Fan::hardware_threads();
   const int n_cells = std::max(2, argc > 2 ? std::atoi(argv[2]) : 40);
   const std::vector<std::string> protocols = mac::registered_protocols();
 

@@ -16,10 +16,10 @@
 #include "core/game_framework.h"
 #include "core/report.h"
 #include "core/sweep.h"
+#include "engine/fan.h"
 #include "mac/registry.h"
 #include "util/si.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace edb::bench {
 
@@ -29,7 +29,7 @@ namespace edb::bench {
 inline int figure_threads(int argc, char** argv) {
   if (argc <= 1) return 1;
   const int threads = std::atoi(argv[1]);
-  return threads <= 0 ? ThreadPool::hardware_threads() : threads;
+  return threads <= 0 ? engine::Fan::hardware_threads() : threads;
 }
 
 inline int run_figure(const std::string& protocol, core::SweepKind kind,

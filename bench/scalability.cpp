@@ -30,15 +30,15 @@
 
 #include "catalog/catalog.h"
 #include "core/engine.h"
+#include "engine/fan.h"
 #include "mac/registry.h"
 #include "util/si.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace edb;
   int threads = argc > 1 ? std::atoi(argv[1]) : 4;
-  if (threads <= 0) threads = ThreadPool::hardware_threads();
+  if (threads <= 0) threads = engine::Fan::hardware_threads();
   std::printf("== Scalability in deployment size ==\n");
   std::printf("players stay {energy, delay}; the network only enters through "
               "the traffic\nmodel, so solve cost is flat in N\n\n");

@@ -28,12 +28,12 @@
 
 #include "bench_json.h"
 #include "catalog/validation.h"
+#include "engine/fan.h"
 #include "mac/model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -51,7 +51,7 @@ double json_number(const std::string& text, const std::string& key) {
 int main(int argc, char** argv) {
   using namespace edb;
   int threads = argc > 1 ? std::atoi(argv[1]) : 4;
-  if (threads <= 0) threads = ThreadPool::hardware_threads();
+  if (threads <= 0) threads = engine::Fan::hardware_threads();
   const int replications = argc > 2 ? std::atoi(argv[2]) : 3;
   const std::size_t cap =
       argc > 3 ? static_cast<std::size_t>(std::atoll(argv[3])) : 0;

@@ -40,6 +40,12 @@ struct SolveJob {
   SolveControl control = {};
 };
 
+// One protocol-model + requirement-pair question: the unit
+// ServiceCore::serve (service/core.h) groups into sweeps.  Queries only
+// group into one sweep when their controls agree: a sweep carries one
+// control for all of its cells.
+using PointQuery = SolveJob;
+
 // One requirement sweep (core/sweep.h semantics: positive ascending
 // values).  The model must outlive the call.
 struct SweepJob {
@@ -49,18 +55,6 @@ struct SweepJob {
   std::vector<double> values;
   double alpha = 0.5;
   // Deadline/cancellation applied per cell solve.
-  SolveControl control = {};
-};
-
-// One protocol-model + requirement-pair question: the unit the service
-// layer's batch planner deals in (service/planner.h).
-struct PointQuery {
-  const mac::AnalyticMacModel* model = nullptr;
-  AppRequirements req;
-  double alpha = 0.5;
-  // Deadline/cancellation (service deadlines arrive here).  Queries only
-  // group into one sweep when their controls agree: a sweep carries one
-  // control for all of its cells.
   SolveControl control = {};
 };
 

@@ -4,16 +4,13 @@
 //
 //   EDB_SPAN("solver.dual_solve");          // RAII scope span
 //   EDB_COUNT("solver.oracle.evals", n);    // counter += n
-//   EDB_GAUGE_SET("engine.fan.pending", n); // gauge = n
-//   EDB_GAUGE_ADD("engine.fan.pending", -1);
-//   EDB_RECORD("service.latency", seconds); // histogram sample
+//   EDB_GAUGE_ADD("engine.fan.pending", -1); // gauge += delta
 //
 // Metrics are always recorded: the registry lookup happens once per call
 // site via a function-local static reference, so the steady-state cost is
-// one striped relaxed fetch_add (counter), one atomic op (gauge), or one
-// uncontended-lock bucket increment (histogram).  Spans are gated at
-// runtime: an EDB_SPAN records only while obs::Tracer::enabled(), and
-// otherwise costs one relaxed atomic load.  Sites sit on per-solve,
+// one striped relaxed fetch_add (counter) or one atomic op (gauge).
+// Spans are gated at runtime: an EDB_SPAN records only while
+// obs::Tracer::enabled(), and otherwise costs one relaxed atomic load.  Sites sit on per-solve,
 // per-batch and per-job boundaries, never per oracle evaluation.
 //
 // The instrumented computation is untouched (DESIGN.md §8,
@@ -39,23 +36,9 @@
     edb_obs_metric.add(static_cast<std::uint64_t>(n));                 \
   } while (0)
 
-#define EDB_GAUGE_SET(name, v)                                         \
-  do {                                                                 \
-    static ::edb::obs::Gauge& edb_obs_metric =                         \
-        ::edb::obs::Registry::global().gauge(name);                    \
-    edb_obs_metric.set(static_cast<std::int64_t>(v));                  \
-  } while (0)
-
 #define EDB_GAUGE_ADD(name, delta)                                     \
   do {                                                                 \
     static ::edb::obs::Gauge& edb_obs_metric =                         \
         ::edb::obs::Registry::global().gauge(name);                    \
     edb_obs_metric.add(static_cast<std::int64_t>(delta));              \
-  } while (0)
-
-#define EDB_RECORD(name, seconds)                                      \
-  do {                                                                 \
-    static ::edb::obs::Histogram& edb_obs_metric =                     \
-        ::edb::obs::Registry::global().histogram(name);                \
-    edb_obs_metric.record(static_cast<double>(seconds));               \
   } while (0)

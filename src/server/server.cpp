@@ -314,10 +314,7 @@ struct TuningServer::Impl {
         // Client FIN: no more requests; finish what is in flight, then
         // close from flush_output once everything drained.
         conn->peer_eof = true;
-        epoll_event ev{};
-        ev.events = conn->want_write ? EPOLLOUT : 0u;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+        update_interest(w, *conn);
         flush_output(w, conn);
         return;
       }
@@ -501,10 +498,7 @@ struct TuningServer::Impl {
                         error_frame(*conn, {true, code, std::move(message)}, seq));
     conn->close_after_flush = true;
     // Stop reading: nothing after a protocol violation can be relied on.
-    epoll_event ev{};
-    ev.events = conn->want_write ? EPOLLOUT : 0u;
-    ev.data.fd = conn->fd;
-    ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+    update_interest(w, *conn);
     flush_output(w, conn);
   }
 
@@ -554,12 +548,7 @@ struct TuningServer::Impl {
     const bool backlog = !conn->out.empty();
     if (backlog != conn->want_write) {
       conn->want_write = backlog;
-      epoll_event ev{};
-      const bool reading = !conn->close_after_flush && !conn->peer_eof &&
-                           !draining.load();
-      ev.events = (reading ? EPOLLIN : 0u) | (backlog ? EPOLLOUT : 0u);
-      ev.data.fd = conn->fd;
-      ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+      update_interest(w, *conn);
     }
 
     const bool fully_drained = conn->out.empty() && conn->pending.empty();
@@ -568,6 +557,18 @@ struct TuningServer::Impl {
       ::shutdown(conn->fd, SHUT_WR);  // graceful FIN before close
       close_conn(w, conn);
     }
+  }
+
+  // The one epoll-interest rule: read while the connection may still
+  // bring requests (no fatal error queued, no client FIN, no drain), and
+  // write while output is backlogged.
+  void update_interest(Worker& w, const Connection& conn) {
+    const bool reading =
+        !conn.close_after_flush && !conn.peer_eof && !draining.load();
+    epoll_event ev{};
+    ev.events = (reading ? EPOLLIN : 0u) | (conn.want_write ? EPOLLOUT : 0u);
+    ev.data.fd = conn.fd;
+    ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
   }
 
   void close_conn(Worker& w, const ConnPtr& conn) {
@@ -592,10 +593,7 @@ struct TuningServer::Impl {
     for (const ConnPtr& conn : all) {
       // Drop read interest: unread input would re-fire level-triggered
       // EPOLLIN forever once we stop consuming it.
-      epoll_event ev{};
-      ev.events = conn->want_write ? EPOLLOUT : 0u;
-      ev.data.fd = conn->fd;
-      ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+      update_interest(w, *conn);
       flush_output(w, conn);
     }
   }

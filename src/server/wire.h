@@ -71,7 +71,7 @@ namespace edb::server {
 
 inline constexpr char kMagic[4] = {'E', 'D', 'B', '1'};
 inline constexpr std::uint16_t kWireVersion = 1;
-// Default ceiling on one frame's payload; ServerOptions can lower it.
+// Ceiling on one frame's payload, for the server and the client alike.
 // A QUERY is a few hundred bytes and a RESULT a few KiB, so 1 MiB is
 // generous headroom, not a real workload size.
 inline constexpr std::uint32_t kMaxFrame = 1u << 20;

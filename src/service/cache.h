@@ -6,14 +6,15 @@
 // Deterministically infeasible outcomes are cached too ("negative
 // caching"): proving infeasibility costs a full solve, and a scenario
 // that cannot be served stays that way until the inputs change.  The
-// planner only installs outcomes whose infeasible_code is deterministic
-// (!is_transient) — one flaky or deadline-bound solve must not poison
-// the key (DESIGN.md §10).
+// serving pipeline only installs outcomes whose infeasible_code is
+// deterministic (!is_transient) — one flaky or deadline-bound solve must
+// not poison the key (DESIGN.md §10).
 //
 // Value preservation is by construction: the cache stores exactly what the
 // engine computed, keyed so that only canonically identical queries can
 // hit, so a served result is bit-identical to a fresh solve of the same
-// canonical inputs (the acceptance property of service/planner.h).
+// canonical inputs (the acceptance property of ServiceCore::serve,
+// service/core.h).
 //
 // Thread-safety: get(), put(), stats(), size() and clear() are safe to
 // call concurrently from any thread — each shard locks independently, so
@@ -49,8 +50,8 @@
 namespace edb::service {
 
 // One protocol's answer at one scenario: the engine's sweep-cell payload
-// minus the swept value (service/planner.h assembles these into
-// TuningResults).
+// minus the swept value (ServiceCore::serve, service/core.h, assembles
+// these into TuningResults).
 struct ProtocolOutcome {
   std::string protocol;  // registered display name
   std::optional<core::BargainingOutcome> outcome;

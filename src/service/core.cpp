@@ -12,10 +12,6 @@
 namespace edb::service {
 namespace {
 
-// Attempts at the "service.dispatch" injection site before a query is
-// failed with kUnavailable (same bound as engine.job's retry ladder).
-constexpr std::uint32_t kDispatchAttempts = 4;
-
 ResultQuality worse(ResultQuality a, ResultQuality b) {
   return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
 }
@@ -97,30 +93,19 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
       // "service.dispatch" injection site: request processing itself,
       // keyed on the whole-query canonical hash (a stable identity, so
       // the same query faults identically at any thread count or arrival
-      // order).  Bounded deterministic retries absorb short blips; on
-      // exhaustion the query fails with kUnavailable.
-      if (fault::active()) {
-        bool lost = false;
-        for (std::uint32_t attempt = 0;; ++attempt) {
-          const fault::Action a = fault::inject("service.dispatch",
-                                                partial[qi].key.hash, attempt);
-          if (a.kind == fault::Kind::kStall) {
-            fault::apply_stall(a);
-            break;
-          }
-          if (a.kind == fault::Kind::kNone) break;
-          if (attempt + 1 >= kDispatchAttempts) {
-            lost = true;
-            break;
-          }
-        }
-        if (lost) {
-          out[qi] = make_error(ErrorCode::kUnavailable,
-                               "injected fault at service.dispatch");
-          count_service_error(ErrorCode::kUnavailable);
-          failed[qi] = true;
-          continue;
-        }
+      // order).  Up to fault::kMaxAttempts deterministic retries absorb
+      // short blips; on exhaustion the query fails with kUnavailable.
+      std::uint32_t attempt = 0;
+      while (attempt < fault::kMaxAttempts &&
+             fault::lost("service.dispatch", partial[qi].key.hash, attempt)) {
+        ++attempt;
+      }
+      if (attempt == fault::kMaxAttempts) {
+        out[qi] = make_error(ErrorCode::kUnavailable,
+                             "injected fault at service.dispatch");
+        count_service_error(ErrorCode::kUnavailable);
+        failed[qi] = true;
+        continue;
       }
       partial[qi].per_protocol.resize(protocols->size());
       for (std::size_t pi = 0; pi < protocols->size(); ++pi) {
@@ -131,17 +116,9 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
         // attempt's lookup (the entry may exist, but the attempt cannot
         // see it), so the slot falls through to the miss path — where the
         // degradation ladder's stale re-read may still recover it.
-        auto cached = [&]() -> std::optional<ProtocolOutcome> {
-          if (fault::active()) {
-            const fault::Action a = fault::inject("cache.lookup", key.hash);
-            if (a.kind == fault::Kind::kStall) {
-              fault::apply_stall(a);
-            } else if (a.fires()) {
-              return std::nullopt;
-            }
-          }
-          return cache_.get(key);
-        }();
+        auto cached = fault::lost("cache.lookup", key.hash)
+                          ? std::nullopt
+                          : cache_.get(key);
         if (cached) {
           ++stats_.cache_hits;
           partial[qi].per_protocol[pi] = std::move(*cached);
@@ -210,16 +187,10 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
       ProtocolOutcome po{misses[mi].protocol, cell.outcome,
                          cell.infeasible_reason, cell.infeasible_code};
 
-      if (fault::active()) {
-        const fault::Action a =
-            fault::inject("planner.solve", misses[mi].key.hash);
-        if (a.kind == fault::Kind::kStall) {
-          fault::apply_stall(a);
-        } else if (a.fires()) {
-          po = ProtocolOutcome{misses[mi].protocol, std::nullopt,
-                               "injected fault at planner.solve",
-                               ErrorCode::kUnavailable};
-        }
+      if (fault::lost("planner.solve", misses[mi].key.hash)) {
+        po = ProtocolOutcome{misses[mi].protocol, std::nullopt,
+                             "injected fault at planner.solve",
+                             ErrorCode::kUnavailable};
       }
 
       ResultQuality quality = ResultQuality::kFull;

@@ -25,8 +25,6 @@ enum class FrameType {
   kSync,     // schedule sync beacon
 };
 
-const char* frame_type_name(FrameType t);
-
 struct Frame {
   FrameType type = FrameType::kData;
   int src = -1;
@@ -39,17 +37,5 @@ struct Frame {
   // this slot (kBroadcast when the owner has nothing to send).
   int announced_data_dst = kBroadcast;
 };
-
-inline const char* frame_type_name(FrameType t) {
-  switch (t) {
-    case FrameType::kData: return "data";
-    case FrameType::kAck: return "ack";
-    case FrameType::kStrobe: return "strobe";
-    case FrameType::kEarlyAck: return "early-ack";
-    case FrameType::kCtrl: return "ctrl";
-    case FrameType::kSync: return "sync";
-  }
-  return "?";
-}
 
 }  // namespace edb::sim

@@ -4,15 +4,6 @@
 
 namespace edb::sim {
 
-const char* radio_state_name(RadioState s) {
-  switch (s) {
-    case RadioState::kSleep: return "sleep";
-    case RadioState::kListen: return "listen";
-    case RadioState::kTx: return "tx";
-  }
-  return "?";
-}
-
 Radio::Radio(const net::RadioParams& params) : params_(params) {
   EDB_ASSERT(params_.validate().ok(), "invalid radio parameters");
 }

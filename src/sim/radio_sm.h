@@ -13,8 +13,6 @@ namespace edb::sim {
 
 enum class RadioState { kSleep, kListen, kTx };
 
-const char* radio_state_name(RadioState s);
-
 class Radio {
  public:
   explicit Radio(const net::RadioParams& params);

@@ -133,13 +133,4 @@ double Simulation::mean_power_at_depth(int depth) const {
   return mean(powers);
 }
 
-double Simulation::max_power() const {
-  double worst = 0;
-  for (const auto& n : nodes_) {
-    if (n->info().is_sink) continue;  // the sink is mains-powered
-    worst = std::max(worst, n->radio().energy() / cfg_.duration);
-  }
-  return worst;
-}
-
 }  // namespace edb::sim

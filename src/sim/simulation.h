@@ -101,8 +101,6 @@ class Simulation {
   double node_energy(int id) const;
   // Mean radio power over nodes at tree depth d [W].
   double mean_power_at_depth(int depth) const;
-  // Highest per-node mean power in the network [W] (the analytic E's max).
-  double max_power() const;
 
  private:
   SimulationConfig cfg_;

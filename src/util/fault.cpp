@@ -210,4 +210,10 @@ void apply_stall(const Action& a) {
       a.stall_ms));
 }
 
+bool lost(std::string_view site, std::uint64_t key, std::uint32_t attempt) {
+  const Action a = inject(site, key, attempt);
+  apply_stall(a);
+  return a.kind == Kind::kFail || a.kind == Kind::kCrash;
+}
+
 }  // namespace edb::fault

@@ -122,4 +122,14 @@ Action inject(std::string_view site, std::uint64_t key,
 // Sleeps for a kStall action's duration; no-op for other kinds.
 void apply_stall(const Action& a);
 
+// Attempts a retrying site makes before it gives up (engine.job's ladder
+// and the service.dispatch loop).
+inline constexpr std::uint32_t kMaxAttempts = 4;
+
+// The single-shot site rule: injects at (site, key, attempt), sleeps
+// through a stall and returns false; returns true when a fail or a crash
+// loses this attempt's work; returns false when nothing fires.
+bool lost(std::string_view site, std::uint64_t key,
+          std::uint32_t attempt = 0);
+
 }  // namespace edb::fault

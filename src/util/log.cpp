@@ -1,20 +1,10 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace edb {
-namespace {
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-}
 
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
+LogLevel log_level() { return LogLevel::kWarn; }
 
 const char* log_level_name(LogLevel level) {
   switch (level) {

@@ -1,9 +1,8 @@
-// Leveled logging with a global threshold.
+// Leveled logging with a fixed threshold.
 //
-// The simulator and solvers emit trace/debug logs that are off by default;
-// benches flip the level when a sweep misbehaves.  Logging is deliberately
-// synchronous and unbuffered (stderr) — these are research tools, not a
-// datapath.
+// The simulator and solvers emit trace/debug logs that stay off: only
+// warnings and errors print.  Logging is deliberately synchronous and
+// unbuffered (stderr) — these are research tools, not a datapath.
 #pragma once
 
 #include <sstream>
@@ -13,9 +12,8 @@ namespace edb {
 
 enum class LogLevel { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
-// Global threshold; messages below it are dropped.  Defaults to kWarn so
-// tests and benches stay quiet.
-void set_log_level(LogLevel level);
+// Threshold; messages below it are dropped.  kWarn keeps tests and
+// benches quiet.
 LogLevel log_level();
 const char* log_level_name(LogLevel level);
 

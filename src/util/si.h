@@ -16,31 +16,17 @@
 namespace edb {
 
 // ---- time ------------------------------------------------------------
-constexpr double seconds(double v) { return v; }
 constexpr double ms(double v) { return v * 1e-3; }
 constexpr double us(double v) { return v * 1e-6; }
-constexpr double minutes(double v) { return v * 60.0; }
 constexpr double hours(double v) { return v * 3600.0; }
-constexpr double days(double v) { return v * 86400.0; }
 
 constexpr double to_ms(double seconds_v) { return seconds_v * 1e3; }
-constexpr double to_us(double seconds_v) { return seconds_v * 1e6; }
 
-// ---- power / energy ---------------------------------------------------
-constexpr double watts(double v) { return v; }
+// ---- power ------------------------------------------------------------
 constexpr double mw(double v) { return v * 1e-3; }
-constexpr double uw(double v) { return v * 1e-6; }
-constexpr double joules(double v) { return v; }
-constexpr double mj(double v) { return v * 1e-3; }
-constexpr double uj(double v) { return v * 1e-6; }
-
 constexpr double to_mw(double watts_v) { return watts_v * 1e3; }
-constexpr double to_mj(double joules_v) { return joules_v * 1e3; }
 
 // ---- rate / data ------------------------------------------------------
-constexpr double hz(double v) { return v; }
-constexpr double khz(double v) { return v * 1e3; }
-constexpr double bits(double v) { return v; }
 constexpr double bytes(double v) { return v * 8.0; }
 constexpr double kbps(double v) { return v * 1e3; }  // bits per second
 

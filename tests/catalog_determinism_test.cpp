@@ -11,11 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "engine/fan.h"
 #include "service/service.h"
 #include "sim/builder.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -44,12 +44,11 @@ TEST(CatalogDeterminism, ShuffledParallelRegenerationIsByteIdentical) {
       reference.push_back(family->expand(i, kDefaultSeed).fingerprint());
     }
 
-    // Second pass: shuffled order, fanned across a thread pool, each task
+    // Second pass: shuffled order, fanned across four threads, each job
     // writing only its own slot.
     const auto order = permutation(family->size(), 0xfeedULL);
     std::vector<std::string> shuffled(family->size());
-    edb::ThreadPool pool(4);
-    pool.parallel_for(family->size(), [&](std::size_t k) {
+    edb::engine::Fan(4).run(family->size(), [&](std::size_t k) {
       const std::size_t i = order[k];
       shuffled[i] = family->expand(i, kDefaultSeed).fingerprint();
     });

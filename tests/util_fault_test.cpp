@@ -179,6 +179,18 @@ TEST_F(FaultTest, ApplyStallIgnoresNonStallActions) {
   apply_stall(Action{Kind::kStall, 0.1});  // and a real (tiny) stall runs
 }
 
+TEST_F(FaultTest, LostIsTrueExactlyForFailAndCrash) {
+  EXPECT_FALSE(lost("a.site", 1));  // dormant
+  install(FaultPlan::parse(
+              "fail.site:fail=1;crash.site:crash=1;stall.site:stall=1@0.1ms")
+              .take());
+  EXPECT_TRUE(lost("fail.site", 1));
+  EXPECT_TRUE(lost("crash.site", 1, 3));
+  EXPECT_FALSE(lost("stall.site", 1));  // sleeps, then the work goes on
+  EXPECT_FALSE(lost("other.site", 1));
+  uninstall();
+}
+
 TEST_F(FaultTest, KindNamesAreStable) {
   EXPECT_STREQ(kind_name(Kind::kNone), "none");
   EXPECT_STREQ(kind_name(Kind::kFail), "fail");
