@@ -1,4 +1,8 @@
-#include "util/thread_pool.h"
+// The worker threads engine::Fan owns: start and join, width, slot
+// writes, reuse across batches and exception propagation.  The batch
+// contract on top of them (index order at width 1, exactly-once, seeds,
+// the fault-retry ladder) is in engine_fan_test.cpp.
+#include "engine/fan.h"
 
 #include <gtest/gtest.h>
 
@@ -7,63 +11,46 @@
 #include <string>
 #include <vector>
 
-namespace edb {
+namespace edb::engine {
 namespace {
 
-TEST(ThreadPoolTest, ConstructAndShutdownIdle) {
+TEST(FanWorkers, WidthCountsTheCallerAndIdleFansShutDown) {
   // Workers must start and join cleanly without ever seeing a batch.
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.size(), threads);
+  for (int width : {1, 2, 4}) {
+    Fan fan(width);
+    EXPECT_EQ(fan.width(), width);
   }
 }
 
-TEST(ThreadPoolTest, ZeroPicksHardwareConcurrency) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1);
-  EXPECT_EQ(pool.size(), ThreadPool::hardware_threads());
+TEST(FanWorkers, WidthZeroPicksTheHardwareThreads) {
+  Fan fan(0);
+  EXPECT_GE(fan.width(), 1);
+  EXPECT_EQ(fan.width(), Fan::hardware_threads());
 }
 
-TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kTasks = 100;
-  std::vector<std::atomic<int>> counts(kTasks);
-  pool.parallel_for(kTasks, [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForWritesOwnSlots) {
-  ThreadPool pool(3);
+TEST(FanWorkers, JobsWriteOwnSlots) {
+  Fan fan(3);
   std::vector<std::size_t> out(257, 0);
-  pool.parallel_for(out.size(), [&](std::size_t i) { out[i] = i * i; });
+  fan.run(out.size(), [&](std::size_t i) { out[i] = i * i; });
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i * i);
   }
 }
 
-TEST(ThreadPoolTest, EmptyBatchIsANoop) {
-  for (int threads : {1, 2}) {
-    ThreadPool pool(threads);
-    pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
-  }
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAcrossBatches) {
-  ThreadPool pool(2);
+TEST(FanWorkers, ReusableAcrossBatches) {
+  Fan fan(2);
   std::atomic<int> total{0};
   for (int round = 0; round < 10; ++round) {
-    pool.parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
+    fan.run(8, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 80);
 }
 
-TEST(ThreadPoolTest, LowestIndexedExceptionPropagates) {
-  ThreadPool pool(4);
+TEST(FanWorkers, LowestIndexedExceptionPropagates) {
+  Fan fan(4);
   std::atomic<int> executed{0};
   try {
-    pool.parallel_for(16, [&](std::size_t i) {
+    fan.run(16, [&](std::size_t i) {
       executed.fetch_add(1);
       if (i == 3 || i == 11) {
         throw std::runtime_error("task " + std::to_string(i));
@@ -78,16 +65,16 @@ TEST(ThreadPoolTest, LowestIndexedExceptionPropagates) {
   EXPECT_EQ(executed.load(), 16);
 }
 
-TEST(ThreadPoolTest, UsableAfterAnExceptionalBatch) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(
-                   1, [](std::size_t) { throw std::runtime_error("boom"); }),
-               std::runtime_error);
+TEST(FanWorkers, UsableAfterAnExceptionalBatch) {
+  Fan fan(2);
+  EXPECT_THROW(
+      fan.run(1, [](std::size_t) { throw std::runtime_error("boom"); }),
+      std::runtime_error);
 
   std::atomic<int> ok{0};
-  pool.parallel_for(5, [&](std::size_t) { ok.fetch_add(1); });
+  fan.run(5, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 5);
 }
 
 }  // namespace
-}  // namespace edb
+}  // namespace edb::engine
