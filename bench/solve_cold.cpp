@@ -4,18 +4,23 @@
 // Runs repeated cold bargaining solves (fresh EnergyDelayGame, no warm
 // start — the service's uncached path) for the three
 // paper models and self-times them, like engine_micro (no google-benchmark
-// dependency).  Per model and overall it reports
+// dependency).  The timing runs kTrials trials, each timing `repeats`
+// solves of every model in turn, so a busy moment on the host slows one
+// trial of every model rather than every trial of one.  Per model and
+// overall it reports
 //
-//   solves/s        cold end-to-end solve throughput
-//   ms/solve        cold end-to-end solve latency
+//   solves/s        cold end-to-end solve throughput (median trial)
+//   ms/solve        cold end-to-end solve latency: the median trial, with
+//                   the fastest and slowest trial in brackets
 //   evals/solve     oracle evaluations per solve (BargainingOutcome::stats;
 //                   deterministic, so it doubles as a regression guard)
 //   blocks/solve    block-oracle calls per solve (same source, same use)
 //   stage-2 skips   dual solves that skipped stage 2 under the 1-D
 //                   one-basin rule (the solver.stage2.skipped counter over
-//                   the timed repeats; 3 per solve when P1, P2 and P4 all
-//                   skip)
-//   ns/eval         solve wall time per evaluation
+//                   `repeats` untimed solves run before the trials; 3 per
+//                   solve when P1, P2 and P4 all skip)
+//   ns/eval         solve wall time per evaluation (median trial, with
+//                   the trial range in brackets)
 //   oracle_share    fraction of solve time spent inside the block oracle;
 //                   the oracle is timed only while tracing (EDB_TRACE_OUT),
 //                   so an untraced run prints "oracle share n/a (tracing
@@ -37,7 +42,8 @@
 // Each proof is timed against its feasible solve in kTrials interleaved
 // trials of `repeats` solves per side; the proof rows and their gates use
 // the per-side medians, so a busy host slows both sides of a trial alike
-// and one disturbed trial moves neither.
+// and one disturbed trial moves neither.  Every wall-clock gate below
+// reads a median of kTrials trials.
 //
 // plus a descent-vs-grid parity check for every registered protocol: one
 // SolverMode::kGridVerify solve per model must select the same operating
@@ -45,7 +51,7 @@
 // the agreement-point gate behind the solver rewire.  The gate covers the
 // 1-D models; S-MAC (2-D) has a known gap (ROADMAP), printed and recorded
 // as <tag>_parity_gap_{p1,p2,nbs} but not gated.  Writes BENCH_solver.json
-// next to the binary.
+// next to the binary, with the SIMD backend and the CPU count of the host.
 //
 //   $ ./solve_cold [repeats] [baseline.json]
 //
@@ -79,6 +85,7 @@
 #include <utility>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_json.h"
@@ -112,13 +119,18 @@ std::string field_tag(const std::string& name) {
   return out;
 }
 
-// Wall-clock trials per proof-vs-feasible comparison (odd: one middle).
+// Wall-clock trials per timing (odd: one middle).
 constexpr int kTrials = 5;
 
-// Median microseconds per call of each of `calls`: one untimed warm-up
-// call each, then kTrials trials, each timing `repeats` calls of every
-// entry in turn.  Empty as soon as a call returns false.
-std::vector<double> interleaved_median_us(
+// The median, fastest and slowest of kTrials timings.
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+// Microseconds per call of each of `calls`: one untimed warm-up call each,
+// then kTrials trials, each timing `repeats` calls of every entry in turn.
+// Empty as soon as a call returns false.
+std::vector<Spread> interleaved_us(
     int repeats, const std::vector<std::function<bool()>>& calls) {
   for (const auto& call : calls) {
     if (!call()) return {};
@@ -133,12 +145,12 @@ std::vector<double> interleaved_median_us(
       trials[c].push_back(1e3 * (now_ms() - t0) / repeats);
     }
   }
-  std::vector<double> medians;
+  std::vector<Spread> spreads;
   for (auto& us : trials) {
-    std::nth_element(us.begin(), us.begin() + kTrials / 2, us.end());
-    medians.push_back(us[kTrials / 2]);
+    std::sort(us.begin(), us.end());
+    spreads.push_back({us[kTrials / 2], us.front(), us.back()});
   }
-  return medians;
+  return spreads;
 }
 
 // Minimal flat-JSON number lookup ("\"key\": value") — enough for the
@@ -194,53 +206,76 @@ int main(int argc, char** argv) {
     }
   }
 
-  double total_ms = 0;
-  long long total_evals = 0;
-  int total_solves = 0;
+  json.integer("trials", kTrials);
+  json.text("simd_backend", util::simd_backend());
+  json.integer("cpu_count",
+               static_cast<long long>(std::thread::hardware_concurrency()));
+
+  // Untimed first: `repeats` cold solves per model, counting its stage-2
+  // skips; they also keep lazy setup out of the timed trials.  Solve stats
+  // are deterministic, so these solves' are every timed solve's too.
+  std::vector<std::unique_ptr<mac::AnalyticMacModel>> models;
+  std::vector<core::EnergyDelayGame> games;
+  std::vector<core::BargainingOutcome> firsts;
+  std::vector<std::uint64_t> skips;
+  obs::Counter& skip_counter = obs::Registry::global().counter(
+      "solver.stage2.skipped");
   for (const auto& name : protocols) {
-    auto model = mac::make_model(name, scenario.context).take();
-    core::EnergyDelayGame game(*model, scenario.requirements);
-
-    // One untimed warm-up solve keeps lazy setup out of the measurement.
-    auto first = game.solve();
-    if (!first.ok()) {
-      std::fprintf(stderr, "%s: cold solve failed: %s\n", name.c_str(),
-                   first.error().to_string().c_str());
-      return 2;
-    }
-
-    obs::Counter& skips = obs::Registry::global().counter(
-        "solver.stage2.skipped");
-    const std::uint64_t skips_before = skips.value();
-    const double t0 = now_ms();
-    core::SolveStats stats;
+    models.push_back(mac::make_model(name, scenario.context).take());
+    games.emplace_back(*models.back(), scenario.requirements);
+    const std::uint64_t skips_before = skip_counter.value();
     for (int i = 0; i < repeats; ++i) {
-      auto outcome = game.solve();
+      auto outcome = games.back().solve();
       if (!outcome.ok()) {
-        std::fprintf(stderr, "%s: cold solve failed\n", name.c_str());
+        std::fprintf(stderr, "%s: cold solve failed: %s\n", name.c_str(),
+                     outcome.error().to_string().c_str());
         return 2;
       }
-      stats = outcome->stats;  // deterministic: identical every repeat
+      if (i == 0) firsts.push_back(*outcome);
     }
-    const double elapsed = now_ms() - t0;
-    const std::uint64_t skipped = skips.value() - skips_before;
+    skips.push_back(skip_counter.value() - skips_before);
+  }
 
-    const double solves_per_sec = 1e3 * repeats / elapsed;
-    const double ms_per_solve = elapsed / repeats;
+  // The timed section: kTrials interleaved trials of `repeats` cold solves
+  // per model.
+  std::vector<std::function<bool()>> solves;
+  for (auto& game : games) {
+    solves.push_back([&game] { return game.solve().ok(); });
+  }
+  const std::vector<Spread> solve_us = interleaved_us(repeats, solves);
+  if (solve_us.empty()) {
+    std::fprintf(stderr, "cold solve failed\n");
+    return 2;
+  }
+
+  double total_ms = 0;
+  long long total_evals = 0;
+  for (std::size_t m = 0; m < protocols.size(); ++m) {
+    const std::string& name = protocols[m];
+    const auto& model = models[m];
+    core::EnergyDelayGame& game = games[m];
+    const core::BargainingOutcome& first = firsts[m];
+    const core::SolveStats& stats = first.stats;
+    const Spread& us = solve_us[m];
+    const std::uint64_t skipped = skips[m];
+
+    const double ms_per_solve = 1e-3 * us.median;
+    const double solves_per_sec = 1e3 / ms_per_solve;
     const double evals_per_solve = static_cast<double>(stats.evaluations);
-    const double ns_per_eval =
-        1e6 * elapsed / (static_cast<double>(stats.evaluations) * repeats);
+    const double ns_per_eval = 1e3 * us.median / evals_per_solve;
     char share[48] = "oracle share n/a (tracing off)";
     if (obs::Tracer::enabled()) {
       std::snprintf(share, sizeof share, "%5.1f%% in block oracle",
-                    1e2 * stats.oracle_ns * repeats / (1e6 * elapsed));
+                    1e2 * stats.oracle_ns / (1e3 * us.median));
     }
 
     std::printf(
-        "%-6s %8.1f solves/s  %6.3f ms/solve  %7.0f evals/solve  "
-        "%6.1f ns/eval  (%s, %lld blocks)\n",
-        name.c_str(), solves_per_sec, ms_per_solve, evals_per_solve,
-        ns_per_eval, share, stats.blocks);
+        "%-6s %8.1f solves/s  %6.3f ms/solve [%.3f-%.3f]  %7.0f "
+        "evals/solve  %6.1f ns/eval [%.1f-%.1f]  (%s, %lld blocks)\n",
+        name.c_str(), solves_per_sec, ms_per_solve, 1e-3 * us.min,
+        1e-3 * us.max, evals_per_solve, ns_per_eval,
+        1e3 * us.min / evals_per_solve, 1e3 * us.max / evals_per_solve,
+        share, stats.blocks);
     std::printf("%-6s stage-2 skipped %llu times in %d solves\n",
                 name.c_str(), static_cast<unsigned long long>(skipped),
                 repeats);
@@ -249,23 +284,23 @@ int main(int argc, char** argv) {
     // above a budget shaved to midway between Ebest and E*.  Timed in
     // trials interleaved with the feasible solve it is gated against.
     core::AppRequirements p3_req = scenario.requirements;
-    p3_req.l_max = first->nbs.latency;
-    p3_req.e_budget = 0.5 * (first->e_best() + first->nbs.energy);
+    p3_req.l_max = first.nbs.latency;
+    p3_req.e_budget = 0.5 * (first.e_best() + first.nbs.energy);
     core::EnergyDelayGame p3_game(*model, p3_req);
-    const std::vector<double> p3_medians = interleaved_median_us(
+    const std::vector<Spread> p3_us = interleaved_us(
         repeats, {[&] { return game.solve().ok(); },
                   [&] {
                     auto proof = p3_game.solve();
                     return !proof.ok() && proof.error().message.find(
                                               "(P3)") != std::string::npos;
                   }});
-    if (p3_medians.empty()) {
+    if (p3_us.empty()) {
       std::fprintf(stderr, "%s: P3 proof pair did not prove (P3)\n",
                    name.c_str());
       return 2;
     }
-    const double p3_feasible_us = p3_medians[0];
-    const double p3_proof_us = p3_medians[1];
+    const double p3_feasible_us = p3_us[0].median;
+    const double p3_proof_us = p3_us[1].median;
     std::printf("       P3 proof: %8.1f us  (%.2fx a %.1f us feasible "
                 "solve)\n",
                 p3_proof_us, p3_proof_us / p3_feasible_us, p3_feasible_us);
@@ -274,15 +309,20 @@ int main(int argc, char** argv) {
     json.number((tag + "_p3_proof_us").c_str(), p3_proof_us);
     json.number((tag + "_solves_per_sec").c_str(), solves_per_sec);
     json.number((tag + "_ms_per_solve").c_str(), ms_per_solve);
+    json.number((tag + "_ms_per_solve_min").c_str(), 1e-3 * us.min);
+    json.number((tag + "_ms_per_solve_max").c_str(), 1e-3 * us.max);
     json.number((tag + "_evals_per_solve").c_str(), evals_per_solve);
     json.number((tag + "_ns_per_eval").c_str(), ns_per_eval);
+    json.number((tag + "_ns_per_eval_min").c_str(),
+                1e3 * us.min / evals_per_solve);
+    json.number((tag + "_ns_per_eval_max").c_str(),
+                1e3 * us.max / evals_per_solve);
     json.integer((tag + "_blocks_per_solve").c_str(), stats.blocks);
     json.number((tag + "_stage2_skips_per_solve").c_str(),
                 static_cast<double>(skipped) / repeats);
 
-    total_ms += elapsed;
-    total_evals += stats.evaluations * repeats;
-    total_solves += repeats;
+    total_ms += ms_per_solve;
+    total_evals += stats.evaluations;
 
     if (!baseline.empty()) {
       for (const auto& [what, per_solve] :
@@ -406,18 +446,18 @@ int main(int argc, char** argv) {
     core::EnergyDelayGame feasible_game(*model, scenario.requirements);
     core::EnergyDelayGame p1_game(*model, p1_req);
     core::EnergyDelayGame p2_game(*model, p2_req);
-    const std::vector<double> medians = interleaved_median_us(
+    const std::vector<Spread> proof_us = interleaved_us(
         repeats, {[&] { return answers(feasible_game, nullptr); },
                   [&] { return answers(p1_game, "(P1)"); },
                   [&] { return answers(p2_game, "(P2)"); }});
-    if (medians.empty()) {
+    if (proof_us.empty()) {
       std::fprintf(stderr, "%s: proof pairs did not prove (P1)/(P2)\n",
                    name.c_str());
       return 2;
     }
-    const double feasible_us = medians[0];
-    const double p1_us = medians[1];
-    const double p2_us = medians[2];
+    const double feasible_us = proof_us[0].median;
+    const double p1_us = proof_us[1].median;
+    const double p2_us = proof_us[2].median;
     std::printf("%-7s P1 proof %7.1f us, P2 proof %7.1f us  "
                 "(%.2fx / %.2fx a %.1f us feasible solve)\n",
                 name.c_str(), p1_us, p2_us, p1_us / feasible_us,
@@ -450,14 +490,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double cold_solves_per_sec = 1e3 * total_solves / total_ms;
+  const double cold_solves_per_sec = 1e3 * protocols.size() / total_ms;
   const double ns_per_eval = 1e6 * total_ms / total_evals;
   std::printf("overall: %.1f cold solves/s, %.1f ns/eval\n",
               cold_solves_per_sec, ns_per_eval);
 
   json.number("cold_solves_per_sec", cold_solves_per_sec);
   json.number("evals_per_solve",
-              static_cast<double>(total_evals) / total_solves);
+              static_cast<double>(total_evals) / protocols.size());
   json.number("ns_per_eval", ns_per_eval);
   json.registry(obs::Registry::global().snapshot());
   json.write_file("BENCH_solver.json");

@@ -1,8 +1,11 @@
 #include "core/game_framework.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstring>
+#include <functional>
+#include <optional>
+#include <span>
 
 #include "obs/obs.h"
 #include "opt/batch.h"
@@ -79,62 +82,74 @@ struct RawObjective {
 // metric on compacted survivors) cost more than it saved: the blocks
 // are small, and each extra kernel call and gather outweighs the lanes
 // it skips.
+//
+// A fence is a block oracle class (opt::BlockOracle), so the batched grid
+// search calls it directly and inlines it.  It writes each block's
+// metrics into a FenceScratch that the fences of one solve share.
+struct FenceScratch {
+  std::vector<double> margins, e, l, worst;
+};
+
 class BatchFence {
  public:
+  // `slacks` and `scratch` must outlive the fence.
   BatchFence(const mac::AnalyticMacModel& model,
-             std::vector<MetricSlack> slacks, RawObjective raw)
-      : model_(&model), slacks_(std::move(slacks)),
-        need_e_(raw.uses_energy()), need_l_(raw.uses_latency()), raw_(raw) {
+             std::span<const MetricSlack> slacks, RawObjective raw,
+             FenceScratch& scratch)
+      : model_(&model), slacks_(slacks), need_e_(raw.uses_energy()),
+        need_l_(raw.uses_latency()), raw_(raw), s_(&scratch) {
     for (const auto& s : slacks_) {
       (s.uses_energy ? need_e_ : need_l_) = true;
     }
   }
 
-  // The std::function wrapper the grid solvers take; `this` must outlive
-  // the returned oracle (both live on the solve's stack frame).
-  opt::BatchObjective oracle() {
-    return [this](const opt::PointBlock& b, double* values) {
-      evaluate(b, values);
-    };
-  }
-
- private:
-  void evaluate(const opt::PointBlock& b, double* values) {
+  void operator()(const opt::PointBlock& b, double* values) const {
     const std::size_t n = b.n;
-    margins_.resize(n);
-    if (need_e_) e_.resize(n);
-    if (need_l_) l_.resize(n);
-    model_->evaluate_batch(b.xs, n, need_e_ ? e_.data() : nullptr,
-                           need_l_ ? l_.data() : nullptr, margins_.data());
+    FenceScratch& s = *s_;
+    s.margins.resize(n);
+    if (need_e_) s.e.resize(n);
+    if (need_l_) s.l.resize(n);
+    model_->evaluate_batch(b.xs, n, need_e_ ? s.e.data() : nullptr,
+                           need_l_ ? s.l.data() : nullptr, s.margins.data());
 
     // Slack pass on lanes (util/simd.h for_lanes): a point meets every
     // requirement iff its worst (minimum) slack is > 0 (+inf with no
     // slacks).  Each lane slack is bit-identical to make_scalar_slacks'.
-    worst_.resize(n);
+    s.worst.resize(n);
     util::for_lanes(n, [&](auto lanes, std::size_t i) {
       using L = decltype(lanes);
       L worst = L::broadcast(kInf);
-      for (const auto& s : slacks_) {
-        const double* src = s.uses_energy ? e_.data() : l_.data();
-        const L cap = L::broadcast(s.cap);
+      for (const auto& slack : slacks_) {
+        const double* src = slack.uses_energy ? s.e.data() : s.l.data();
+        const L cap = L::broadcast(slack.cap);
         worst = util::min(worst, (cap - L::load(src + i)) / cap);
       }
-      worst.store(worst_.data() + i);
+      worst.store(s.worst.data() + i);
     });
 
     for (std::size_t i = 0; i < n; ++i) {
-      values[i] = margins_[i] > 0.0 && worst_[i] > 0.0
-                      ? raw_(need_e_ ? e_[i] : 0.0, need_l_ ? l_[i] : 0.0)
+      values[i] = s.margins[i] > 0.0 && s.worst[i] > 0.0
+                      ? raw_(need_e_ ? s.e[i] : 0.0, need_l_ ? s.l[i] : 0.0)
                       : kInf;
     }
   }
 
+ private:
   const mac::AnalyticMacModel* model_;
-  std::vector<MetricSlack> slacks_;
+  std::span<const MetricSlack> slacks_;
   bool need_e_, need_l_;  // metrics the kernel computes (slacks or raw)
   RawObjective raw_;
-  // Scratch (reused across blocks; one fence serves one solve thread).
-  std::vector<double> margins_, e_, l_, worst_;
+  FenceScratch* s_;
+};
+
+// Buffers one thread's solves reuse: the grid searches' rounds and
+// blocks, the fences' per-block metrics and stage 1's round-0 values.  A
+// bargaining solve passes one scratch to its three dual solves, so after
+// the first solve's searches have grown it no zoom round allocates.
+struct SolveScratch {
+  opt::GridScratch grid;
+  FenceScratch fence;
+  std::vector<double> lattice;
 };
 
 SolveStats stats_of(const opt::VectorResult& r) {
@@ -170,8 +185,7 @@ class PointMetrics {
  private:
   void refresh(const std::vector<double>& x) {
     if (x.size() == last_x_.size() && !last_x_.empty() &&
-        std::memcmp(x.data(), last_x_.data(),
-                    x.size() * sizeof(double)) == 0) {
+        bits_equal(x.data(), last_x_.data(), x.size())) {
       return;
     }
     model_->evaluate_batch(x.data(), 1, &e_, &l_, &m_);
@@ -198,7 +212,7 @@ opt::Objective make_scalar_objective(PointMetrics& metrics,
 }
 
 std::vector<opt::Constraint> make_scalar_slacks(
-    PointMetrics& metrics, const std::vector<MetricSlack>& slacks) {
+    PointMetrics& metrics, std::span<const MetricSlack> slacks) {
   std::vector<opt::Constraint> out;
   // The protocol margin leads, exactly as BatchFence stages it.
   out.push_back(
@@ -215,18 +229,31 @@ std::vector<opt::Constraint> make_scalar_slacks(
 // The margin-only fence on one metric: E (or L) where the protocol is
 // feasible, +inf elsewhere.  The envelope minimises it, and so does the
 // phase-I search of the subproblem that caps that metric.
-BatchFence metric_fence(const mac::AnalyticMacModel& model, bool energy) {
+BatchFence metric_fence(const mac::AnalyticMacModel& model, bool energy,
+                        FenceScratch& scratch) {
   return BatchFence(model, {},
                     {energy ? RawObjective::Kind::kEnergy
-                            : RawObjective::Kind::kLatency});
+                            : RawObjective::Kind::kLatency},
+                    scratch);
 }
 
+// One problem of the pipeline: minimise `raw` over the protocol's
+// feasible set subject to every cap in `slacks`.  The batched fence and,
+// when the penalty multistart runs, the scalar oracles are both built
+// from it, so every slack/raw combine exists once.
+struct Problem {
+  const mac::AnalyticMacModel& model;
+  std::span<const MetricSlack> slacks;
+  RawObjective raw;
+};
+
 // The feasibility (phase-I) problem of a single-cap subproblem — (P1)'s
-// Lmax, (P2)'s Ebudget: `oracle` is the capped metric's metric_fence.
-// The subproblem is feasible iff that metric's minimum lies strictly
-// below `cap`.  An empty oracle (P4, two caps) skips phase I.
+// Lmax, (P2)'s Ebudget: minimise the capped metric (E when
+// `capped_energy`, else L) with its metric_fence.  The subproblem is
+// feasible iff that minimum lies strictly below `cap`.  P4 (two caps)
+// has no phase I.
 struct PhaseOne {
-  opt::BatchObjective oracle;
+  bool capped_energy = false;
   double cap = 0;
 };
 
@@ -254,11 +281,12 @@ struct PhaseOne {
 // objectives equal within tolerance (tests/opt_descent_test.cpp,
 // bench/solve_cold.cpp).
 Expected<opt::VectorResult> dual_solve(
-    const opt::Objective& raw, const std::vector<opt::Constraint>& slacks,
-    const opt::BatchObjective& batch_fence, const opt::Box& box,
-    SolverMode mode, const SolveControl& ctl = {},
-    long long spent_before = 0, const PhaseOne& phase1 = {}) {
+    const Problem& problem, const opt::Box& box, SolverMode mode,
+    SolveScratch& scratch, const SolveControl& ctl, long long spent_before,
+    std::optional<PhaseOne> phase1 = std::nullopt) {
   EDB_SPAN("solver.dual_solve");
+  const BatchFence fence(problem.model, problem.slacks, problem.raw,
+                         scratch.fence);
   const bool coarse = mode == SolverMode::kCoarse;
   const bool use_descent = mode == SolverMode::kDescent || coarse;
 
@@ -306,12 +334,11 @@ Expected<opt::VectorResult> dual_solve(
           ? opt::GridOptions{.points_per_dim = 65, .rounds = 3, .zoom = 0.15}
           : opt::GridOptions{.points_per_dim = 65, .rounds = 4, .zoom = 0.15};
   // A 1-D descent solve keeps round 0's lattice for the stage-2 skip rule.
-  std::vector<double> lattice;
   const bool read_shape = mode == SolverMode::kDescent && box.dim() == 1;
   auto grid = [&] {
     EDB_SPAN("solver.stage1.grid");
-    return opt::grid_refine_min(batch_fence, box, stage1_opts,
-                                read_shape ? &lattice : nullptr);
+    return opt::grid_refine_min(fence, box, stage1_opts, scratch.grid,
+                                read_shape ? &scratch.lattice : nullptr);
   }();
   const bool grid_ok = !grid.x.empty() && std::isfinite(grid.value);
   cost.absorb_cost(grid);
@@ -332,8 +359,13 @@ Expected<opt::VectorResult> dual_solve(
   // Exterior-penalty multistart — kGridVerify's stage 2, and the descent
   // pipeline's fallback when stage 1 found nothing feasible and phase I
   // did not refuse (a sliver the lattice stepped over, or P4).  Its evals
-  // count whether or not it finds a point.
+  // count whether or not it finds a point.  Its scalar oracles are built
+  // only here, from the same problem the fence runs on.
   auto penalty_stage2 = [&]() {
+    PointMetrics metrics(problem.model);
+    const opt::Objective raw = make_scalar_objective(metrics, problem.raw);
+    const std::vector<opt::Constraint> slacks =
+        make_scalar_slacks(metrics, problem.slacks);
     opt::VectorResult r;
     r.value = kInf;
     const auto pen = opt::constrained_min(raw, slacks, box);
@@ -356,11 +388,11 @@ Expected<opt::VectorResult> dual_solve(
   // multistart played.  Its iteration budget (opt/descent.cpp) runs the
   // basin to far below the polish window yet keeps a full solve ~15x under
   // the kGridVerify pipeline's evaluation count.
-  auto multistart_from = [&](const opt::BatchObjective& f,
+  auto multistart_from = [&](const BatchFence& f,
                              const opt::VectorResult& scan) {
     std::vector<std::vector<double>> seeds;
     if (!scan.x.empty() && std::isfinite(scan.value)) seeds.push_back(scan.x);
-    return opt::bdca_multistart_min(f, box, seeds);
+    return opt::bdca_multistart_min(std::cref(f), box, seeds);
   };
 
   // Phase I — kDescent's feasibility certificate for a single-cap
@@ -371,33 +403,36 @@ Expected<opt::VectorResult> dual_solve(
   // decision to the penalty multistart, verbatim.
   auto phase1_refuses = [&]() {
     EDB_SPAN("solver.stage2.phase1");
-    auto scan = opt::grid_refine_min(phase1.oracle, box, stage1_opts);
+    const BatchFence capped =
+        metric_fence(problem.model, phase1->capped_energy, scratch.fence);
+    auto scan = opt::grid_refine_min(capped, box, stage1_opts, scratch.grid);
     cost.absorb_cost(scan);
-    if (scan.value < phase1.cap) return false;
-    auto descent = multistart_from(phase1.oracle, scan);
+    if (scan.value < phase1->cap) return false;
+    auto descent = multistart_from(capped, scan);
     cost.absorb_cost(descent);
-    return !(descent.value < phase1.cap);
+    return !(descent.value < phase1->cap);
   };
 
   // The stage-2 skip rule: in 1-D, a stage-1 lattice with one basin
   // leaves stage 2 nothing to decide.  Its 17 seeds are every fourth point
   // of that lattice, so each descends into the basin the stage-1
   // incumbent and the polish already cover.
-  const bool skip_stage2 = read_shape && grid_ok && opt::one_basin(lattice);
+  const bool skip_stage2 =
+      read_shape && grid_ok && opt::one_basin(scratch.lattice);
   opt::VectorResult cand;
   if (skip_stage2) {
     EDB_COUNT("solver.stage2.skipped", 1);
   } else {
     EDB_SPAN("solver.stage2");
     if (use_descent && !grid_ok) {
-      if (phase1.oracle && phase1_refuses()) {
+      if (phase1 && phase1_refuses()) {
         EDB_COUNT("solver.phase1_certified", 1);
         return make_error(ErrorCode::kInfeasible,
                           "no feasible point satisfies the constraints");
       }
       EDB_COUNT("solver.penalty_fallbacks", 1);
     }
-    cand = use_descent && grid_ok ? multistart_from(batch_fence, grid)
+    cand = use_descent && grid_ok ? multistart_from(fence, grid)
                                   : penalty_stage2();
   }
   cost.absorb_cost(cand);
@@ -436,8 +471,9 @@ Expected<opt::VectorResult> dual_solve(
                                .zoom = 0.15}
             : opt::GridOptions{.points_per_dim = 65, .rounds = 10,
                                .zoom = 0.15};
-    auto polished =
-        opt::grid_refine_min(batch_fence, opt::Box(lo, hi), polish_opts);
+    auto polished = opt::grid_refine_min(
+        fence, opt::Box(std::move(lo), std::move(hi)), polish_opts,
+        scratch.grid);
     cost.absorb_cost(polished);
     if (std::isfinite(polished.value) && polished.value < best.value) {
       best = polished;
@@ -496,28 +532,25 @@ Error p3_infeasible_error(std::string_view protocol) {
 // energy player, L under Ebudget for the delay player.
 enum class Subproblem { kP1, kP2 };
 
-// `stats`, when non-null, accumulates the dual_solve's oracle cost.
+// `box` is the model's parameter box.  `stats`, when non-null,
+// accumulates the dual_solve's oracle cost.
 Expected<OperatingPoint> solve_capped(const mac::AnalyticMacModel& model,
+                                      const opt::Box& box,
                                       const AppRequirements& req,
-                                      Subproblem problem, SolverMode mode,
+                                      Subproblem subproblem, SolverMode mode,
                                       const SolveControl& ctl,
+                                      SolveScratch& scratch,
                                       SolveStats* stats) {
-  const bool p1 = problem == Subproblem::kP1;
+  const bool p1 = subproblem == Subproblem::kP1;
   const double cap = p1 ? req.l_max : req.e_budget;
-  // One spec drives both oracle flavours (see make_scalar_objective).
-  const std::vector<MetricSlack> mslacks = {
-      {/*uses_energy=*/!p1, /*cap=*/cap}};
-  const RawObjective raw{p1 ? RawObjective::Kind::kEnergy
-                            : RawObjective::Kind::kLatency};
-  PointMetrics metrics(model);
-  opt::Objective obj = make_scalar_objective(metrics, raw);
-  std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
-  BatchFence batch(model, mslacks, raw);
+  const MetricSlack slack{/*uses_energy=*/!p1, /*cap=*/cap};
+  const Problem problem{model, {&slack, 1},
+                        {p1 ? RawObjective::Kind::kEnergy
+                            : RawObjective::Kind::kLatency}};
   // Phase I minimises the capped metric.
-  BatchFence capped = metric_fence(model, /*energy=*/!p1);
-  auto r = dual_solve(obj, slacks, batch.oracle(), model_box(model), mode,
-                      ctl, stats ? stats->evaluations : 0,
-                      PhaseOne{capped.oracle(), cap});
+  auto r = dual_solve(problem, box, mode, scratch, ctl,
+                      stats ? stats->evaluations : 0,
+                      PhaseOne{/*capped_energy=*/!p1, cap});
   if (!r.ok()) {
     // Transient codes (deadline, cancellation) describe this attempt, not
     // the problem — they must surface as themselves, never as kInfeasible.
@@ -540,10 +573,13 @@ ProtocolEnvelope protocol_envelope(const mac::AnalyticMacModel& model) {
   const opt::GridOptions grid_opts{.points_per_dim = 65, .rounds = 8,
                                    .zoom = 0.15};
   ProtocolEnvelope env;
-  BatchFence fence_e = metric_fence(model, /*energy=*/true);
-  BatchFence fence_l = metric_fence(model, /*energy=*/false);
-  auto e = opt::grid_refine_min(fence_e.oracle(), box, grid_opts);
-  auto l = opt::grid_refine_min(fence_l.oracle(), box, grid_opts);
+  SolveScratch scratch;
+  const BatchFence fence_e = metric_fence(model, /*energy=*/true,
+                                          scratch.fence);
+  const BatchFence fence_l = metric_fence(model, /*energy=*/false,
+                                          scratch.fence);
+  auto e = opt::grid_refine_min(fence_e, box, grid_opts, scratch.grid);
+  auto l = opt::grid_refine_min(fence_l, box, grid_opts, scratch.grid);
   env.e_min = std::isfinite(e.value) ? e.value : kInf;
   env.l_min = std::isfinite(l.value) ? l.value : kInf;
   return env;
@@ -568,13 +604,15 @@ EnergyDelayGame::EnergyDelayGame(const mac::AnalyticMacModel& model,
 }
 
 Expected<OperatingPoint> EnergyDelayGame::solve_p1() const {
-  return solve_capped(model_, req_, Subproblem::kP1, mode_, control_,
-                      nullptr);
+  SolveScratch scratch;
+  return solve_capped(model_, model_box(model_), req_, Subproblem::kP1, mode_,
+                      control_, scratch, nullptr);
 }
 
 Expected<OperatingPoint> EnergyDelayGame::solve_p2() const {
-  return solve_capped(model_, req_, Subproblem::kP2, mode_, control_,
-                      nullptr);
+  SolveScratch scratch;
+  return solve_capped(model_, model_box(model_), req_, Subproblem::kP2, mode_,
+                      control_, scratch, nullptr);
 }
 
 Expected<BargainingOutcome> EnergyDelayGame::solve() const {
@@ -588,11 +626,13 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
                       "bargaining power alpha must lie in (0, 1)");
   }
   SolveStats stats;
-  auto p1 = solve_capped(model_, req_, Subproblem::kP1, mode_, control_,
-                         &stats);
+  SolveScratch scratch;
+  const opt::Box box = model_box(model_);
+  auto p1 = solve_capped(model_, box, req_, Subproblem::kP1, mode_, control_,
+                         scratch, &stats);
   if (!p1.ok()) return p1.error();
-  auto p2 = solve_capped(model_, req_, Subproblem::kP2, mode_, control_,
-                         &stats);
+  auto p2 = solve_capped(model_, box, req_, Subproblem::kP2, mode_, control_,
+                         scratch, &stats);
   if (!p2.ok()) return p2.error();
 
   BargainingOutcome out;
@@ -651,21 +691,15 @@ Expected<BargainingOutcome> EnergyDelayGame::solve_weighted(
   // the paper's plain product (RawObjective::kNash).
   const double e_range = std::max(e_worst - out.e_best(), 1e-300);
   const double l_range = std::max(l_worst - out.l_best(), 1e-300);
-  // One spec drives both oracle flavours (see make_scalar_objective).
   // The caps are x-independent, so hoisting them out of the per-lane
   // combines preserves the scalar bits.
-  const std::vector<MetricSlack> mslacks = {
-      {/*uses_energy=*/true, /*cap=*/e_cap},
-      {/*uses_energy=*/false, /*cap=*/l_cap}};
-  const RawObjective raw{RawObjective::Kind::kNash, e_worst, l_worst,
-                         e_range, l_range, alpha};
-  PointMetrics metrics(model_);
-  opt::Objective obj = make_scalar_objective(metrics, raw);
-  std::vector<opt::Constraint> slacks = make_scalar_slacks(metrics, mslacks);
-  BatchFence batch(model_, mslacks, raw);
-
-  const opt::Box box = model_box(model_);
-  auto r = dual_solve(obj, slacks, batch.oracle(), box, mode_, control_,
+  const std::array<MetricSlack, 2> slacks = {
+      {{/*uses_energy=*/true, /*cap=*/e_cap},
+       {/*uses_energy=*/false, /*cap=*/l_cap}}};
+  const Problem problem{model_, slacks,
+                        {RawObjective::Kind::kNash, e_worst, l_worst,
+                         e_range, l_range, alpha}};
+  auto r = dual_solve(problem, box, mode_, scratch, control_,
                       stats.evaluations);
   if (!r.ok()) {
     // Deadline/cancellation first: the corner fallback answers

@@ -111,11 +111,12 @@ void Fan::drain(Batch& batch) {
       } else {
         (*batch.fn)(i);
       }
-      EDB_GAUGE_ADD("engine.fan.pending", -1);
     } catch (...) {
       std::lock_guard<std::mutex> lock(batch.error_mutex);
       batch.errors.emplace_back(i, std::current_exception());
     }
+    // A job that threw has left the batch too.
+    EDB_GAUGE_ADD("engine.fan.pending", -1);
   }
 }
 

@@ -1,7 +1,7 @@
 // Shared lattice-scan plumbing for the dense-scan solvers (opt/grid.h,
-// opt/pareto.h): axis construction, odometer advance, and the block size
-// their block-oracle flavours chunk by.  Internal to edb_opt — not part
-// of the solver API surface.
+// opt/pareto.h, opt/descent.h): axis construction, odometer advance, and
+// the block size their block-oracle flavours chunk by.  Internal to
+// edb_opt — grid.h includes it only for its templates' bodies.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +13,7 @@
 namespace edb::opt::internal {
 
 // Lattice points per block-oracle call.  Large enough to amortise the
-// oracle's per-call setup (one std::function dispatch, gather/scatter
+// oracle's per-call setup (the kernel's hoisted constants, the block's
 // bookkeeping), small enough that the scratch buffers stay cache-resident.
 inline constexpr std::size_t kBlockPoints = 512;
 

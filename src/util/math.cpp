@@ -36,12 +36,17 @@ double percentile(std::vector<double> xs, double p) {
 }
 
 std::vector<double> linspace(double lo, double hi, int n) {
+  std::vector<double> out;
+  linspace(lo, hi, n, out);
+  return out;
+}
+
+void linspace(double lo, double hi, int n, std::vector<double>& out) {
   EDB_ASSERT(n >= 2, "linspace needs n >= 2");
-  std::vector<double> out(static_cast<std::size_t>(n));
+  out.resize(static_cast<std::size_t>(n));
   const double step = (hi - lo) / static_cast<double>(n - 1);
   for (int i = 0; i < n; ++i) out[i] = lo + step * i;
   out.back() = hi;  // avoid accumulated rounding on the endpoint
-  return out;
 }
 
 std::vector<double> logspace(double lo, double hi, int n) {

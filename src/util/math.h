@@ -2,7 +2,10 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -30,6 +33,19 @@ inline double rel_diff(double a, double b) {
   return std::abs(a - b) / denom;
 }
 
+// True when a[0..n) and b[0..n) hold the same bit patterns: -0.0 differs
+// from 0.0, and a NaN equals itself.  An inline loop, so a per-point
+// caller pays no library call.
+inline bool bits_equal(const double* a, const double* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Mean / variance / percentile of a sample.
 double mean(const std::vector<double>& xs);
 double variance(const std::vector<double>& xs);  // population variance
@@ -39,6 +55,8 @@ double percentile(std::vector<double> xs, double p);
 
 // Evenly spaced grid of `n >= 2` points covering [lo, hi] inclusive.
 std::vector<double> linspace(double lo, double hi, int n);
+// The same grid written into `out` (resized to n), reusing its storage.
+void linspace(double lo, double hi, int n, std::vector<double>& out);
 // Log-spaced grid (lo, hi > 0).
 std::vector<double> logspace(double lo, double hi, int n);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +50,19 @@ TEST(Fan, EmptyBatchRunsNoJobButCountsTheBatch) {
     EXPECT_EQ(counter("engine.fan.batches"), batches + 1);
     EXPECT_EQ(counter("engine.fan.jobs"), jobs);
   }
+}
+
+TEST(Fan, PendingGaugeSettlesWhenJobsThrow) {
+  // Every job leaves the engine.fan.pending gauge, whether it returns or
+  // throws; every batch in this binary settles, so the gauge reads 0.
+  obs::Gauge& pending = obs::Registry::global().gauge("engine.fan.pending");
+  Fan fan(2);
+  EXPECT_THROW(fan.run(8,
+                       [](std::size_t i) {
+                         if (i == 2 || i == 5) throw std::runtime_error("job");
+                       }),
+               std::runtime_error);
+  EXPECT_EQ(pending.value(), 0);
 }
 
 TEST(Fan, WidthOneRunsOnTheCallingThreadInIndexOrder) {

@@ -1,22 +1,44 @@
 // Block-oracle contract tests: the batched grid flavours must be
 // bit-identical to the scalar reference path — same argmin bits, same
 // value bits, same evaluation count — the zoom refinement must not
-// re-call the oracle on the inherited incumbent, and oracle_ns is timed
-// only while the tracer is on.
+// re-call the oracle on the inherited incumbent, a batched search
+// allocates nothing per zoom round, and oracle_ns is timed only while the
+// tracer is on.
 #include "opt/batch.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 
 #include "obs/trace.h"
 #include "opt/bounds.h"
 #include "opt/descent.h"
 #include "opt/grid.h"
 #include "opt/pareto.h"
+
+// Every global operator new of this test binary counts itself, so a test
+// can count the allocations a call makes.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Out of line: inlined into their callers, the malloc/free pairs would
+// draw gcc's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace edb::opt {
 namespace {
@@ -158,6 +180,98 @@ TEST(GridRefine, DoesNotReevaluateInheritedIncumbent) {
   EXPECT_EQ(batch_calls, expected);
   EXPECT_EQ(rb.evaluations, expected);
   expect_identical(r, rb);
+}
+
+TEST(GridRefineBatch, UlpWideAxisRepeatsTheIncumbent) {
+  // On a one-ulp box every round re-opens the same window, and linspace
+  // repeats its two ends, so each seeded round holds the incumbent on many
+  // rows.  The batched pass must reuse the known value on every one of
+  // them, like the scalar pass's bit compare.
+  const double lo = 1.0;
+  const double hi = std::nextafter(lo, 2.0);
+  const Box box({lo}, {hi});
+  const GridOptions opts{.points_per_dim = 33, .rounds = 4, .zoom = 0.2};
+  for (const double low_value : {0.0, 2.0}) {
+    const auto f = [&](const std::vector<double>& x) {
+      return x[0] == lo ? low_value : 1.0;
+    };
+    auto scalar = grid_refine_min(f, box, opts);
+    auto batch = grid_refine_min(batch_from_scalar(f), box, opts);
+    expect_identical(scalar, batch);
+    EXPECT_LT(scalar.evaluations, 33 * opts.rounds);  // repeats were skipped
+    EXPECT_EQ(batch.blocks, opts.rounds);  // one block per round
+  }
+}
+
+TEST(GridRefineBatch, IncumbentOnEitherSideOfAChunkBoundary) {
+  // A 33 x 33 lattice is three chunks (rows 0-511, 512-1023, 1024-1088).
+  // Round 0 spans the integers 0..32 on each axis.  With zoom 0.5, round 1
+  // clips its window at the box edge so that the incumbent (a, b) lands on
+  // axis indices (0, 0), (16, 15) or (17, 15): rows 0, 511 and 512 of
+  // round 1 (row = i0 + 33 * i1).
+  const Box box({0.0, 0.0}, {32.0, 32.0});
+  const GridOptions opts{.points_per_dim = 33, .rounds = 3, .zoom = 0.5};
+  struct Case {
+    double a, b;
+    std::vector<std::size_t> round1_blocks;
+  };
+  for (const Case& c : {Case{0, 0, {511, 512, 65}},
+                        Case{16, 7, {511, 512, 65}},
+                        Case{25, 7, {512, 511, 65}}}) {
+    const auto f = [&c](const std::vector<double>& x) {
+      return (x[0] - c.a) * (x[0] - c.a) + 2.0 * (x[1] - c.b) * (x[1] - c.b);
+    };
+    std::vector<std::size_t> blocks;
+    int incumbent_calls = 0;
+    const auto recording = [&](const PointBlock& b, double* values) {
+      blocks.push_back(b.n);
+      for (std::size_t i = 0; i < b.n; ++i) {
+        const double* p = b.point(i);
+        values[i] = f({p[0], p[1]});
+        if (p[0] == c.a && p[1] == c.b) ++incumbent_calls;
+      }
+    };
+    auto scalar = grid_refine_min(f, box, opts);
+    auto batch = grid_refine_min(recording, box, opts);
+    expect_identical(scalar, batch);
+    EXPECT_EQ(batch.evaluations, 1089 + 2 * 1088);  // one row reused a round
+    EXPECT_EQ(incumbent_calls, 1);  // evaluated in round 0 only
+    ASSERT_EQ(blocks.size(), 9u);
+    EXPECT_EQ(std::vector<std::size_t>(blocks.begin() + 3, blocks.begin() + 6),
+              c.round1_blocks)
+        << "incumbent (" << c.a << ", " << c.b << ")";
+    EXPECT_EQ(batch.blocks, 9);
+    EXPECT_TRUE(bits_eq(batch.x[0], c.a));
+    EXPECT_TRUE(bits_eq(batch.x[1], c.b));
+  }
+}
+
+// Allocations one batched grid_refine_min makes over a `dim`-D box.
+long allocations_of_search(std::size_t dim, int rounds) {
+  const Box box(std::vector<double>(dim, 0.0), std::vector<double>(dim, 10.0));
+  const auto bowl = [](const PointBlock& b, double* values) {
+    for (std::size_t i = 0; i < b.n; ++i) {
+      double v = 0;
+      for (std::size_t k = 0; k < b.dim; ++k) {
+        const double d = b.point(i)[k] - 3.14159;
+        v += d * d;
+      }
+      values[i] = v;
+    }
+  };
+  const GridOptions opts{.points_per_dim = 33, .rounds = rounds, .zoom = 0.2};
+  const long before = g_allocations.load();
+  const VectorResult r = grid_refine_min(bowl, box, opts);
+  const long made = g_allocations.load() - before;
+  EXPECT_TRUE(r.converged);
+  return made;
+}
+
+TEST(GridRefineBatch, ZoomRoundsDoNotAllocate) {
+  for (const std::size_t dim : {1u, 2u}) {
+    EXPECT_EQ(allocations_of_search(dim, 3), allocations_of_search(dim, 10))
+        << dim << "-D";
+  }
 }
 
 // Runs `solve` with the tracer switch at `on`, then restores the switch.
