@@ -97,6 +97,10 @@ FrameStatus parse(const std::string& bytes, FrameView* fv) {
   return next_frame(ring, kMaxFrame, fv);
 }
 
+std::string body_of(const std::string& bytes) {
+  return bytes.substr(13);  // len + type + seq
+}
+
 // ---------------------------------------------------------- round trips --
 
 TEST(WireRoundTrip, QueryEncodeDecodeEncodeIsIdentity) {
@@ -163,6 +167,95 @@ TEST(WireRoundTrip, HelloAndError) {
   EXPECT_TRUE(de->fatal);
   EXPECT_EQ(de->code, ErrorCode::kResourceExhausted);
   EXPECT_EQ(de->message, "shed");
+}
+
+// ----------------------------------------------------- golden frames --
+//
+// Differential pins of the byte layout: each frame's hex as the
+// hand-written encoders produced it, before each body became one walk
+// shared by its encoder and decoder.  Every frame must decode and
+// re-encode to the same bytes.
+
+std::string hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+TEST(WireGolden, QueryFrameIsPinned) {
+  service::TuningQuery q;
+  q.scenario = core::Scenario::paper_default();
+  q.protocols = {"X-MAC", "LMAC"};
+  q.options.alpha = 0.75;
+  q.options.eval_budget = 7;
+  const std::string bytes = encode_query(q, 42);
+  EXPECT_EQ(hex(bytes),
+            "d6000000032a0000000000000006006363323432307dd0b359f5b9aa3fff21fd"
+            "f675e0ac3f54e41071732ac93e0000000080840e41fca9f1d24d62403f2d431c"
+            "ebe2362a3f613255302aa9333f00000000000040400000000000003040000000"
+            "0000002440000000000000244000000000000028400000000000003040050000"
+            "000000000000001c4043c5387f130a113f0000000000005940009a9999999999"
+            "b93f000000000000f03f00b81e85eb51b8ae3f00000000000018400200050058"
+            "2d4d414304004c4d4143000000000000e83f0700000000000000");
+  auto decoded = decode_query(body_of(bytes));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(encode_query(*decoded, 42), bytes);
+}
+
+TEST(WireGolden, ResultFrameIsPinned) {
+  service::TuningResult r;
+  r.key.hash = 0x0123456789abcdefULL;
+  r.key.canonical = "protocols=LMAC,X-MAC;";
+  service::ProtocolOutcome feasible;
+  feasible.protocol = "X-MAC";
+  core::BargainingOutcome b;
+  b.p1 = {{0.25}, 0.0125, 2.5};
+  b.p2 = {{0.5}, 0.03, 0.75};
+  b.nbs = {{0.375}, 0.017, 1.5};
+  b.nash_product = 0.0625;
+  feasible.outcome = b;
+  service::ProtocolOutcome infeasible;
+  infeasible.protocol = "LMAC";
+  infeasible.infeasible_code = ErrorCode::kInfeasible;
+  infeasible.infeasible_reason = "no slot";
+  r.per_protocol = {feasible, infeasible};
+  r.recommended = 0;
+  r.quality = service::ResultQuality::kCoarse;
+  const std::string bytes = encode_result(r, 43);
+  EXPECT_EQ(hex(bytes),
+            "a2000000042b00000000000000efcdab89674523011500000070726f746f636f"
+            "6c733d4c4d41432c582d4d41433b02000500582d4d4143010100000000000000"
+            "d03f9a9999999999893f00000000000004400100000000000000e03fb81e85eb"
+            "51b89e3f000000000000e83f0100000000000000d83f9cc420b07268913f0000"
+            "00000000f83f000000000000b03f04004c4d41430001070000006e6f20736c6f"
+            "740000000002");
+  auto decoded = decode_result(body_of(bytes));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(encode_result(*decoded, 43), bytes);
+}
+
+TEST(WireGolden, HelloAndErrorFramesArePinned) {
+  Hello h;
+  h.mode = WireMode::kJson;
+  h.tenant = "ops";
+  const std::string hello = encode_hello(h);
+  EXPECT_EQ(hex(hello),
+            "150000000100000000000000004544423101000103006f7073");
+  auto dh = decode_hello(body_of(hello));
+  ASSERT_TRUE(dh.ok()) << dh.error().to_string();
+  EXPECT_EQ(encode_hello(*dh), hello);
+
+  const std::string error = encode_error(
+      WireError{true, ErrorCode::kResourceExhausted, "shed"}, 44);
+  EXPECT_EQ(hex(error),
+            "13000000052c0000000000000001080400000073686564");
+  auto de = decode_error(body_of(error));
+  ASSERT_TRUE(de.ok()) << de.error().to_string();
+  EXPECT_EQ(encode_error(*de, 44), error);
 }
 
 // ------------------------------------------------------ frame extraction --
@@ -248,10 +341,6 @@ void expect_prefixes_fail(const std::string& body, Decoder decode) {
   }
   auto r = decode(body + '\0');
   EXPECT_FALSE(r.ok()) << "trailing byte accepted";
-}
-
-std::string body_of(const std::string& bytes) {
-  return bytes.substr(13);  // len + type + seq
 }
 
 TEST(WireMalformed, TruncatedAndPaddedBodies) {
