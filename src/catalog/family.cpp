@@ -2,30 +2,14 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <type_traits>
 
+// The hash, splitmix rounds and field encoders are util/'s shared
+// definitions, which the campaign layer also uses, so the catalog and sim
+// determinism contracts cannot drift apart.
 #include "util/fingerprint.h"
 
 namespace edb::catalog {
-namespace {
-
-// Local FNV-1a (same constants as service/key.h, but catalog sits below
-// the service layer and must not reach up into it).  The splitmix mixing
-// rounds come from util/rng.h and the fingerprint field encoders from
-// util/fingerprint.h — the shared definitions the campaign layer also
-// uses, so the catalog and sim determinism contracts cannot drift apart.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-constexpr auto put = fingerprint_put;
-constexpr auto put_u64 = fingerprint_put_u64;
-
-}  // namespace
 
 std::uint64_t scenario_stream_seed(std::string_view family,
                                    std::size_t index, std::uint64_t seed) {
@@ -48,35 +32,23 @@ std::uint64_t CatalogScenario::sim_seed() const {
 
 std::string CatalogScenario::fingerprint() const {
   std::string out;
-  out.reserve(640);
+  out.reserve(1024);
   out += "family=" + family + ";";
-  put_u64(out, "index", index);
-  put_u64(out, "seed", seed);
-  const auto& ctx = scenario.context;
-  out += "radio=" + ctx.radio.name + ";";
-  put(out, "p_tx", ctx.radio.p_tx);
-  put(out, "p_rx", ctx.radio.p_rx);
-  put(out, "p_sleep", ctx.radio.p_sleep);
-  put(out, "bitrate", ctx.radio.bitrate);
-  put(out, "t_startup", ctx.radio.t_startup);
-  put(out, "t_turnaround", ctx.radio.t_turnaround);
-  put(out, "t_cca", ctx.radio.t_cca);
-  put(out, "payload", ctx.packet.payload_bytes);
-  put(out, "header", ctx.packet.header_bytes);
-  put(out, "ack", ctx.packet.ack_bytes);
-  put(out, "strobe", ctx.packet.strobe_bytes);
-  put(out, "ctrl", ctx.packet.ctrl_bytes);
-  put(out, "sync", ctx.packet.sync_bytes);
-  put(out, "depth", static_cast<double>(ctx.ring.depth));
-  put(out, "density", ctx.ring.density);
-  put(out, "fs", ctx.fs);
-  put(out, "epoch", ctx.energy_epoch);
-  put(out, "e_budget", scenario.requirements.e_budget);
-  put(out, "l_max", scenario.requirements.l_max);
-  put(out, "loss", sim.loss_probability);
-  put(out, "drift_ppm", sim.clock_drift_ppm);
-  put(out, "burst", sim.burst_factor);
-  out += sim.poisson_arrivals ? "arrivals=poisson;" : "arrivals=periodic;";
+  fingerprint_put_u64(out, "index", index);
+  fingerprint_put_u64(out, "seed", seed);
+  out += "radio=" + scenario.context.radio.name + ";";
+  core::for_each_field(scenario, [&out](const char* name, const auto& v) {
+    if constexpr (std::is_enum_v<std::remove_cvref_t<decltype(v)>>) {
+      fingerprint_put_u64(out, name, static_cast<std::uint64_t>(v));
+    } else {
+      fingerprint_put(out, name, static_cast<double>(v));
+    }
+  });
+  fingerprint_put(out, "sim.loss", sim.loss_probability);
+  fingerprint_put(out, "sim.drift_ppm", sim.clock_drift_ppm);
+  fingerprint_put(out, "sim.burst", sim.burst_factor);
+  out += sim.poisson_arrivals ? "sim.arrivals=poisson;"
+                              : "sim.arrivals=periodic;";
   return out;
 }
 

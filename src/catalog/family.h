@@ -54,8 +54,9 @@ struct CatalogScenario {
   std::uint64_t sim_seed() const;
 
   // Canonical byte-exact serialization of every field (doubles rendered
-  // as hex floats), the unit of the determinism contract: two expansions
-  // are "the same scenario" iff their fingerprints match byte for byte.
+  // as hex floats; the scenario through core::for_each_field), the unit
+  // of the determinism contract: two expansions are "the same scenario"
+  // iff their fingerprints match byte for byte.
   std::string fingerprint() const;
 };
 

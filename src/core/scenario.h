@@ -8,6 +8,8 @@
 // of derived scenarios live one layer up in catalog/catalog.h.
 #pragma once
 
+#include <type_traits>
+
 #include "mac/model.h"
 #include "util/error.h"
 
@@ -34,5 +36,16 @@ struct Scenario {
   // energy epoch, Ebudget = 0.06 J, Lmax = 6 s.
   static Scenario paper_default();
 };
+
+// The scenario walk: the deployment walk (mac::for_each_field), then the
+// two requirements.  This is the field list the cache key and the QUERY
+// wire body carry, in their order.
+template <typename S, typename F>
+  requires std::is_same_v<std::remove_const_t<S>, Scenario>
+void for_each_field(S& s, F&& f) {
+  mac::for_each_field(s.context, f);
+  f("req.e_budget", s.requirements.e_budget);
+  f("req.l_max", s.requirements.l_max);
+}
 
 }  // namespace edb::core

@@ -18,6 +18,7 @@
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "net/packet.h"
@@ -136,6 +137,41 @@ struct ModelContext {
     return t;
   }
 };
+
+// The deployment walk: f(name, member) on every value-affecting field, in
+// the one order the cache key, the QUERY wire body and the catalog
+// fingerprint share.  `member` is const when ctx is, so the walk serves
+// readers and writers.  The radio's display name affects no value and is
+// not visited.
+template <typename Ctx, typename F>
+  requires std::is_same_v<std::remove_const_t<Ctx>, ModelContext>
+void for_each_field(Ctx& ctx, F&& f) {
+  f("radio.p_tx", ctx.radio.p_tx);
+  f("radio.p_rx", ctx.radio.p_rx);
+  f("radio.p_sleep", ctx.radio.p_sleep);
+  f("radio.bitrate", ctx.radio.bitrate);
+  f("radio.t_startup", ctx.radio.t_startup);
+  f("radio.t_turnaround", ctx.radio.t_turnaround);
+  f("radio.t_cca", ctx.radio.t_cca);
+  f("packet.payload", ctx.packet.payload_bytes);
+  f("packet.header", ctx.packet.header_bytes);
+  f("packet.ack", ctx.packet.ack_bytes);
+  f("packet.strobe", ctx.packet.strobe_bytes);
+  f("packet.ctrl", ctx.packet.ctrl_bytes);
+  f("packet.sync", ctx.packet.sync_bytes);
+  f("ring.depth", ctx.ring.depth);
+  f("ring.density", ctx.ring.density);
+  f("fs", ctx.fs);
+  f("energy_epoch", ctx.energy_epoch);
+  // Arrival shape and model version are value-affecting under
+  // kV2Queueing; they are visited unconditionally so a kV1 and a
+  // kV2Queueing query over one deployment never share a key
+  // (tests/model_version_test.cpp pins the no-cross-version-hit rule).
+  f("arrivals", ctx.arrivals);
+  f("jitter_frac", ctx.jitter_frac);
+  f("burst_factor", ctx.burst_factor);
+  f("model_version", ctx.model_version);
+}
 
 class AnalyticMacModel {
  public:

@@ -123,10 +123,7 @@ Expected<WireClient::Response> WireClient::next_response() {
   if (auto got = fill_until(4); !got.ok()) return got.error();
   unsigned char len_bytes[4];
   in_.copy_out(0, 4, len_bytes);
-  const std::uint32_t len = static_cast<std::uint32_t>(len_bytes[0]) |
-                            (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-                            (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-                            (static_cast<std::uint32_t>(len_bytes[3]) << 24);
+  const std::uint32_t len = ByteReader(len_bytes, 4).u32();
   if (len < 9 || len > kMaxFrame) {
     close();
     return make_error(ErrorCode::kInternal, "malformed server frame");

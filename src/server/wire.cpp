@@ -2,9 +2,14 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <type_traits>
+#include <vector>
 
 #include "core/scenario.h"
 
@@ -18,30 +23,182 @@ constexpr std::size_t kMaxProtocols = 256;
 constexpr std::size_t kMaxOutcomes = 256;
 constexpr std::size_t kMaxParamDim = 4096;
 
-constexpr std::uint8_t kMaxErrorCode =
-    static_cast<std::uint8_t>(ErrorCode::kCancelled);
-
 Error malformed(const char* what) {
   return make_error(ErrorCode::kInvalidArgument,
                     std::string("malformed frame: ") + what);
 }
 
-void write_point(ByteWriter& w, const core::OperatingPoint& p) {
-  EDB_ASSERT(p.x.size() <= kMaxParamDim, "operating point dim over cap");
-  w.u16(static_cast<std::uint16_t>(p.x.size()));
-  for (double v : p.x) w.f64(v);
-  w.f64(p.energy);
-  w.f64(p.latency);
+// ------------------------------------------------------------ body walks --
+//
+// Each body is laid out once, as a walk over a BodyWriter (encoder) or a
+// BodyReader (decoder, which runs the checks).  io.check(ok, label) stops
+// the walk if the body is short or !ok; io.later(ok, label) reports !ok
+// only once the body proved exact; io.u8(v, max) is ok when v <= max.
+
+// kMagic read as one little-endian u32.
+constexpr std::uint32_t kMagicWord =
+    kMagic[0] | kMagic[1] << 8 | kMagic[2] << 16 | kMagic[3] << 24;
+
+class BodyWriter : public ByteWriter {
+ public:
+  template <typename E>
+  bool u8(E v, E) {
+    ByteWriter::u8(static_cast<std::uint8_t>(v));
+    return true;
+  }
+  template <typename T>
+  bool count(const std::vector<T>& v, std::size_t cap, const char*) {
+    EDB_ASSERT(v.size() <= cap, "list over wire cap");
+    u16(static_cast<std::uint16_t>(v.size()));
+    return true;
+  }
+  template <typename T>
+  const T& engage(const std::optional<T>& o) {
+    return *o;
+  }
+  bool check(bool, const char*) { return true; }
+  void later(bool, const char*) {}
+};
+
+class BodyReader {
+ public:
+  explicit BodyReader(std::string_view body) : r_(body) {}
+
+  void u16(std::uint16_t& v) { v = r_.u16(); }
+  void u32(std::uint32_t& v) { v = r_.u32(); }
+  void u64(std::uint64_t& v) { v = r_.u64(); }
+  void i32(int& v) { v = r_.i32(); }
+  void i64(long long& v) { v = r_.i64(); }
+  void f64(double& v) { v = r_.f64(); }
+  void str16(std::string& s) { s = r_.str16(); }
+  void str32(std::string& s) { s = r_.str32(); }
+  template <typename E>
+  bool u8(E& v, E max) {
+    const std::uint8_t b = r_.u8();
+    v = static_cast<E>(b);
+    return b <= static_cast<std::uint8_t>(max);
+  }
+  template <typename T>
+  bool count(std::vector<T>& v, std::size_t cap, const char* label) {
+    const std::size_t n = r_.u16();
+    if (!check(n <= cap, label)) return false;
+    v.resize(n);
+    return true;
+  }
+  template <typename T>
+  T& engage(std::optional<T>& o) {
+    return o.emplace();
+  }
+  bool check(bool ok, const char* label) {
+    if (!r_.failed() && ok) return true;
+    if (!error_) error_ = label;
+    return false;
+  }
+  void later(bool ok, const char* label) {
+    if (!ok && !late_) late_ = label;
+  }
+
+  // Decodes one body with `walk`: the first immediate failure, else
+  // `label` when the body is short or long, else the first deferred one.
+  template <typename T>
+  static Expected<T> decode(std::string_view body, const char* label,
+                            void (*walk)(BodyReader&, T&)) {
+    BodyReader r(body);
+    T value;
+    walk(r, value);
+    if (r.error_) return malformed(r.error_);
+    if (!r.r_.exhausted()) return malformed(label);
+    if (r.late_) return malformed(r.late_);
+    return value;
+  }
+
+ private:
+  ByteReader r_;
+  const char* error_ = nullptr;
+  const char* late_ = nullptr;
+};
+
+constexpr auto kMaxErrorCode = ErrorCode::kCancelled;
+
+template <typename IO, typename H>
+void hello_body(IO& io, H& h) {
+  std::uint32_t magic = kMagicWord;
+  io.u32(magic);
+  if (!io.check(magic == kMagicWord, "bad magic")) return;
+  io.u16(h.version);
+  io.later(io.u8(h.mode, WireMode::kJson), "unknown hello mode");
+  io.str16(h.tenant);
 }
 
-bool read_point(ByteReader& r, core::OperatingPoint* p) {
-  const std::size_t nx = r.u16();
-  if (r.failed() || nx > kMaxParamDim) return false;
-  p->x.resize(nx);
-  for (std::size_t i = 0; i < nx; ++i) p->x[i] = r.f64();
-  p->energy = r.f64();
-  p->latency = r.f64();
-  return !r.failed();
+// The QUERY body: the radio's name, the scenario walk (the cache key's
+// field list and order), then the protocols and the options.
+template <typename IO, typename Q>
+void query_body(IO& io, Q& q) {
+  io.str16(q.scenario.context.radio.name);
+  core::for_each_field(q.scenario, [&io](const char*, auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, net::ArrivalProcess>) {
+      io.later(io.u8(v, net::ArrivalProcess::kBursty),
+               "query arrival process");
+    } else if constexpr (std::is_same_v<T, mac::ModelVersion>) {
+      io.later(io.u8(v, mac::ModelVersion::kV2Queueing),
+               "query model version");
+    } else if constexpr (std::is_same_v<T, int>) {
+      io.i32(v);
+    } else {
+      io.f64(v);
+    }
+  });
+  if (!io.count(q.protocols, kMaxProtocols, "query protocols")) return;
+  for (auto& p : q.protocols) io.str16(p);
+  io.f64(q.options.alpha);
+  io.i64(q.options.eval_budget);
+}
+
+template <typename IO, typename P>
+bool point_body(IO& io, P& p) {
+  if (!io.count(p.x, kMaxParamDim, "result operating point")) return false;
+  for (auto& v : p.x) io.f64(v);
+  io.f64(p.energy);
+  io.f64(p.latency);
+  return io.check(true, "result operating point");
+}
+
+template <typename IO, typename R>
+void result_body(IO& io, R& r) {
+  io.u64(r.key.hash);
+  io.str32(r.key.canonical);
+  if (!io.count(r.per_protocol, kMaxOutcomes, "result outcomes")) return;
+  for (auto& o : r.per_protocol) {
+    io.str16(o.protocol);
+    bool feasible = o.feasible();
+    if (!io.check(io.u8(feasible, true), "result outcome flag")) return;
+    if (feasible) {
+      auto& b = io.engage(o.outcome);
+      if (!point_body(io, b.p1) || !point_body(io, b.p2) ||
+          !point_body(io, b.nbs)) {
+        return;
+      }
+      io.f64(b.nash_product);
+    } else {
+      const bool code_ok = io.u8(o.infeasible_code, kMaxErrorCode);
+      io.str32(o.infeasible_reason);
+      if (!io.check(code_ok, "result infeasible code")) return;
+    }
+  }
+  io.i32(r.recommended);
+  io.later(io.u8(r.quality, service::ResultQuality::kCoarse),
+           "result quality");
+  io.later(r.recommended >= -1 &&
+               r.recommended < static_cast<int>(r.per_protocol.size()),
+           "result recommendation index");
+}
+
+template <typename IO, typename E>
+void error_body(IO& io, E& e) {
+  io.later(io.u8(e.fatal, true), "error body");
+  io.later(io.u8(e.code, kMaxErrorCode), "error body");
+  io.str32(e.message);
 }
 
 }  // namespace
@@ -58,11 +215,8 @@ std::string frame(MsgType type, std::uint64_t seq, std::string_view body) {
 }
 
 std::string encode_hello(const Hello& hello) {
-  ByteWriter w;
-  w.bytes(kMagic, sizeof kMagic);
-  w.u16(hello.version);
-  w.u8(static_cast<std::uint8_t>(hello.mode));
-  w.str16(hello.tenant);
+  BodyWriter w;
+  hello_body(w, hello);
   return frame(MsgType::kHello, 0, w.buffer());
 }
 
@@ -74,73 +228,21 @@ std::string encode_hello_ok() {
 
 std::string encode_query(const service::TuningQuery& query,
                          std::uint64_t seq) {
-  const core::Scenario& s = query.scenario;
-  const mac::ModelContext& c = s.context;
-  ByteWriter w;
-  w.str16(c.radio.name);
-  w.f64(c.radio.p_tx);
-  w.f64(c.radio.p_rx);
-  w.f64(c.radio.p_sleep);
-  w.f64(c.radio.bitrate);
-  w.f64(c.radio.t_startup);
-  w.f64(c.radio.t_turnaround);
-  w.f64(c.radio.t_cca);
-  w.f64(c.packet.payload_bytes);
-  w.f64(c.packet.header_bytes);
-  w.f64(c.packet.ack_bytes);
-  w.f64(c.packet.strobe_bytes);
-  w.f64(c.packet.ctrl_bytes);
-  w.f64(c.packet.sync_bytes);
-  w.i32(c.ring.depth);
-  w.f64(c.ring.density);
-  w.f64(c.fs);
-  w.f64(c.energy_epoch);
-  w.u8(static_cast<std::uint8_t>(c.arrivals));
-  w.f64(c.jitter_frac);
-  w.f64(c.burst_factor);
-  w.u8(static_cast<std::uint8_t>(c.model_version));
-  w.f64(s.requirements.e_budget);
-  w.f64(s.requirements.l_max);
-  EDB_ASSERT(query.protocols.size() <= kMaxProtocols,
-             "protocol list over wire cap");
-  w.u16(static_cast<std::uint16_t>(query.protocols.size()));
-  for (const std::string& p : query.protocols) w.str16(p);
-  w.f64(query.options.alpha);
-  w.i64(query.options.eval_budget);
+  BodyWriter w;
+  query_body(w, query);
   return frame(MsgType::kQuery, seq, w.buffer());
 }
 
 std::string encode_result(const service::TuningResult& result,
                           std::uint64_t seq) {
-  ByteWriter w;
-  w.u64(result.key.hash);
-  w.str32(result.key.canonical);
-  EDB_ASSERT(result.per_protocol.size() <= kMaxOutcomes,
-             "outcome list over wire cap");
-  w.u16(static_cast<std::uint16_t>(result.per_protocol.size()));
-  for (const service::ProtocolOutcome& o : result.per_protocol) {
-    w.str16(o.protocol);
-    w.u8(o.feasible() ? 1 : 0);
-    if (o.feasible()) {
-      write_point(w, o.outcome->p1);
-      write_point(w, o.outcome->p2);
-      write_point(w, o.outcome->nbs);
-      w.f64(o.outcome->nash_product);
-    } else {
-      w.u8(static_cast<std::uint8_t>(o.infeasible_code));
-      w.str32(o.infeasible_reason);
-    }
-  }
-  w.i32(result.recommended);
-  w.u8(static_cast<std::uint8_t>(result.quality));
+  BodyWriter w;
+  result_body(w, result);
   return frame(MsgType::kResult, seq, w.buffer());
 }
 
 std::string encode_error(const WireError& error, std::uint64_t seq) {
-  ByteWriter w;
-  w.u8(error.fatal ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(error.code));
-  w.str32(error.message);
+  BodyWriter w;
+  error_body(w, error);
   return frame(MsgType::kError, seq, w.buffer());
 }
 
@@ -153,133 +255,22 @@ std::string encode_response(const Expected<service::TuningResult>& result,
 }
 
 Expected<Hello> decode_hello(std::string_view body) {
-  ByteReader r(body);
-  char magic[4] = {};
-  magic[0] = static_cast<char>(r.u8());
-  magic[1] = static_cast<char>(r.u8());
-  magic[2] = static_cast<char>(r.u8());
-  magic[3] = static_cast<char>(r.u8());
-  if (r.failed() || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    return malformed("bad magic");
-  }
-  Hello h;
-  h.version = r.u16();
-  const std::uint8_t mode = r.u8();
-  h.tenant = r.str16();
-  if (!r.exhausted()) return malformed("hello body");
-  if (mode > static_cast<std::uint8_t>(WireMode::kJson)) {
-    return malformed("unknown hello mode");
-  }
-  h.mode = static_cast<WireMode>(mode);
-  return h;
+  return BodyReader::decode(body, "hello body", hello_body<BodyReader, Hello>);
 }
 
 Expected<service::TuningQuery> decode_query(std::string_view body) {
-  ByteReader r(body);
-  service::TuningQuery q;
-  core::Scenario& s = q.scenario;
-  mac::ModelContext& c = s.context;
-  c.radio.name = r.str16();
-  c.radio.p_tx = r.f64();
-  c.radio.p_rx = r.f64();
-  c.radio.p_sleep = r.f64();
-  c.radio.bitrate = r.f64();
-  c.radio.t_startup = r.f64();
-  c.radio.t_turnaround = r.f64();
-  c.radio.t_cca = r.f64();
-  c.packet.payload_bytes = r.f64();
-  c.packet.header_bytes = r.f64();
-  c.packet.ack_bytes = r.f64();
-  c.packet.strobe_bytes = r.f64();
-  c.packet.ctrl_bytes = r.f64();
-  c.packet.sync_bytes = r.f64();
-  c.ring.depth = r.i32();
-  c.ring.density = r.f64();
-  c.fs = r.f64();
-  c.energy_epoch = r.f64();
-  const std::uint8_t arrivals = r.u8();
-  c.jitter_frac = r.f64();
-  c.burst_factor = r.f64();
-  const std::uint8_t version = r.u8();
-  s.requirements.e_budget = r.f64();
-  s.requirements.l_max = r.f64();
-  const std::size_t nproto = r.u16();
-  if (r.failed() || nproto > kMaxProtocols) {
-    return malformed("query protocols");
-  }
-  q.protocols.reserve(nproto);
-  for (std::size_t i = 0; i < nproto; ++i) q.protocols.push_back(r.str16());
-  q.options.alpha = r.f64();
-  q.options.eval_budget = r.i64();
-  if (!r.exhausted()) return malformed("query body");
-  if (arrivals > static_cast<std::uint8_t>(net::ArrivalProcess::kBursty)) {
-    return malformed("query arrival process");
-  }
-  c.arrivals = static_cast<net::ArrivalProcess>(arrivals);
-  if (version > static_cast<std::uint8_t>(mac::ModelVersion::kV2Queueing)) {
-    return malformed("query model version");
-  }
-  c.model_version = static_cast<mac::ModelVersion>(version);
-  return q;
+  return BodyReader::decode(body, "query body",
+                            query_body<BodyReader, service::TuningQuery>);
 }
 
 Expected<service::TuningResult> decode_result(std::string_view body) {
-  ByteReader r(body);
-  service::TuningResult out;
-  out.key.hash = r.u64();
-  out.key.canonical = r.str32();
-  const std::size_t n = r.u16();
-  if (r.failed() || n > kMaxOutcomes) return malformed("result outcomes");
-  out.per_protocol.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    service::ProtocolOutcome o;
-    o.protocol = r.str16();
-    const std::uint8_t feasible = r.u8();
-    if (r.failed() || feasible > 1) return malformed("result outcome flag");
-    if (feasible) {
-      core::BargainingOutcome b;
-      if (!read_point(r, &b.p1) || !read_point(r, &b.p2) ||
-          !read_point(r, &b.nbs)) {
-        return malformed("result operating point");
-      }
-      b.nash_product = r.f64();
-      o.outcome = std::move(b);
-    } else {
-      const std::uint8_t code = r.u8();
-      o.infeasible_reason = r.str32();
-      if (r.failed() || code > kMaxErrorCode) {
-        return malformed("result infeasible code");
-      }
-      o.infeasible_code = static_cast<ErrorCode>(code);
-    }
-    out.per_protocol.push_back(std::move(o));
-  }
-  out.recommended = r.i32();
-  const std::uint8_t quality = r.u8();
-  if (!r.exhausted()) return malformed("result body");
-  if (quality > static_cast<std::uint8_t>(service::ResultQuality::kCoarse)) {
-    return malformed("result quality");
-  }
-  if (out.recommended < -1 ||
-      out.recommended >= static_cast<int>(out.per_protocol.size())) {
-    return malformed("result recommendation index");
-  }
-  out.quality = static_cast<service::ResultQuality>(quality);
-  return out;
+  return BodyReader::decode(body, "result body",
+                            result_body<BodyReader, service::TuningResult>);
 }
 
 Expected<WireError> decode_error(std::string_view body) {
-  ByteReader r(body);
-  WireError e;
-  const std::uint8_t fatal = r.u8();
-  const std::uint8_t code = r.u8();
-  e.message = r.str32();
-  if (!r.exhausted() || fatal > 1 || code > kMaxErrorCode) {
-    return malformed("error body");
-  }
-  e.fatal = fatal == 1;
-  e.code = static_cast<ErrorCode>(code);
-  return e;
+  return BodyReader::decode(body, "error body",
+                            error_body<BodyReader, WireError>);
 }
 
 FrameStatus next_frame(ByteRing& in, std::uint32_t max_frame,
@@ -287,11 +278,7 @@ FrameStatus next_frame(ByteRing& in, std::uint32_t max_frame,
   if (in.size() < 4) return FrameStatus::kNeedMore;
   unsigned char len_bytes[4];
   in.copy_out(0, 4, len_bytes);
-  const std::uint32_t len =
-      static_cast<std::uint32_t>(len_bytes[0]) |
-      (static_cast<std::uint32_t>(len_bytes[1]) << 8) |
-      (static_cast<std::uint32_t>(len_bytes[2]) << 16) |
-      (static_cast<std::uint32_t>(len_bytes[3]) << 24);
+  const std::uint32_t len = ByteReader(len_bytes, 4).u32();
   if (len > max_frame) return FrameStatus::kTooLarge;
   if (len < 1 + 8) return FrameStatus::kMalformed;
   if (in.size() < 4 + static_cast<std::size_t>(len)) {
@@ -417,6 +404,22 @@ struct JsonCursor {
     pos += static_cast<std::size_t>(end - tok.c_str());
     return v;
   }
+  // A number truncated toward zero into T.  Casting a double outside T's
+  // range (NaN and infinities included) is undefined behaviour, so those
+  // are bad values instead.  [min, 2 * (max / 2 + 1)) is exactly T's
+  // range in doubles.
+  template <typename T>
+  T integer_token() {
+    constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double hi =
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    const double t = std::trunc(number_token());
+    if (!(t >= lo && t < hi)) {
+      ok = false;
+      return 0;
+    }
+    return static_cast<T>(t);
+  }
 };
 
 }  // namespace
@@ -446,7 +449,7 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
     } else if (key == "tenant") {
       req.tenant = c.string_token();
     } else if (key == "seq") {
-      req.seq = static_cast<std::uint64_t>(c.number_token());
+      req.seq = c.integer_token<std::uint64_t>();
     } else if (key == "lmax") {
       req.query.scenario.requirements.l_max = c.number_token();
     } else if (key == "ebudget") {
@@ -454,11 +457,9 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
     } else if (key == "alpha") {
       req.query.options.alpha = c.number_token();
     } else if (key == "eval_budget") {
-      req.query.options.eval_budget =
-          static_cast<long long>(c.number_token());
+      req.query.options.eval_budget = c.integer_token<long long>();
     } else if (key == "depth") {
-      req.query.scenario.context.ring.depth =
-          static_cast<int>(c.number_token());
+      req.query.scenario.context.ring.depth = c.integer_token<int>();
     } else if (key == "density") {
       req.query.scenario.context.ring.density = c.number_token();
     } else if (key == "fs") {

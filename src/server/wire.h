@@ -27,6 +27,7 @@
 //   scenario  := radio packet ring fs:f64 energy_epoch:f64 arrivals:u8
 //                jitter_frac:f64 burst_factor:f64 model_version:u8
 //                e_budget:f64 l_max:f64
+//                -- after the radio's name, core::for_each_field's order
 //   radio     := name:str16 p_tx p_rx p_sleep bitrate t_startup
 //                t_turnaround t_cca                   (7 x f64)
 //   packet    := payload header ack strobe ctrl sync  (6 x f64)

@@ -2,27 +2,30 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 #include "mac/registry.h"
 
 namespace edb::service {
 namespace {
 
-// Accumulates "name=token;" pairs and finishes into a QueryKey.
+// The scenario walk's visitor: accumulates "name=token;" pairs and
+// finishes into a QueryKey.
 class KeyBuilder {
  public:
-  KeyBuilder& field(std::string_view name, double v) {
-    return field(name, quantize_token(v));
+  void operator()(std::string_view name, double v) {
+    (*this)(name, std::string_view(quantize_token(v)));
   }
-  KeyBuilder& field(std::string_view name, int v) {
-    return field(name, std::to_string(v));
+  template <typename T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+  void operator()(std::string_view name, T v) {
+    (*this)(name, std::string_view(std::to_string(static_cast<int>(v))));
   }
-  KeyBuilder& field(std::string_view name, std::string_view token) {
+  void operator()(std::string_view name, std::string_view token) {
     canonical_.append(name);
     canonical_.push_back('=');
     canonical_.append(token);
     canonical_.push_back(';');
-    return *this;
   }
   QueryKey build() && {
     QueryKey key;
@@ -35,55 +38,13 @@ class KeyBuilder {
   std::string canonical_;
 };
 
-void append_context(KeyBuilder& b, const mac::ModelContext& ctx) {
-  const net::RadioParams& r = ctx.radio;
-  b.field("radio.p_tx", r.p_tx)
-      .field("radio.p_rx", r.p_rx)
-      .field("radio.p_sleep", r.p_sleep)
-      .field("radio.bitrate", r.bitrate)
-      .field("radio.t_startup", r.t_startup)
-      .field("radio.t_turnaround", r.t_turnaround)
-      .field("radio.t_cca", r.t_cca);
-  const net::PacketFormat& p = ctx.packet;
-  b.field("packet.payload", p.payload_bytes)
-      .field("packet.header", p.header_bytes)
-      .field("packet.ack", p.ack_bytes)
-      .field("packet.strobe", p.strobe_bytes)
-      .field("packet.ctrl", p.ctrl_bytes)
-      .field("packet.sync", p.sync_bytes);
-  b.field("ring.depth", ctx.ring.depth)
-      .field("ring.density", ctx.ring.density)
-      .field("fs", ctx.fs)
-      .field("energy_epoch", ctx.energy_epoch);
-  // Arrival shape and model version are value-affecting under
-  // kV2Queueing; they participate unconditionally so a kV1 and a
-  // kV2Queueing query over the same deployment can never share a cache
-  // entry (tests/model_version_test.cpp pins the no-cross-version-hit
-  // guarantee).
-  b.field("arrivals", static_cast<int>(ctx.arrivals))
-      .field("jitter_frac", ctx.jitter_frac)
-      .field("burst_factor", ctx.burst_factor)
-      .field("model_version", static_cast<int>(ctx.model_version));
-}
-
 void append_scenario(KeyBuilder& b, const core::Scenario& s,
                      const QueryOptions& opts) {
-  append_context(b, s.context);
-  b.field("req.e_budget", s.requirements.e_budget)
-      .field("req.l_max", s.requirements.l_max)
-      .field("opts.alpha", opts.alpha);
+  core::for_each_field(s, b);
+  b("opts.alpha", opts.alpha);
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string quantize_token(double v) {
   if (v == 0.0) v = 0.0;  // fold -0 into +0
@@ -121,7 +82,7 @@ Expected<std::vector<std::string>> canonical_protocol_set(
 
 QueryKey context_key(const mac::ModelContext& ctx) {
   KeyBuilder b;
-  append_context(b, ctx);
+  mac::for_each_field(ctx, b);
   return std::move(b).build();
 }
 
@@ -129,7 +90,7 @@ QueryKey protocol_key(const core::Scenario& scenario,
                       std::string_view protocol, const QueryOptions& opts) {
   KeyBuilder b;
   append_scenario(b, scenario, opts);
-  b.field("protocol", protocol);
+  b("protocol", protocol);
   return std::move(b).build();
 }
 
@@ -143,7 +104,7 @@ QueryKey query_key(const core::Scenario& scenario,
     if (!set.empty()) set.push_back(',');
     set.append(p);
   }
-  b.field("protocols", set);
+  b("protocols", std::string_view(set));
   return std::move(b).build();
 }
 

@@ -11,8 +11,9 @@
 //   - protocol names resolve through the registry's spelling rules
 //     ("xmac" == "X-MAC") and protocol *sets* are sorted and deduped, so
 //     order and spelling cannot split the cache;
-//   - only value-affecting fields participate: the radio preset's display
-//     name does not (two radios with identical constants are the same
+//   - only value-affecting fields participate, in the scenario walk's
+//     order (core::for_each_field): the radio preset's display name does
+//     not (two radios with identical constants are the same
 //     deployment), its power/timing constants do.
 //
 // A QueryKey carries the full canonical field=value string plus a 64-bit
@@ -42,6 +43,7 @@
 
 #include "core/scenario.h"
 #include "util/error.h"
+#include "util/fingerprint.h"
 
 namespace edb::service {
 
@@ -68,9 +70,9 @@ struct QueryKey {
   bool operator!=(const QueryKey& o) const { return !(*this == o); }
 };
 
-// FNV-1a over the canonical form — stable across platforms and runs (keys
-// may be logged or persisted).
-std::uint64_t fnv1a64(std::string_view s);
+// FNV-1a over the canonical form (util/fingerprint.h) — stable across
+// platforms and runs (keys may be logged or persisted).
+using edb::fnv1a64;
 
 // The quantization rule, exposed for tests: "%.9e" with -0 normalised.
 std::string quantize_token(double v);

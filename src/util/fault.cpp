@@ -7,22 +7,12 @@
 #include <mutex>
 #include <thread>
 
+#include "util/fingerprint.h"
 #include "util/rng.h"
 
 namespace edb::fault {
 
 namespace {
-
-// FNV-1a, duplicated from service/key.cpp's definition on purpose: util
-// sits below service and the constant pair is canonical.
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // The active plan, published via atomic pointer.  A concurrent inject()
 // may still be reading a superseded plan, so every installed plan lives

@@ -76,6 +76,26 @@ TEST(CatalogDeterminism, StreamsAreKeyedByFamilyIndexAndSeed) {
       edb::catalog::scenario_stream_seed("sparse-ring", 3, kDefaultSeed));
 }
 
+// The fingerprint is the determinism contract's unit, so it must cover
+// the arrival shape and model version too: two expansions that differ
+// only there are different scenarios.
+TEST(CatalogDeterminism, FingerprintCoversArrivalShapeAndModelVersion) {
+  const CatalogScenario a =
+      Catalog::builtin().expand("paper-baseline", 0, kDefaultSeed);
+  CatalogScenario b = a;
+  b.scenario.context.arrivals = edb::net::ArrivalProcess::kBursty;
+  EXPECT_NE(a.fingerprint(), b.fingerprint()) << "arrivals";
+  b = a;
+  b.scenario.context.jitter_frac += 0.05;
+  EXPECT_NE(a.fingerprint(), b.fingerprint()) << "jitter_frac";
+  b = a;
+  b.scenario.context.burst_factor += 1.0;
+  EXPECT_NE(a.fingerprint(), b.fingerprint()) << "burst_factor";
+  b = a;
+  b.scenario.context.model_version = edb::mac::ModelVersion::kV2Queueing;
+  EXPECT_NE(a.fingerprint(), b.fingerprint()) << "model_version";
+}
+
 TEST(CatalogDeterminism, IndicesAreStableUnderCatalogRescaling) {
   const Catalog full = Catalog::builtin(1.0);
   const Catalog quarter = Catalog::builtin(0.25);

@@ -647,6 +647,24 @@ TEST(WireJson, RejectsTyposAndTrailingBytes) {
   EXPECT_FALSE(parse_json_request("not json").ok());
   EXPECT_FALSE(parse_json_request("{\"protocols\": 3}").ok());
   EXPECT_FALSE(parse_json_request("{\"lmax\": }").ok());
+  // Integer fields reject what no cast may hold (non-finite or out of
+  // range) instead of casting it, and keep truncating in-range values.
+  for (const char* line :
+       {"{\"seq\":1e300}", "{\"seq\":-1}", "{\"seq\":nan}",
+        "{\"seq\":inf}", "{\"seq\":18446744073709551616}",
+        "{\"depth\":nan}", "{\"depth\":1e300}", "{\"depth\":-inf}",
+        "{\"depth\":2147483648}", "{\"eval_budget\":1e300}",
+        "{\"eval_budget\":-1e19}", "{\"eval_budget\":nan}"}) {
+    auto r = parse_json_request(line);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument) << line;
+  }
+  auto truncated = parse_json_request(
+      "{\"seq\":7.9,\"depth\":-2.5,\"eval_budget\":1e18}");
+  ASSERT_TRUE(truncated.ok()) << truncated.error().to_string();
+  EXPECT_EQ(truncated->seq, 7u);
+  EXPECT_EQ(truncated->query.scenario.context.ring.depth, -2);
+  EXPECT_EQ(truncated->query.options.eval_budget, 1000000000000000000LL);
 }
 
 TEST(WireJson, ResponseLinesCarrySeqAndOutcome) {
