@@ -2,8 +2,8 @@
 // and chart the design space.
 //
 // Expands the built-in catalog (catalog/catalog.h), serves each scenario
-// as one TuningService::query_batch — so the batch planner's dedup and
-// sweep grouping work across families — and assembles per-family
+// as one TuningService::query_batch — so the miss pipeline's dedup works
+// across families — and assembles per-family
 // coverage records and Pareto frontiers over the recommended (E*, L*)
 // points (catalog/atlas.h).  Writes the coverage/throughput record to
 // BENCH_catalog.json next to the binary, and optionally the frontier CSV.
@@ -106,10 +106,10 @@ int main(int argc, char** argv) {
               "%.0f ms — %.1f scenarios/s\n",
               scenarios.size(), scenarios.size() - feasible_total - errors,
               errors, elapsed_ms, 1e3 * scenarios.size() / elapsed_ms);
-  std::printf("planner: %zu protocol-queries, %zu solved cells in %zu "
-              "sweeps, %zu cache hits\n",
+  std::printf("planner: %zu protocol-queries, %zu solved, %zu cache "
+              "hits\n",
               stats.planner.protocol_queries, stats.planner.solved,
-              stats.planner.sweep_jobs, stats.planner.cache_hits);
+              stats.planner.cache_hits);
 
   if (argc > 3) {
     std::ofstream csv(argv[3]);

@@ -175,6 +175,9 @@ PhaseResult run_phase(const std::vector<service::TuningQuery>& mix,
     }
     fault::install(std::move(plan).take());
   }
+  // The measured pass's tail only: drop the warm pass's samples (and any
+  // earlier phase's) from the process-wide latency histogram.
+  obs::Registry::global().histogram("service.latency").reset();
 
   std::vector<service::Ticket> tickets(mix.size());
   const double t0 = now_ms();
@@ -209,11 +212,11 @@ PhaseResult run_phase(const std::vector<service::TuningQuery>& mix,
   }
   out.availability = static_cast<double>(ok) / results.size();
   out.degraded_rate = static_cast<double>(degraded) / results.size();
-  // The latency histogram spans the (small, fast) warm pass too; its
-  // samples sit at the cheap end, so the lifetime p99 under-reports the
-  // measured pass's tail by at most the warm fraction — fine for a gate
-  // that watches order-of-magnitude movement.
-  out.p99_ms = service.stats().p99_ms;
+  out.p99_ms = obs::Registry::global()
+                   .histogram("service.latency")
+                   .merged()
+                   .quantile(0.99) *
+               1e3;
   return out;
 }
 

@@ -28,8 +28,8 @@
 namespace edb::bench {
 
 // The scenario pool: paper_default() with the delay bound spread over
-// [2, 6] s.  Queries differ only in requirements, which is exactly what
-// the planner groups into sweeps.
+// [2, 6] s.  Queries differ only in requirements, so every distinct one
+// is its own cache key and its own solve.
 inline std::vector<core::Scenario> scenario_pool(int distinct) {
   std::vector<core::Scenario> pool;
   pool.reserve(static_cast<std::size_t>(std::max(1, distinct)));

@@ -3,16 +3,17 @@
 // The figure drivers answer one scenario at a time by running the whole
 // pipeline; the tuning service (src/service) answers *streams* of
 // scenarios: queries are canonicalized into cache keys, misses are
-// deduplicated, grouped into sweeps whose cells fan through the scenario
-// engine as independent cold solves, and repeats are served from the sharded
-// cache in microseconds.
+// deduplicated and fanned through the scenario engine as independent cold
+// solves, and repeats are served from the sharded cache in microseconds.
 //
 //   $ ./tuning_service [threads]
 //
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/metrics.h"
 #include "service/service.h"
+#include "util/latency.h"
 #include "util/si.h"
 
 int main(int argc, char** argv) {
@@ -60,9 +61,9 @@ int main(int argc, char** argv) {
     pq.scenario.requirements.l_max = l_max;
     tickets.push_back(service.submit(pq));
   }
-  // The dispatcher micro-batches whatever is queued: the four distinct
-  // Lmax values group into one sweep per protocol, and the
-  // repeat of Lmax = 6 (already cached from step 1) never reaches the
+  // The dispatcher micro-batches whatever is queued: each of the four
+  // distinct Lmax values is one solve per protocol, fanned together, and
+  // the repeat of Lmax = 6 (already cached from step 1) never reaches the
   // engine.
   for (std::size_t i = 0; i < tickets.size(); ++i) {
     auto r = service.wait(tickets[i]);
@@ -88,10 +89,13 @@ int main(int argc, char** argv) {
               "%zu entries\n",
               stats.cache.hits, stats.cache.misses, stats.cache.hit_rate(),
               stats.cache.entries);
-  std::printf("planner      : %zu solves in %zu sweeps, %zu coalesced\n",
-              stats.planner.solved, stats.planner.sweep_jobs,
-              stats.planner.coalesced);
+  std::printf("planner      : %zu solves, %zu coalesced\n",
+              stats.planner.solved, stats.planner.coalesced);
+  // Serving latency lives in the metrics registry (service/dispatcher.h).
+  const LatencyHistogram latency =
+      obs::Registry::global().histogram("service.latency").merged();
   std::printf("latency      : p50 %.2f ms, p95 %.2f ms over %zu queries\n",
-              stats.p50_ms, stats.p95_ms, stats.latency_samples);
+              latency.quantile(0.50) * 1e3, latency.quantile(0.95) * 1e3,
+              latency.count());
   return 0;
 }

@@ -41,9 +41,9 @@ struct SolveJob {
 };
 
 // One protocol-model + requirement-pair question: the unit
-// ServiceCore::serve (service/core.h) groups into sweeps.  Queries only
-// group into one sweep when their controls agree: a sweep carries one
-// control for all of its cells.
+// plan_point_queries groups into sweeps.  Queries only group into one
+// sweep when their controls agree: a sweep carries one control for all
+// of its cells.
 using PointQuery = SolveJob;
 
 // One requirement sweep (core/sweep.h semantics: positive ascending

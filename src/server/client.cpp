@@ -120,32 +120,29 @@ Expected<WireClient::Response> WireClient::next_response() {
   if (fd_ < 0) {
     return make_error(ErrorCode::kUnavailable, "client not connected");
   }
-  if (auto got = fill_until(4); !got.ok()) return got.error();
-  unsigned char len_bytes[4];
-  in_.copy_out(0, 4, len_bytes);
-  const std::uint32_t len = ByteReader(len_bytes, 4).u32();
-  if (len < 9 || len > kMaxFrame) {
-    close();
-    return make_error(ErrorCode::kInternal, "malformed server frame");
-  }
-  if (auto got = fill_until(4 + static_cast<std::size_t>(len)); !got.ok()) {
-    return got.error();
+  // The server's own frame reader (server/wire.h): a bad length or an
+  // unknown type byte is a protocol violation, so the client gives up on
+  // the connection.
+  FrameView fv;
+  for (;;) {
+    const FrameStatus status = next_frame(in_, kMaxFrame, &fv);
+    if (status == FrameStatus::kFrame) break;
+    if (status != FrameStatus::kNeedMore) {
+      close();
+      return make_error(ErrorCode::kInternal, "malformed server frame");
+    }
+    if (auto got = fill_until(in_.size() + 1); !got.ok()) return got.error();
   }
   Response out;
-  out.raw.resize(4 + static_cast<std::size_t>(len));
-  in_.copy_out(0, out.raw.size(), out.raw.data());
-  in_.consume(out.raw.size());
-
-  ByteReader r(out.raw);
-  r.u32();  // length, already validated
-  const auto type = static_cast<MsgType>(r.u8());
-  out.seq = r.u64();
-  const std::string_view body(out.raw.data() + 13, out.raw.size() - 13);
-  switch (type) {
+  out.seq = fv.seq;
+  // The frame grammar is fixed, so re-framing the parsed frame gives back
+  // the received bytes exactly.
+  out.raw = frame(fv.type, fv.seq, fv.body);
+  switch (fv.type) {
     case MsgType::kHelloOk:
       return out;
     case MsgType::kResult: {
-      auto result = decode_result(body);
+      auto result = decode_result(fv.body);
       if (!result.ok()) {
         close();
         return result.error();
@@ -154,7 +151,7 @@ Expected<WireClient::Response> WireClient::next_response() {
       return out;
     }
     case MsgType::kError: {
-      auto err = decode_error(body);
+      auto err = decode_error(fv.body);
       if (!err.ok()) {
         close();
         return err.error();

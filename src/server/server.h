@@ -19,9 +19,9 @@
 //                   that complete together leave in one syscall.
 //   serve thread  — the shared serving shell's (service/dispatcher.h):
 //                   the only caller of ServiceCore::serve(), so pipelined
-//                   clients and concurrent connections feed the batch
-//                   planner real batches and get cross-connection
-//                   dedup and sweep grouping for free.
+//                   clients and concurrent connections feed the miss
+//                   pipeline real batches and get cross-connection
+//                   dedup for free.
 //
 // Admission, latency accounting and shutdown order are the dispatcher's,
 // identical to the in-process tier.  A worker claims a query's response

@@ -28,8 +28,8 @@ ShardedResultCache::ShardedResultCache(std::size_t capacity,
 }
 
 ShardedResultCache::Shard& ShardedResultCache::shard_of(const QueryKey& key) {
-  // The low bits feed the per-shard hash map; use the high bits here so
-  // the two partitions are independent.
+  // The low bits feed the per-shard hash map (QueryKeyHash); use the high
+  // bits here so the two partitions are independent.
   return shards_[(key.hash >> 32) % shards_.size()];
 }
 
@@ -37,31 +37,31 @@ std::optional<ProtocolOutcome> ShardedResultCache::get(const QueryKey& key) {
   if (capacity_ == 0) return std::nullopt;
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.index.find(key.canonical);
+  const auto it = s.index.find(key);
   if (it == s.index.end()) {
     misses_.add(1);
     return std::nullopt;
   }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
+  s.lru.splice(s.lru.begin(), s.lru, it->second.lru);
   hits_.add(1);
-  if (!it->second->value.feasible()) negative_hits_.add(1);
-  return it->second->value;
+  if (!it->second.value.feasible()) negative_hits_.add(1);
+  return it->second.value;
 }
 
 void ShardedResultCache::put(const QueryKey& key, ProtocolOutcome value) {
   if (capacity_ == 0) return;
   Shard& s = shard_of(key);
   std::lock_guard<std::mutex> lock(s.mutex);
-  const auto it = s.index.find(key.canonical);
-  if (it != s.index.end()) {
-    it->second->value = std::move(value);
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+  const auto [it, fresh] = s.index.try_emplace(key);
+  it->second.value = std::move(value);
+  if (!fresh) {
+    s.lru.splice(s.lru.begin(), s.lru, it->second.lru);
     return;
   }
-  s.lru.push_front(Entry{key.canonical, std::move(value)});
-  s.index.emplace(key.canonical, s.lru.begin());
+  s.lru.push_front(&it->first);
+  it->second.lru = s.lru.begin();
   while (s.lru.size() > s.capacity) {
-    s.index.erase(s.lru.back().canonical);
+    s.index.erase(s.index.find(*s.lru.back()));
     s.lru.pop_back();
     evictions_.add(1);
   }
@@ -83,10 +83,7 @@ CacheStats ShardedResultCache::stats() const {
   out.misses = delta(misses_, base_misses_);
   out.evictions = delta(evictions_, base_evictions_);
   out.negative_hits = delta(negative_hits_, base_negative_hits_);
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    out.entries += s.lru.size();
-  }
+  out.entries = size();
   return out;
 }
 

@@ -1,8 +1,11 @@
 // Sharded LRU cache of per-protocol tuning results.
 //
 // Keys are canonical QueryKeys (service/key.h); the 64-bit hash picks one
-// of N shards, each shard is an independent LRU list + hash map under its
+// of N shards, each shard is an independent hash map + LRU list under its
 // own mutex, so concurrent readers on different shards never contend.
+// Each entry holds its QueryKey once, in the shard's map, which finds it
+// by the key's carried hash (QueryKeyHash) and tells equal-hash keys
+// apart by their canonical strings.
 // Deterministically infeasible outcomes are cached too ("negative
 // caching"): proving infeasibility costs a full solve, and a scenario
 // that cannot be served stays that way until the inputs change.  The
@@ -105,13 +108,14 @@ class ShardedResultCache {
 
  private:
   struct Entry {
-    std::string canonical;
     ProtocolOutcome value;
+    std::list<const QueryKey*>::iterator lru;  // this entry's LRU node
   };
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    std::unordered_map<QueryKey, Entry, QueryKeyHash> index;
+    // Keys of `index`'s entries; front = most recently used.
+    std::list<const QueryKey*> lru;
     std::size_t capacity = 0;
   };
 

@@ -1,6 +1,5 @@
 #include "service/core.h"
 
-#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -19,11 +18,26 @@ ResultQuality worse(ResultQuality a, ResultQuality b) {
 // One distinct cache miss: a (scenario, protocol, options) question plus
 // every (query, protocol-slot) pair waiting for its answer.
 struct Miss {
-  QueryKey key;
+  const QueryKey* key = nullptr;  // owned by the batch's coalescing map
   std::string protocol;
-  const TuningQuery* query = nullptr;  // representative (canonical twin)
+  std::unique_ptr<mac::AnalyticMacModel> model;  // owns jobs[i].model
   std::vector<std::pair<std::size_t, std::size_t>> sinks;
 };
+
+// A protocol slot from one solve: the outcome, or the error's code and
+// message exactly as core::run_sweep records a dead cell.
+ProtocolOutcome outcome_of(const std::string& protocol,
+                           Expected<core::BargainingOutcome> solved) {
+  ProtocolOutcome po;
+  po.protocol = protocol;
+  if (solved.ok()) {
+    po.outcome = std::move(solved).take();
+  } else {
+    po.infeasible_reason = solved.error().to_string();
+    po.infeasible_code = solved.error().code;
+  }
+  return po;
+}
 
 int pick_recommended(const TuningResult& result, double e_budget) {
   int best = -1;
@@ -64,7 +78,8 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
 
   // Stage 1+2: resolve keys, drain the cache, coalesce in-batch repeats.
   std::vector<Miss> misses;
-  std::unordered_map<std::string, std::size_t> miss_index;
+  std::vector<core::SolveJob> jobs;  // jobs[i] solves misses[i]
+  std::unordered_map<QueryKey, std::size_t, QueryKeyHash> miss_index;
   {
     EDB_SPAN("service.plan.resolve");
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
@@ -110,7 +125,7 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
       partial[qi].per_protocol.resize(protocols->size());
       for (std::size_t pi = 0; pi < protocols->size(); ++pi) {
         const std::string& name = (*protocols)[pi];
-        const QueryKey key = protocol_key(q.scenario, name, q.options);
+        QueryKey key = protocol_key(q.scenario, name, q.options);
         ++stats_.protocol_queries;
         // "cache.lookup" injection site: a fired fault suppresses this
         // attempt's lookup (the entry may exist, but the attempt cannot
@@ -124,48 +139,32 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
           partial[qi].per_protocol[pi] = std::move(*cached);
           continue;
         }
-        const auto it = miss_index.find(key.canonical);
-        if (it != miss_index.end()) {
+        const auto [it, fresh] =
+            miss_index.try_emplace(std::move(key), misses.size());
+        if (!fresh) {
           ++stats_.coalesced;
           misses[it->second].sinks.emplace_back(qi, pi);
           continue;
         }
-        miss_index.emplace(key.canonical, misses.size());
-        misses.push_back(Miss{key, name, &q, {{qi, pi}}});
+        // The protocol name came out of the registry, so this cannot fail.
+        auto model = mac::make_model(name, q.scenario.context).take();
+        jobs.push_back(core::SolveJob{
+            model.get(), q.scenario.requirements, q.options.alpha,
+            core::SolveControl{&cancel_, q.options.eval_budget}});
+        misses.push_back(Miss{&it->first, name, std::move(model), {{qi, pi}}});
       }
     }
   }
 
-  // Stage 3: build one model per distinct (deployment, protocol), group
-  // the misses into sweeps and fan their cells through the engine.
+  // Stage 3: each distinct miss is one cold solve of its own model; the
+  // engine fans the batch.
   if (!misses.empty()) {
-    std::vector<std::unique_ptr<mac::AnalyticMacModel>> models;
-    std::unordered_map<std::string, std::size_t> model_index;
-    std::vector<core::PointQuery> points;
-    points.reserve(misses.size());
-    for (const Miss& m : misses) {
-      const std::string model_key =
-          context_key(m.query->scenario.context).canonical + m.protocol;
-      auto it = model_index.find(model_key);
-      if (it == model_index.end()) {
-        // The protocol name came out of the registry, so this cannot fail.
-        models.push_back(
-            mac::make_model(m.protocol, m.query->scenario.context).take());
-        it = model_index.emplace(model_key, models.size() - 1).first;
-      }
-      points.push_back(core::PointQuery{
-          models[it->second].get(), m.query->scenario.requirements,
-          m.query->options.alpha,
-          core::SolveControl{&cancel_, m.query->options.eval_budget}});
-    }
-
-    core::SweepPlan plan = core::plan_point_queries(points);
-    auto results = [&] {
+    auto solved = [&] {
       EDB_SPAN("service.plan.solve");
-      return engine_.run_sweeps(plan.jobs);
+      return engine_.solve_batch(jobs);
     }();
-    stats_.sweep_jobs += plan.jobs.size();
-    for (const auto& r : results) stats_.solved += r.cells.size();
+    stats_.sweep_jobs += jobs.size();
+    stats_.solved += jobs.size();
 
     // Stage 4: install and scatter, through the resilience machinery
     // (DESIGN.md §10).  Per distinct miss:
@@ -182,12 +181,11 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
     //      attempt, not the question).
     EDB_SPAN("service.plan.install");
     for (std::size_t mi = 0; mi < misses.size(); ++mi) {
-      const core::SweepSlot slot = plan.slots[mi];
-      const core::SweepCell& cell = results[slot.job].cells[slot.cell];
-      ProtocolOutcome po{misses[mi].protocol, cell.outcome,
-                         cell.infeasible_reason, cell.infeasible_code};
+      const QueryKey& key = *misses[mi].key;
+      ProtocolOutcome po =
+          outcome_of(misses[mi].protocol, std::move(solved[mi]));
 
-      if (fault::lost("planner.solve", misses[mi].key.hash)) {
+      if (fault::lost("planner.solve", key.hash)) {
         po = ProtocolOutcome{misses[mi].protocol, std::nullopt,
                              "injected fault at planner.solve",
                              ErrorCode::kUnavailable};
@@ -197,35 +195,26 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
       if (!po.feasible() && is_transient(po.infeasible_code)) {
         ++stats_.transient_failures;
         count_service_error(po.infeasible_code);
-        if (auto stale = cache_.get(misses[mi].key)) {
+        if (auto stale = cache_.get(key)) {
           po = std::move(*stale);
           quality = ResultQuality::kStale;
           ++stats_.degraded_stale;
         } else {
-          const core::PointQuery& pq = points[mi];
-          core::EnergyDelayGame game(*pq.model, pq.req);
+          const core::SolveJob& job = jobs[mi];
+          core::EnergyDelayGame game(*job.model, job.req);
           game.set_solver_mode(core::SolverMode::kCoarse);
           // Cancellation still binds (shutdown must win) but no eval
           // budget: the coarse pipeline is bounded by construction —
           // it IS the deadline fallback.
           game.set_control(core::SolveControl{&cancel_, 0});
-          auto coarse = game.solve_weighted(pq.alpha);
-          if (coarse.ok()) {
-            po = ProtocolOutcome{misses[mi].protocol,
-                                 std::move(coarse).take(), "",
-                                 ErrorCode::kInfeasible};
-          } else {
-            po = ProtocolOutcome{misses[mi].protocol, std::nullopt,
-                                 coarse.error().to_string(),
-                                 coarse.error().code};
-          }
+          po = outcome_of(misses[mi].protocol, game.solve_weighted(job.alpha));
           quality = ResultQuality::kCoarse;
           ++stats_.degraded_coarse;
         }
         count_degraded(quality);
       }
 
-      if (quality == ResultQuality::kFull) cache_.put(misses[mi].key, po);
+      if (quality == ResultQuality::kFull) cache_.put(key, po);
       for (const auto& [qi, pi] : misses[mi].sinks) {
         partial[qi].per_protocol[pi] = po;
         partial[qi].quality = worse(partial[qi].quality, quality);

@@ -9,17 +9,17 @@
 // (server/server.h) — wrap.  Benches and tests that want the pipeline
 // without any dispatch machinery call serve() directly.
 //
-// serve() runs a batch through four deterministic stages:
+// serve() runs a batch through four deterministic stages, carrying one
+// QueryKey per (query, protocol) from lookup to install:
 //
 //   1. resolve  — validate the scenario, canonicalize the protocol set,
 //                 derive one cache key per (query, protocol);
 //   2. dedup    — look every key up in the sharded cache; among the
 //                 misses, coalesce keys that repeat within the batch so
 //                 each distinct question is solved exactly once;
-//   3. group    — hand the remaining distinct misses to
-//                 core::plan_point_queries, which folds queries differing
-//                 only in Lmax into sweeps, and fan every cell of those
-//                 sweeps through the scenario engine as one cold solve;
+//   3. solve    — build each distinct miss its own model and fan the
+//                 misses through the scenario engine's solve_batch, one
+//                 cold solve per miss;
 //   4. install  — write every solved outcome into the cache and scatter it
 //                 to all the queries that asked; a transient failure is
 //                 served down the degradation ladder (service/resilience.h).
@@ -65,6 +65,10 @@ struct ServiceOptions : CoreOptions {
   ResilienceOptions resilience;
 };
 
+// One serving instance's counts.  Serving latency lives only in the
+// metrics registry, as the process-wide "service.latency" (admit -> done)
+// and "service.queue_wait" (admit -> batch start) histograms
+// (service/dispatcher.h).
 struct ServiceStats {
   CacheStats cache;
   PlannerStats planner;
@@ -73,13 +77,6 @@ struct ServiceStats {
   std::size_t completed = 0;
   std::size_t in_flight = 0;
   std::size_t shed = 0;  // admissions rejected (queue bound / rate limit)
-  std::size_t latency_samples = 0;
-  double p50_ms = 0;  // serving latency percentiles, admit -> done
-  double p95_ms = 0;
-  double p99_ms = 0;
-  double p999_ms = 0;
-  double queue_wait_p50_ms = 0;  // the queue-wait share, admit -> batch start
-  double queue_wait_p99_ms = 0;
 };
 
 class ServiceCore {

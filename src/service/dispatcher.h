@@ -3,7 +3,8 @@
 // TuningService, a connection response slot in TuningServer); the
 // dispatcher only moves it.  A Dispatcher owns the ServiceCore, the
 // admission machinery, a bounded queue, one serve thread, the counts, the
-// "service.queue.depth" gauge, the latency histograms and shutdown.
+// handles of the registry's "service.queue.depth" gauge and latency
+// histograms, and shutdown.
 //
 // Admission: admit() checks each job under one queue lock, in this order;
 // the first failing check rejects it:
@@ -23,7 +24,8 @@
 // Threading: the serve thread is ServiceCore::serve's only caller.  It
 // takes up to max_batch jobs in arrival order per call, records each
 // job's admit -> done latency ("service.latency") and admit -> batch
-// start queue wait ("service.queue_wait"), then passes the batch to the
+// start queue wait ("service.queue_wait") once, in the metrics registry
+// (the only latency store), then passes the batch to the
 // completion callback outside every dispatcher lock.  Completion calls
 // never overlap: besides the serve thread, only shutdown(false) makes
 // one, after the serve thread has exited.  admit(), shutdown() and
@@ -56,7 +58,6 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "service/core.h"
-#include "util/latency.h"
 
 namespace edb::service {
 
@@ -159,13 +160,6 @@ class Dispatcher {
     out.completed = completed_;
     out.in_flight = submitted_ - completed_;
     out.shed = shed_;
-    out.latency_samples = latency_.count();
-    out.p50_ms = latency_.quantile(0.50) * 1e3;
-    out.p95_ms = latency_.quantile(0.95) * 1e3;
-    out.p99_ms = latency_.quantile(0.99) * 1e3;
-    out.p999_ms = latency_.quantile(0.999) * 1e3;
-    out.queue_wait_p50_ms = queue_wait_.quantile(0.50) * 1e3;
-    out.queue_wait_p99_ms = queue_wait_.quantile(0.99) * 1e3;
     return out;
   }
 
@@ -224,13 +218,13 @@ class Dispatcher {
       auto results = core_.serve(queries);
 
       const auto done = Clock::now();
+      for (const Queued& q : batch) {
+        latency_.record(seconds(done - q.admitted));
+        queue_wait_.record(seconds(start - q.admitted));
+      }
       {
         std::lock_guard<std::mutex> lock(mutex_);
         planner_ = core_.planner_stats();
-        for (const Queued& q : batch) {
-          record(latency_, latency_hist_, done - q.admitted);
-          record(queue_wait_, queue_wait_hist_, start - q.admitted);
-        }
         completed_ += batch.size();
       }
       EDB_COUNT("service.completed", batch.size());
@@ -238,11 +232,8 @@ class Dispatcher {
     }
   }
 
-  static void record(LatencyHistogram& mine, obs::Histogram& global,
-                     Clock::duration elapsed) {
-    const double secs = std::chrono::duration<double>(elapsed).count();
-    mine.record(secs);
-    global.record(secs);
+  static double seconds(Clock::duration elapsed) {
+    return std::chrono::duration<double>(elapsed).count();
   }
 
   ServiceCore core_;
@@ -255,12 +246,12 @@ class Dispatcher {
   // Process-wide registry handles, looked up once per dispatcher:
   // benches and tuning_serverd read them.
   obs::Gauge& depth_ = obs::Registry::global().gauge("service.queue.depth");
-  obs::Histogram& latency_hist_ =
+  obs::Histogram& latency_ =
       obs::Registry::global().histogram("service.latency");
-  obs::Histogram& queue_wait_hist_ =
+  obs::Histogram& queue_wait_ =
       obs::Registry::global().histogram("service.queue_wait");
 
-  // Queue, lifecycle flags, counts and this instance's histograms.
+  // Queue, lifecycle flags and counts.
   mutable std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<Queued> queue_;
@@ -271,8 +262,6 @@ class Dispatcher {
   std::size_t completed_ = 0;
   std::size_t shed_ = 0;
   PlannerStats planner_;
-  LatencyHistogram latency_;
-  LatencyHistogram queue_wait_;
 
   std::mutex shutdown_mutex_;
   std::thread thread_;  // last: it runs serve_loop over everything above

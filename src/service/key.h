@@ -36,6 +36,7 @@
 // from any thread.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -70,6 +71,15 @@ struct QueryKey {
   bool operator!=(const QueryKey& o) const { return !(*this == o); }
 };
 
+// Hash tables keyed on QueryKey (the cache's shard index, the miss
+// pipeline's coalescing map) reuse the carried hash instead of hashing
+// the canonical string again; equality still compares the canonical.
+struct QueryKeyHash {
+  std::size_t operator()(const QueryKey& k) const noexcept {
+    return static_cast<std::size_t>(k.hash);
+  }
+};
+
 // FNV-1a over the canonical form (util/fingerprint.h) — stable across
 // platforms and runs (keys may be logged or persisted).
 using edb::fnv1a64;
@@ -84,8 +94,7 @@ Expected<std::vector<std::string>> canonical_protocol_set(
     const std::vector<std::string>& protocols);
 
 // Key over the deployment only (radio, packet, ring, rates) — what a MAC
-// model is built from.  The planner uses it to share one model across
-// queries that differ only in requirements.
+// model is built from.
 QueryKey context_key(const mac::ModelContext& ctx);
 
 // Key of one protocol's cache entry: deployment + requirements + options

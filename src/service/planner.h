@@ -1,6 +1,6 @@
 // The tuning service's vocabulary: one query, its answer, and the
 // counters of the miss pipeline that answers it.  The pipeline itself —
-// resolve, dedup, group, install — is ServiceCore::serve
+// resolve, dedup, solve, install — is ServiceCore::serve
 // (service/core.h).
 #pragma once
 
@@ -49,8 +49,8 @@ struct PlannerStats {
   std::size_t protocol_queries = 0;  // (query, protocol) lookups
   std::size_t cache_hits = 0;
   std::size_t coalesced = 0;   // within-batch duplicate lookups
-  std::size_t solved = 0;      // cells actually solved by the engine
-  std::size_t sweep_jobs = 0;  // sweeps those cells were grouped into
+  std::size_t solved = 0;      // distinct misses solved by the engine
+  std::size_t sweep_jobs = 0;  // engine jobs for them; always == solved
   // Resilience counters (DESIGN.md §10).
   std::size_t transient_failures = 0;  // miss-path slots that failed transiently
   std::size_t degraded_stale = 0;      // slots served by a stale re-read

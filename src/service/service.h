@@ -7,8 +7,8 @@
 //
 // A TuningService is a Dispatcher (service/dispatcher.h: admission
 // order, micro-batching, latency accounting, shutdown) whose routing tag
-// is the ticket, so concurrent submitters get cross-request dedup and
-// sweep grouping for free.  A query the dispatcher rejects (shed,
+// is the ticket, so concurrent submitters get cross-request dedup for
+// free.  A query the dispatcher rejects (shed,
 // shut down) comes back as an immediately-failed ticket; the tenant for
 // per-tenant limits is TuningQuery::tenant.  stats() is the dispatcher's;
 // metrics_text() / metrics_json() render the process-wide registry.

@@ -7,23 +7,25 @@
 
 namespace edb {
 
-LatencyHistogram::LatencyHistogram() {
+const std::array<double, LatencyHistogram::kBounds>&
+LatencyHistogram::bounds() {
   // 10 buckets per decade over [1e-6, 1e2] s, i.e. bounds 1e-6 * 10^(i/10).
   // One underflow bucket below 1 µs and one overflow bucket above 100 s.
-  constexpr int kDecades = 8;
-  constexpr int kPerDecade = 10;
-  upper_.push_back(1e-6);
-  for (int i = 1; i <= kDecades * kPerDecade; ++i) {
-    upper_.push_back(1e-6 * std::pow(10.0, static_cast<double>(i) /
-                                               kPerDecade));
-  }
-  counts_.assign(upper_.size() + 1, 0);  // +1: overflow
+  static const std::array<double, kBounds> table = [] {
+    std::array<double, kBounds> t;
+    for (std::size_t i = 0; i < kBounds; ++i) {
+      t[i] = 1e-6 * std::pow(10.0, static_cast<double>(i) / 10);
+    }
+    return t;
+  }();
+  return table;
 }
 
 void LatencyHistogram::record(double seconds) {
   const double v = std::max(0.0, seconds);
-  const auto it = std::lower_bound(upper_.begin(), upper_.end(), v);
-  counts_[static_cast<std::size_t>(it - upper_.begin())]++;
+  const auto& upper = bounds();
+  const auto it = std::lower_bound(upper.begin(), upper.end(), v);
+  counts_[static_cast<std::size_t>(it - upper.begin())]++;
   if (count_ == 0 || v < min_) min_ = v;
   if (count_ == 0 || v > max_) max_ = v;
   sum_ += v;
@@ -42,6 +44,7 @@ double LatencyHistogram::quantile(double q) const {
   EDB_ASSERT(q >= 0.0 && q <= 1.0, "quantile wants q in [0, 1]");
   if (count_ == 0) return 0.0;
   // Rank of the wanted sample (1-based), then walk the cumulative counts.
+  const auto& upper = bounds();
   const double rank =
       std::max(1.0, std::ceil(q * static_cast<double>(count_)));
   std::size_t cum = 0;
@@ -51,8 +54,8 @@ double LatencyHistogram::quantile(double q) const {
       cum += counts_[b];
       continue;
     }
-    const double lo = b == 0 ? 0.0 : upper_[b - 1];
-    const double hi = b < upper_.size() ? upper_[b] : max_;
+    const double lo = b == 0 ? 0.0 : upper[b - 1];
+    const double hi = b < upper.size() ? upper[b] : max_;
     const double frac = (rank - static_cast<double>(cum)) /
                         static_cast<double>(counts_[b]);
     return std::clamp(lo + (hi - lo) * frac, min(), max());
@@ -61,8 +64,6 @@ double LatencyHistogram::quantile(double q) const {
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
-  EDB_ASSERT(upper_.size() == other.upper_.size(),
-             "merge wants identically bucketed histograms");
   if (other.count_ == 0) return;
   for (std::size_t b = 0; b < counts_.size(); ++b) {
     counts_[b] += other.counts_[b];
@@ -74,7 +75,7 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
 }
 
 void LatencyHistogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  counts_.fill(0);
   count_ = 0;
   min_ = max_ = sum_ = 0;
 }

@@ -5,22 +5,22 @@
 // geometric from 1 µs to 100 s (10 per decade, ~26% wide — tight enough
 // that tail quantiles land in a narrow bucket) plus an underflow and an
 // overflow bucket, so record() is O(log #buckets) and a quantile
-// estimate needs no stored data.  Quantiles interpolate linearly inside
+// estimate needs no stored data.  Every histogram shares one bucket-bound
+// table, computed once per process, and keeps its counts inline, so
+// constructing one allocates nothing.  Quantiles interpolate linearly inside
 // the winning bucket and are clamped to the observed min/max — plenty
 // for dashboard-grade percentiles.  merge() sums two histograms so
 // per-shard instances (obs::Histogram stripes, per-worker stats) can be
 // aggregated on snapshot.  Not thread-safe; callers hold their own lock.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <vector>
 
 namespace edb {
 
 class LatencyHistogram {
  public:
-  LatencyHistogram();
-
   // Records one latency sample [s].  Negative samples clamp to zero.
   void record(double seconds);
 
@@ -37,14 +37,18 @@ class LatencyHistogram {
   // count/sum add, min/max widen.  Exact for everything except the
   // interpolation detail inside a bucket, i.e. merged quantiles equal the
   // quantiles of recording every sample into one histogram up to that
-  // interpolation (bucket choice is identical).
+  // interpolation (bucket choice is identical: the bounds are shared).
   void merge(const LatencyHistogram& other);
 
   void reset();
 
  private:
-  std::vector<double> upper_;       // bucket i covers (upper_[i-1], upper_[i]]
-  std::vector<std::size_t> counts_;
+  // Bucket i covers (bound[i-1], bound[i]] of the shared table; the last
+  // count is the overflow bucket.
+  static constexpr std::size_t kBounds = 8 * 10 + 1;  // 8 decades, 10 each
+  static const std::array<double, kBounds>& bounds();
+
+  std::array<std::size_t, kBounds + 1> counts_{};
   std::size_t count_ = 0;
   double min_ = 0;
   double max_ = 0;

@@ -5,7 +5,8 @@
 // response ordering, admission shed on the wire (global bucket, tenant
 // bucket, queue bound), the fatal path for malformed and oversized frames
 // and JSON lines, the JSON debug mode over a raw socket, and drain and
-// no-drain shutdown.
+// no-drain shutdown; and, against a fake server, the client's refusal of
+// a malformed frame.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -364,6 +365,56 @@ TEST(ServerSocket, MalformedFrameGetsFatalErrorAndClose) {
   }
   EXPECT_EQ(srv.stats().connections, 0u);
   srv.shutdown(/*drain=*/true);
+}
+
+// A fake server: accepts one connection, answers the HELLO with a valid
+// HELLO_OK, sends `bytes` and ends its side of the stream, then waits for
+// the client to close.  A client that misses the bad frame reads on and
+// sees the end of the stream (kUnavailable), not kInternal.
+void serve_fake(int listener, const std::string& bytes) {
+  const int fd = ::accept(listener, nullptr, nullptr);
+  if (fd < 0) return;
+  char buf[256];
+  if (::recv(fd, buf, sizeof buf, 0) > 0) {
+    send_all(fd, encode_hello_ok() + bytes);
+    ::shutdown(fd, SHUT_WR);
+    while (::recv(fd, buf, sizeof buf, 0) > 0) {
+    }
+  }
+  ::close(fd);
+}
+
+TEST(ClientFrames, BadLengthAndUnknownTypeAreInternalAndClose) {
+  const std::string bad_length = {0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00};
+  std::string unknown_type = frame(MsgType::kResult, 7, "");
+  unknown_type[4] = 0x09;  // no such message type
+  for (const std::string& bytes : {bad_length, unknown_type}) {
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof addr),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                            &len),
+              0);
+    // Joins on scope exit, after the client below has closed its socket.
+    std::jthread fake(serve_fake, listener, bytes);
+
+    WireClient client;
+    const auto connected = client.connect("127.0.0.1", ntohs(addr.sin_port));
+    ASSERT_TRUE(connected.ok()) << connected.error().to_string();
+    auto resp = client.next_response();
+    ASSERT_FALSE(resp.ok());
+    EXPECT_EQ(resp.error().code, ErrorCode::kInternal);
+    EXPECT_FALSE(client.connected());
+    ::close(listener);
+  }
 }
 
 TEST(ServerSocket, UndecodableQueryBodyIsFatal) {

@@ -87,9 +87,10 @@ TEST(ServiceApiTest, QueryBatchSeesOnePlannedBatch) {
   ASSERT_EQ(results.size(), 4u);
   for (const auto& r : results) ASSERT_TRUE(r.ok());
   const auto stats = service.stats();
-  // Three distinct questions, one warm chain, one in-batch duplicate.
+  // Three distinct questions, one engine job each, one in-batch
+  // duplicate.
   EXPECT_EQ(stats.planner.solved, 3u);
-  EXPECT_EQ(stats.planner.sweep_jobs, 1u);
+  EXPECT_EQ(stats.planner.sweep_jobs, 3u);
   EXPECT_EQ(stats.planner.coalesced, 1u);
   EXPECT_EQ(results[1]->per_protocol[0].outcome->nbs.energy,
             results[3]->per_protocol[0].outcome->nbs.energy);
@@ -105,6 +106,12 @@ TEST(ServiceApiTest, ErrorsComeBackThroughTickets) {
 }
 
 TEST(ServiceApiTest, StatsTrackServing) {
+  // Latency lives in the registry's process-wide histograms only; this
+  // test's two serves must grow each by exactly two samples.
+  auto& reg = obs::Registry::global();
+  const auto lat0 = reg.histogram("service.latency").merged().count();
+  const auto wait0 = reg.histogram("service.queue_wait").merged().count();
+
   TuningService service(small_opts());
   service.query(xmac_query());
   service.query(xmac_query());
@@ -113,15 +120,16 @@ TEST(ServiceApiTest, StatsTrackServing) {
   EXPECT_EQ(stats.admitted, 2u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.in_flight, 0u);
-  EXPECT_EQ(stats.latency_samples, 2u);
-  EXPECT_GT(stats.p95_ms, 0.0);
-  EXPECT_LE(stats.p50_ms, stats.p95_ms);
-  EXPECT_LE(stats.p95_ms, stats.p99_ms);
-  EXPECT_LE(stats.p99_ms, stats.p999_ms);
-  // Queue wait is the admit -> batch-start share of admit -> done: a
-  // first cold solve dwarfs it.
-  EXPECT_LE(stats.queue_wait_p50_ms, stats.p50_ms);
-  EXPECT_LE(stats.queue_wait_p99_ms, stats.p99_ms);
+
+  const auto latency = reg.histogram("service.latency").merged();
+  const auto wait = reg.histogram("service.queue_wait").merged();
+  EXPECT_EQ(latency.count(), lat0 + 2);
+  EXPECT_EQ(wait.count(), wait0 + 2);
+  EXPECT_GT(latency.quantile(0.95), 0.0);
+  EXPECT_LE(latency.quantile(0.50), latency.quantile(0.95));
+  EXPECT_LE(latency.quantile(0.95), latency.quantile(0.99));
+  EXPECT_LE(latency.quantile(0.99), latency.quantile(0.999));
+  EXPECT_LE(wait.quantile(0.50), wait.quantile(0.99));
 }
 
 TEST(ServiceApiTest, CacheStatsEqualRegistryCounterDeltas) {

@@ -72,6 +72,28 @@ TEST(ShardedCacheTest, LruEvictionOrder) {
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
+// The shard index finds entries by the carried hash; a 64-bit collision
+// must still keep two different questions apart by their canonicals.
+TEST(ShardedCacheTest, EqualHashDifferentCanonicalStayApart) {
+  ShardedResultCache cache(4, 1);
+  QueryKey a{0x1234, "opts.alpha=5.000000000e-01;protocol=X-MAC;"};
+  QueryKey b{0x1234, "opts.alpha=5.000000000e-01;protocol=DMAC;"};
+  cache.put(a, feasible_outcome("X-MAC", 1));
+  EXPECT_FALSE(cache.get(b).has_value());
+  cache.put(b, feasible_outcome("DMAC", 2));
+  cache.put(b, feasible_outcome("DMAC", 3));  // refresh b, not a
+  EXPECT_EQ(cache.stats().entries, 2u);
+
+  auto got_a = cache.get(a);
+  auto got_b = cache.get(b);
+  ASSERT_TRUE(got_a.has_value());
+  ASSERT_TRUE(got_b.has_value());
+  EXPECT_EQ(got_a->protocol, "X-MAC");
+  EXPECT_EQ(got_a->outcome->nbs.energy, 1.0);
+  EXPECT_EQ(got_b->protocol, "DMAC");
+  EXPECT_EQ(got_b->outcome->nbs.energy, 3.0);
+}
+
 TEST(ShardedCacheTest, PutRefreshesExistingEntry) {
   ShardedResultCache cache(2, 1);
   cache.put(key_of("A"), feasible_outcome("X-MAC", 1));

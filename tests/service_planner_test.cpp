@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "catalog/catalog.h"
 #include "core/sweep.h"
 #include "mac/registry.h"
 
@@ -35,7 +41,7 @@ class PlannerTest : public ::testing::Test {
   ServiceCore core_;
 };
 
-TEST_F(PlannerTest, GroupsLmaxSiblingsIntoOneSweep) {
+TEST_F(PlannerTest, SolvesEachDistinctMissAsOneJob) {
   auto results = core_.serve({xmac_query(3.0), xmac_query(4.0),
                               xmac_query(5.0)});
   ASSERT_EQ(results.size(), 3u);
@@ -46,7 +52,7 @@ TEST_F(PlannerTest, GroupsLmaxSiblingsIntoOneSweep) {
     EXPECT_EQ(r->recommended, 0);
   }
   const auto& stats = core_.planner_stats();
-  EXPECT_EQ(stats.sweep_jobs, 1u);  // one sweep answered all three
+  EXPECT_EQ(stats.sweep_jobs, 3u);  // one engine job per distinct miss
   EXPECT_EQ(stats.solved, 3u);
   EXPECT_EQ(stats.cache_hits, 0u);
 }
@@ -76,6 +82,89 @@ TEST_F(PlannerTest, ResultsBitIdenticalToColdRunSweep) {
     EXPECT_EQ(served.outcome->p1.energy, cold.cells[0].outcome->p1.energy);
     EXPECT_EQ(served.outcome->p2.latency, cold.cells[0].outcome->p2.latency);
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_point(const core::OperatingPoint& served,
+                       const core::OperatingPoint& cold,
+                       const std::string& where) {
+  ASSERT_EQ(served.x.size(), cold.x.size()) << where;
+  for (std::size_t i = 0; i < served.x.size(); ++i) {
+    EXPECT_EQ(bits(served.x[i]), bits(cold.x[i])) << where << " x" << i;
+  }
+  EXPECT_EQ(bits(served.energy), bits(cold.energy)) << where;
+  EXPECT_EQ(bits(served.latency), bits(cold.latency)) << where;
+}
+
+// The served path end to end: servebench's sweep_inproc ladder shape (32
+// Lmax rungs from a quarter of the deployment's Lmax up a decade, catalog
+// entry cc1000-legacy #0) goes through ServiceCore::serve as one batch of
+// queries, and every protocol slot must equal a cold sequential
+// core::run_sweep over the same rungs bit for bit, dead cells' codes and
+// reason strings included.
+TEST(ServedLadderTest, EveryRungMatchesColdRunSweep) {
+  const core::Scenario sc = catalog::Catalog::builtin()
+                                .expand("cc1000-legacy", 0,
+                                        catalog::kDefaultSeed)
+                                .scenario;
+  const std::vector<std::string> protocols = {"X-MAC", "DMAC", "LMAC",
+                                              "B-MAC"};
+  constexpr int kRungs = 32;
+  std::vector<double> values;
+  std::vector<TuningQuery> queries;
+  for (int r = 0; r < kRungs; ++r) {
+    TuningQuery q;
+    q.scenario = sc;
+    q.scenario.requirements.l_max =
+        sc.requirements.l_max * 0.25 * std::pow(10.0, r / (kRungs - 1.0));
+    q.protocols = protocols;
+    values.push_back(q.scenario.requirements.l_max);
+    queries.push_back(q);
+  }
+
+  CoreOptions opts;
+  opts.engine = core::EngineOptions{.threads = 2, .parallel = true};
+  opts.cache_capacity = 256;
+  ServiceCore core(opts);
+  const auto served = core.serve(queries);
+  ASSERT_EQ(served.size(), queries.size());
+  EXPECT_EQ(core.planner_stats().solved, protocols.size() * kRungs);
+
+  std::size_t dead = 0;
+  for (const std::string& name : protocols) {
+    auto model = mac::make_model(name, sc.context).take();
+    const core::SweepResult cold =
+        core::run_sweep(*model, sc.requirements, core::SweepKind::kLmax,
+                        values);
+    for (int r = 0; r < kRungs; ++r) {
+      ASSERT_TRUE(served[r].ok()) << served[r].error().to_string();
+      const ProtocolOutcome* po = nullptr;
+      for (const auto& p : served[r]->per_protocol) {
+        if (p.protocol == name) po = &p;
+      }
+      ASSERT_NE(po, nullptr) << name;
+      const core::SweepCell& cell = cold.cells[r];
+      const std::string where = name + " rung " + std::to_string(r);
+      ASSERT_EQ(po->feasible(), cell.feasible()) << where;
+      EXPECT_EQ(po->infeasible_code, cell.infeasible_code) << where;
+      EXPECT_EQ(po->infeasible_reason, cell.infeasible_reason) << where;
+      if (!cell.feasible()) {
+        ++dead;
+        continue;
+      }
+      expect_same_point(po->outcome->p1, cell.outcome->p1, where + " p1");
+      expect_same_point(po->outcome->p2, cell.outcome->p2, where + " p2");
+      expect_same_point(po->outcome->nbs, cell.outcome->nbs, where + " nbs");
+      EXPECT_EQ(bits(po->outcome->nash_product),
+                bits(cell.outcome->nash_product))
+          << where;
+    }
+  }
+  // The ladder straddles the protocols' latency floors: some rungs are
+  // dead, most are not.
+  EXPECT_GT(dead, 1u);
+  EXPECT_LT(dead, protocols.size() * kRungs);
 }
 
 TEST_F(PlannerTest, CoalescesDuplicatesWithinABatch) {
