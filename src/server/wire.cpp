@@ -284,9 +284,9 @@ FrameStatus next_frame(ByteRing& in, std::uint32_t max_frame,
   if (in.size() < 4 + static_cast<std::size_t>(len)) {
     return FrameStatus::kNeedMore;
   }
-  std::string payload(len, '\0');
-  in.copy_out(4, len, payload.data());
-  ByteReader r(payload);
+  unsigned char head[1 + 8];
+  in.copy_out(4, sizeof head, head);
+  ByteReader r(head, sizeof head);
   const std::uint8_t type = r.u8();
   if (type < static_cast<std::uint8_t>(MsgType::kHello) ||
       type > static_cast<std::uint8_t>(MsgType::kError)) {
@@ -294,7 +294,8 @@ FrameStatus next_frame(ByteRing& in, std::uint32_t max_frame,
   }
   out->type = static_cast<MsgType>(type);
   out->seq = r.u64();
-  out->body.assign(payload, 9, payload.size() - 9);
+  out->body.resize(len - sizeof head);
+  in.copy_out(4 + sizeof head, out->body.size(), out->body.data());
   in.consume(4 + static_cast<std::size_t>(len));
   return FrameStatus::kFrame;
 }

@@ -106,11 +106,11 @@ TEST(ServiceApiTest, ErrorsComeBackThroughTickets) {
 }
 
 TEST(ServiceApiTest, StatsTrackServing) {
-  // Latency lives in the registry's process-wide histograms only; this
-  // test's two serves must grow each by exactly two samples.
+  // Latency lives in the registry's process-wide histograms only.  Reset
+  // both so they hold exactly this test's two serves.
   auto& reg = obs::Registry::global();
-  const auto lat0 = reg.histogram("service.latency").merged().count();
-  const auto wait0 = reg.histogram("service.queue_wait").merged().count();
+  reg.histogram("service.latency").reset();
+  reg.histogram("service.queue_wait").reset();
 
   TuningService service(small_opts());
   service.query(xmac_query());
@@ -123,13 +123,17 @@ TEST(ServiceApiTest, StatsTrackServing) {
 
   const auto latency = reg.histogram("service.latency").merged();
   const auto wait = reg.histogram("service.queue_wait").merged();
-  EXPECT_EQ(latency.count(), lat0 + 2);
-  EXPECT_EQ(wait.count(), wait0 + 2);
+  EXPECT_EQ(latency.count(), 2u);
+  EXPECT_EQ(wait.count(), 2u);
   EXPECT_GT(latency.quantile(0.95), 0.0);
   EXPECT_LE(latency.quantile(0.50), latency.quantile(0.95));
   EXPECT_LE(latency.quantile(0.95), latency.quantile(0.99));
   EXPECT_LE(latency.quantile(0.99), latency.quantile(0.999));
   EXPECT_LE(wait.quantile(0.50), wait.quantile(0.99));
+  // Queue wait is the admit -> batch-start share of admit -> done: a
+  // first cold solve dwarfs it.
+  EXPECT_LE(wait.quantile(0.50), latency.quantile(0.50));
+  EXPECT_LE(wait.quantile(0.99), latency.quantile(0.99));
 }
 
 TEST(ServiceApiTest, CacheStatsEqualRegistryCounterDeltas) {

@@ -16,8 +16,9 @@
 namespace edb::service {
 namespace {
 
-// Sequential engine: the pipeline's grouping, not the executor, is under
-// test, and a deterministic single thread keeps failures readable.
+// Sequential engine: the miss pipeline (dedup, coalescing, cache hits,
+// equality with core::run_sweep), not the executor, is under test, and a
+// deterministic single thread keeps failures readable.
 CoreOptions test_core_opts() {
   CoreOptions opts;
   opts.engine = core::EngineOptions{.threads = 1, .parallel = false};
