@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "sim/builder.h"
 #include "sim/protocol_factory.h"
+#include "util/fingerprint.h"
 
 namespace edb::sim {
 namespace {
@@ -162,6 +165,104 @@ TEST(Campaign, ReplicationSeedDerivationIsPinned) {
             Campaign::replication_seed(1, 2, 1));
   EXPECT_NE(Campaign::replication_seed(1, 2, 0),
             Campaign::replication_seed(2, 2, 0));
+}
+
+// Every behavioural protocol, plus a lossy bursty X-MAC cell (retries,
+// drops, busy-channel deferrals), a lossy Poisson SCP-MAC cell (ACK
+// timeouts re-aimed at the next poll) and a lossy DMAC cell (retries in
+// later cycles).  The set is fixed: its
+// fingerprints are pinned below.
+// Operating points in sim_protocols() order.
+const std::vector<double> kPinnedX = {0.3, 1.0, 0.05, 0.3, 0.3};
+
+std::vector<CampaignScenario> pinned_scenarios() {
+  const std::vector<std::string> protocols = sim_protocols();
+  std::vector<CampaignScenario> out;
+  for (std::size_t i = 0; i < protocols.size(); ++i) {
+    CampaignScenario s = small_scenarios()[0];
+    s.name = "pin-" + protocols[i];
+    s.protocol = protocols[i];
+    s.x = {kPinnedX[i]};
+    s.fs = 0.05;
+    s.duration = 600;
+    s.lmac_slots = 21;
+    s.scenario_seed = 2000 + i;
+    out.push_back(s);
+  }
+  CampaignScenario lossy = out[0];
+  lossy.name = "pin-X-MAC-lossy-bursty";
+  lossy.loss_probability = 0.1;
+  lossy.arrivals = net::ArrivalProcess::kBursty;
+  lossy.burst_factor = 4.0;
+  lossy.scenario_seed = 2010;
+  out.push_back(lossy);
+
+  CampaignScenario poisson = out[4];
+  poisson.name = "pin-SCP-MAC-poisson-lossy";
+  poisson.arrivals = net::ArrivalProcess::kPoisson;
+  poisson.loss_probability = 0.1;
+  poisson.scenario_seed = 2011;
+  out.push_back(poisson);
+
+  CampaignScenario lossy_dmac = out[1];
+  lossy_dmac.name = "pin-DMAC-lossy";
+  lossy_dmac.loss_probability = 0.1;
+  lossy_dmac.scenario_seed = 2012;
+  out.push_back(lossy_dmac);
+  return out;
+}
+
+// The other campaign tests compare runs with each other, so a change that
+// moved every run alike (an event reordered, a radio interval split, an
+// RNG draw added) would pass them.  These pins fail on any such change.
+TEST(Campaign, FingerprintsArePinned) {
+  CampaignOptions opts;
+  opts.replications = 2;
+  opts.seed = 2024;
+  opts.threads = 2;
+  Campaign campaign(opts);
+  const auto results = campaign.run(pinned_scenarios());
+  const std::vector<std::uint64_t> pinned = {
+      0xdcf452a814db32e9ULL,  // X-MAC
+      0x1604c739ac593c19ULL,  // DMAC
+      0xb74cc0c195d43dfcULL,  // LMAC
+      0x4f398c15c30ab536ULL,  // B-MAC
+      0xf56206637001b2e5ULL,  // SCP-MAC
+      0xf94a21217a3e4ab9ULL,  // X-MAC, lossy and bursty
+      0x591b5f7a9e229f87ULL,  // SCP-MAC, Poisson and lossy
+      0x14a4a8916cbb3a4cULL,  // DMAC, lossy
+  };
+  ASSERT_EQ(results.size(), pinned.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxULL",
+                  static_cast<unsigned long long>(
+                      fnv1a64(results[i].fingerprint())));
+    EXPECT_EQ(fnv1a64(results[i].fingerprint()), pinned[i])
+        << results[i].name << " now hashes to " << hex;
+    for (const ReplicationMetrics& rep : results[i].reps) {
+      EXPECT_GT(rep.delivered, 0u) << results[i].name;
+    }
+  }
+
+  // Each factory-built MAC names itself and counts its queue.
+  const std::vector<std::string> names = {"X-MAC/sim", "DMAC/sim",
+                                          "LMAC/sim", "B-MAC/sim",
+                                          "SCP-MAC/sim"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const std::string protocol = sim_protocols()[i];
+    auto factory = make_sim_factory(protocol, {.x = {kPinnedX[i]}});
+    ASSERT_TRUE(factory.ok()) << protocol;
+    Simulation sim(SimulationConfig{});
+    build_chain(sim, 1);
+    if (needs_slot_assignment(protocol)) sim.assign_lmac_slots(16);
+    sim.finalize(*factory);
+    MacProtocol& mac = sim.node(1).mac();
+    EXPECT_EQ(mac.name(), names[i]);
+    EXPECT_EQ(mac.queue_length(), 0u) << protocol;
+    sim.node(1).originate(Packet{.uid = 1, .origin = 1});
+    EXPECT_EQ(mac.queue_length(), 1u) << protocol;
+  }
 }
 
 TEST(ProtocolFactory, ResolvesRegistryNamesAndRejectsAnalyticOnly) {
