@@ -10,24 +10,17 @@ BmacSim::BmacSim(MacEnv env, BmacSimParams params)
 
 void BmacSim::start() {
   const double phase = env_.rng.uniform(0.0, params_.tw);
-  poll_timer_ = env_.scheduler->schedule_in(phase, [this] { poll(); });
-}
-
-void BmacSim::schedule_poll() {
-  poll_timer_ = env_.scheduler->schedule_in(params_.tw, [this] { poll(); });
+  env_.scheduler->schedule_in(phase, [this] { poll(); });
 }
 
 void BmacSim::poll() {
-  schedule_poll();
+  env_.scheduler->schedule_in(params_.tw, [this] { poll(); });
   if (state_ != State::kIdle) return;
   state_ = State::kPolling;
-  listen_window_start_ = now();
   // A preamble plus data can hold the channel for up to tw + data; cap the
   // energy-extended listen at that plus margin.
   listen_deadline_ = now() + params_.tw + 2.0 * data_airtime() + 2e-3;
-  env_.radio->set_state(RadioState::kListen, now());
-  timer_ = env_.scheduler->schedule_in(radio_params().poll_duration(),
-                                       [this] { end_poll(); });
+  sample_channel([this] { end_poll(); });
 }
 
 void BmacSim::end_poll() {
@@ -56,44 +49,30 @@ void BmacSim::enqueue(const Packet& packet) {
 void BmacSim::try_send() {
   EDB_ASSERT(!queue_.empty(), "try_send with empty queue");
   if (env_.channel->busy_near(env_.info.id)) {
-    state_ = State::kIdle;
-    env_.radio->set_state(RadioState::kSleep, now());
-    env_.scheduler->schedule_in(
-        params_.tw * env_.rng.uniform(0.5, 1.0), [this] {
-          if (state_ == State::kIdle && !queue_.empty()) try_send();
-        });
+    defer_send(params_.tw, [this] {
+      if (state_ == State::kIdle && !queue_.empty()) try_send();
+    });
     return;
   }
   // Full-length unaddressed preamble...
   state_ = State::kSendingPreamble;
   env_.radio->set_state(RadioState::kTx, now());
-  Frame preamble;
-  preamble.type = FrameType::kStrobe;
-  preamble.src = env_.info.id;
-  preamble.dst = kBroadcast;
-  preamble.bits = params_.tw * radio_params().bitrate;
-  env_.channel->transmit(env_.info.id, preamble, params_.tw);
-  // ...immediately followed by the data frame.
-  timer_ = env_.scheduler->schedule_in(params_.tw, [this] {
-    state_ = State::kSendingData;
-    Frame f;
-    f.type = FrameType::kData;
-    f.src = env_.info.id;
-    f.dst = env_.info.parent;
-    f.bits = env_.packet.data_bits();
-    f.packet = queue_.front();
-    env_.channel->transmit(env_.info.id, f, data_airtime());
-    timer_ = env_.scheduler->schedule_in(data_airtime(), [this] {
-      // Fire-and-forget: the link layer offers no ACK.
-      ++packets_sent_;
-      queue_.pop_front();
-      if (!queue_.empty()) {
-        try_send();
-      } else {
-        go_idle();
-      }
-    });
-  });
+  send({.type = FrameType::kStrobe,
+        .dst = kBroadcast,
+        .bits = params_.tw * radio_params().bitrate},
+       params_.tw, [this] {
+         // ...immediately followed by the data frame.
+         state_ = State::kSendingData;
+         send_head([this] {
+           // Fire-and-forget: the link layer offers no ACK.
+           finish_head(/*delivered=*/true);
+           if (!queue_.empty()) {
+             try_send();
+           } else {
+             go_idle();
+           }
+         });
+       });
 }
 
 void BmacSim::go_idle() {
@@ -115,11 +94,7 @@ void BmacSim::on_frame(const Frame& frame) {
         go_idle();
         return;
       }
-      timer_.cancel();
-      EDB_ASSERT(frame.packet.has_value(), "data frame without packet");
-      const Packet pkt = *frame.packet;
-      go_idle();
-      env_.deliver(pkt);
+      accept(frame);
       return;
     }
     default:

@@ -13,8 +13,6 @@
 // transmission start, so the (awake) receiver locks onto it normally.
 #pragma once
 
-#include <deque>
-
 #include "sim/mac_protocol.h"
 
 namespace edb::sim {
@@ -31,7 +29,6 @@ class BmacSim : public MacProtocol {
   void start() override;
   void enqueue(const Packet& packet) override;
   void on_frame(const Frame& frame) override;
-  std::size_t queue_length() const override { return queue_.size(); }
 
  private:
   enum class State {
@@ -41,19 +38,14 @@ class BmacSim : public MacProtocol {
     kSendingData,
   };
 
-  void schedule_poll();
   void poll();
   void end_poll();
   void try_send();
-  void go_idle();
+  void go_idle() override;
 
   BmacSimParams params_;
   State state_ = State::kIdle;
-  std::deque<Packet> queue_;
-  double listen_window_start_ = 0;
   double listen_deadline_ = 0;  // upper bound on an energy-extended poll
-  EventHandle timer_;
-  EventHandle poll_timer_;
 };
 
 }  // namespace edb::sim

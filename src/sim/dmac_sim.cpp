@@ -1,9 +1,5 @@
 #include "sim/dmac_sim.h"
 
-#include <cmath>
-
-#include "util/log.h"
-
 namespace edb::sim {
 
 DmacSim::DmacSim(MacEnv env, DmacSimParams params)
@@ -41,12 +37,13 @@ void DmacSim::enqueue(const Packet& packet) {
   queue_.push_back(packet);
   // Transmission happens in the periodic tx slot; if we are inside our tx
   // slot right now and idle, contend immediately.
-  if (state_ == State::kTxSlotIdle) {
-    state_ = State::kBackoff;
-    const double backoff = env_.rng.uniform(0.0, params_.t_cw);
-    timer_ =
-        env_.scheduler->schedule_in(backoff, [this] { backoff_expired(); });
-  }
+  if (state_ == State::kTxSlotIdle) contend();
+}
+
+void DmacSim::contend() {
+  state_ = State::kBackoff;
+  const double backoff = env_.rng.uniform(0.0, params_.t_cw);
+  timer_ = env_.scheduler->schedule_in(backoff, [this] { backoff_expired(); });
 }
 
 void DmacSim::begin_rx_slot() {
@@ -59,7 +56,7 @@ void DmacSim::begin_rx_slot() {
 
 void DmacSim::end_rx_slot() {
   if (state_ != State::kRxSlot) return;  // reception/ACK still running
-  sleep_now();
+  go_idle();
 }
 
 void DmacSim::begin_tx_slot() {
@@ -69,17 +66,12 @@ void DmacSim::begin_tx_slot() {
   state_ = State::kTxSlotIdle;
   env_.radio->set_state(RadioState::kListen, now());
   timer_ = env_.scheduler->schedule_in(slot_width(), [this] { end_tx_slot(); });
-  if (!queue_.empty()) {
-    state_ = State::kBackoff;
-    const double backoff = env_.rng.uniform(0.0, params_.t_cw);
-    timer_ =
-        env_.scheduler->schedule_in(backoff, [this] { backoff_expired(); });
-  }
+  if (!queue_.empty()) contend();
 }
 
 void DmacSim::end_tx_slot() {
   if (state_ != State::kTxSlotIdle) return;
-  sleep_now();
+  go_idle();
 }
 
 void DmacSim::backoff_expired() {
@@ -93,38 +85,20 @@ void DmacSim::backoff_expired() {
   }
   state_ = State::kSendingData;
   env_.radio->set_state(RadioState::kTx, now());
-  Frame f;
-  f.type = FrameType::kData;
-  f.src = env_.info.id;
-  f.dst = env_.info.parent;
-  f.bits = env_.packet.data_bits();
-  f.packet = queue_.front();
-  env_.channel->transmit(env_.info.id, f, data_airtime());
-  timer_ = env_.scheduler->schedule_in(data_airtime(), [this] { data_sent(); });
-}
-
-void DmacSim::data_sent() {
-  state_ = State::kAwaitAck;
-  env_.radio->set_state(RadioState::kListen, now());
-  const double timeout =
-      ack_airtime() + 2.0 * radio_params().t_turnaround + 1e-4;
-  timer_ = env_.scheduler->schedule_in(timeout, [this] { ack_timeout(); });
+  send_head([this] {
+    state_ = State::kAwaitAck;
+    await_ack([this] { ack_timeout(); });
+  });
 }
 
 void DmacSim::ack_timeout() {
   if (state_ != State::kAwaitAck) return;
-  if (++retries_ > params_.max_retries) {
-    ++packets_dropped_;
-    queue_.pop_front();
-    retries_ = 0;
-    EDB_DEBUG("DMAC node " << env_.info.id << " dropped a packet");
-  }
-  sleep_now();  // try again next cycle
+  if (++retries_ > params_.max_retries) finish_head(/*delivered=*/false);
+  go_idle();  // try again next cycle
 }
 
-void DmacSim::sleep_now() {
+void DmacSim::go_idle() {
   state_ = State::kAsleep;
-  exchange_active_ = false;
   env_.radio->set_state(RadioState::kSleep, now());
 }
 
@@ -133,35 +107,16 @@ void DmacSim::on_frame(const Frame& frame) {
     case FrameType::kData: {
       if (frame.dst != env_.info.id) return;  // overheard; stay in slot
       if (state_ != State::kRxSlot && state_ != State::kTxSlotIdle) return;
-      EDB_ASSERT(frame.packet.has_value(), "data frame without packet");
-      const Packet pkt = *frame.packet;
-      timer_.cancel();
       // ACK after the rx->tx turnaround so the sender is listening again.
       state_ = State::kSendingAck;
-      const int sender = frame.src;
-      timer_ = env_.scheduler->schedule_in(
-          radio_params().t_turnaround, [this, pkt, sender] {
-            env_.radio->set_state(RadioState::kTx, now());
-            Frame ack;
-            ack.type = FrameType::kAck;
-            ack.src = env_.info.id;
-            ack.dst = sender;
-            ack.bits = env_.packet.ack_bits();
-            env_.channel->transmit(env_.info.id, ack, ack_airtime());
-            timer_ = env_.scheduler->schedule_in(ack_airtime(), [this, pkt] {
-              sleep_now();
-              env_.deliver(pkt);
-            });
-          });
+      acknowledge(frame);
       return;
     }
     case FrameType::kAck: {
       if (frame.dst != env_.info.id || state_ != State::kAwaitAck) return;
       timer_.cancel();
-      ++packets_sent_;
-      retries_ = 0;
-      queue_.pop_front();
-      sleep_now();
+      finish_head(/*delivered=*/true);
+      go_idle();
       return;
     }
     default:

@@ -12,8 +12,6 @@
 // the next cycle.  Data is acknowledged; a missing ACK retries next cycle.
 #pragma once
 
-#include <deque>
-
 #include "sim/mac_protocol.h"
 
 namespace edb::sim {
@@ -33,7 +31,6 @@ class DmacSim final : public MacProtocol {
   void start() override;
   void enqueue(const Packet& packet) override;
   void on_frame(const Frame& frame) override;
-  std::size_t queue_length() const override { return queue_.size(); }
 
   // Slot width mu [s] (contention window + data + ACK + turnarounds).
   double slot_width() const;
@@ -55,17 +52,13 @@ class DmacSim final : public MacProtocol {
   void end_rx_slot();
   void begin_tx_slot();
   void end_tx_slot();
+  void contend();
   void backoff_expired();
-  void data_sent();
   void ack_timeout();
-  void sleep_now();
+  void go_idle() override;
 
   DmacSimParams params_;
   State state_ = State::kAsleep;
-  std::deque<Packet> queue_;
-  int retries_ = 0;
-  bool exchange_active_ = false;  // reception/ACK crossing the slot edge
-  EventHandle timer_;
 };
 
 }  // namespace edb::sim

@@ -32,7 +32,7 @@ struct Frame {
   double bits = 0;
 
   // Payload for data frames.
-  std::optional<Packet> packet;
+  std::optional<Packet> packet = std::nullopt;
   // For LMAC control messages: the destination of the data that follows in
   // this slot (kBroadcast when the owner has nothing to send).
   int announced_data_dst = kBroadcast;

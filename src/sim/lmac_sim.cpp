@@ -1,9 +1,5 @@
 #include "sim/lmac_sim.h"
 
-#include <cmath>
-
-#include "util/log.h"
-
 namespace edb::sim {
 
 LmacSim::LmacSim(MacEnv env, LmacSimParams params)
@@ -49,37 +45,23 @@ void LmacSim::owner_slot() {
   env_.radio->set_state(RadioState::kListen, now());
   timer_ = env_.scheduler->schedule_in(radio_params().t_startup, [this] {
     env_.radio->set_state(RadioState::kTx, now());
-
     const bool has_data = !queue_.empty() && !env_.info.is_sink;
-    Frame cm;
-    cm.type = FrameType::kCtrl;
-    cm.src = env_.info.id;
-    cm.dst = kBroadcast;
-    cm.bits = env_.packet.ctrl_bits();
-    cm.announced_data_dst = has_data ? env_.info.parent : kBroadcast;
-    env_.channel->transmit(env_.info.id, cm, ctrl_airtime());
-
-    if (!has_data) {
-      timer_ = env_.scheduler->schedule_in(ctrl_airtime(),
-                                           [this] { sleep_now(); });
-      return;
-    }
-    // CM then data back-to-back in the owned slot.
-    timer_ = env_.scheduler->schedule_in(ctrl_airtime(), [this] {
-      Frame f;
-      f.type = FrameType::kData;
-      f.src = env_.info.id;
-      f.dst = env_.info.parent;
-      f.bits = env_.packet.data_bits();
-      f.packet = queue_.front();
-      env_.channel->transmit(env_.info.id, f, data_airtime());
-      timer_ = env_.scheduler->schedule_in(data_airtime(), [this] {
-        // TDMA is collision-free: transmission counts as delivered.
-        ++packets_sent_;
-        queue_.pop_front();
-        sleep_now();
-      });
-    });
+    send({.type = FrameType::kCtrl,
+          .dst = kBroadcast,
+          .bits = env_.packet.ctrl_bits(),
+          .announced_data_dst = has_data ? env_.info.parent : kBroadcast},
+         ctrl_airtime(), [this, has_data] {
+           if (!has_data) {
+             go_idle();
+             return;
+           }
+           // CM then data back-to-back in the owned slot.
+           send_head([this] {
+             // TDMA is collision-free: transmission counts as delivered.
+             finish_head(/*delivered=*/true);
+             go_idle();
+           });
+         });
   });
 }
 
@@ -96,10 +78,10 @@ void LmacSim::listener_slot() {
 
 void LmacSim::ctrl_listen_timeout() {
   if (state_ != State::kListenCtrl) return;
-  sleep_now();
+  go_idle();
 }
 
-void LmacSim::sleep_now() {
+void LmacSim::go_idle() {
   state_ = State::kAsleep;
   env_.radio->set_state(RadioState::kSleep, now());
 }
@@ -113,20 +95,16 @@ void LmacSim::on_frame(const Frame& frame) {
         state_ = State::kAwaitData;
         const double timeout = data_airtime() + 1e-3;
         timer_ = env_.scheduler->schedule_in(timeout, [this] {
-          if (state_ == State::kAwaitData) sleep_now();
+          if (state_ == State::kAwaitData) go_idle();
         });
       } else {
-        sleep_now();
+        go_idle();
       }
       return;
     }
     case FrameType::kData: {
       if (frame.dst != env_.info.id || state_ != State::kAwaitData) return;
-      timer_.cancel();
-      EDB_ASSERT(frame.packet.has_value(), "data frame without packet");
-      const Packet pkt = *frame.packet;
-      sleep_now();
-      env_.deliver(pkt);
+      accept(frame);
       return;
     }
     default:

@@ -13,8 +13,6 @@
 // analytic model charges.
 #pragma once
 
-#include <deque>
-
 #include "sim/mac_protocol.h"
 
 namespace edb::sim {
@@ -32,7 +30,6 @@ class LmacSim : public MacProtocol {
   void start() override;
   void enqueue(const Packet& packet) override;
   void on_frame(const Frame& frame) override;
-  std::size_t queue_length() const override { return queue_.size(); }
 
   double frame_length() const { return params_.n_slots * params_.t_slot; }
   double ctrl_airtime() const {
@@ -51,12 +48,10 @@ class LmacSim : public MacProtocol {
   void owner_slot();
   void listener_slot();
   void ctrl_listen_timeout();
-  void sleep_now();
+  void go_idle() override;
 
   LmacSimParams params_;
   State state_ = State::kAsleep;
-  std::deque<Packet> queue_;
-  EventHandle timer_;
 };
 
 }  // namespace edb::sim

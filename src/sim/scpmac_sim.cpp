@@ -34,22 +34,14 @@ double ScpmacSim::next_poll_time() const {
 }
 
 void ScpmacSim::start() {
-  poll_timer_ =
-      env_.scheduler->schedule_at(next_poll_time(), [this] { poll(); });
-}
-
-void ScpmacSim::schedule_poll() {
-  poll_timer_ = env_.scheduler->schedule_in(params_.tp, [this] { poll(); });
+  env_.scheduler->schedule_at(next_poll_time(), [this] { poll(); });
 }
 
 void ScpmacSim::poll() {
-  schedule_poll();
+  env_.scheduler->schedule_in(params_.tp, [this] { poll(); });
   if (state_ != State::kIdle) return;
   state_ = State::kPolling;
-  listen_window_start_ = now();
-  env_.radio->set_state(RadioState::kListen, now());
-  timer_ = env_.scheduler->schedule_in(radio_params().poll_duration(),
-                                       [this] { end_poll(); });
+  sample_channel([this] { end_poll(); });
 }
 
 void ScpmacSim::end_poll() {
@@ -82,7 +74,7 @@ void ScpmacSim::schedule_tx() {
   double start = next_poll_of(env_.info.parent) - params_.tone_guard -
                  radio_params().poll_duration();
   if (start <= now() + 1e-9) start += params_.tp;
-  tx_timer_ = env_.scheduler->schedule_at(start, [this] { begin_tone(); });
+  env_.scheduler->schedule_at(start, [this] { begin_tone(); });
 }
 
 void ScpmacSim::begin_tone() {
@@ -100,59 +92,24 @@ void ScpmacSim::begin_tone() {
   }
   state_ = State::kSendingTone;
   env_.radio->set_state(RadioState::kTx, now());
-  Frame tone;
-  tone.type = FrameType::kStrobe;
-  tone.src = env_.info.id;
-  tone.dst = kBroadcast;
-  tone.bits = tone_duration() * radio_params().bitrate;
-  env_.channel->transmit(env_.info.id, tone, tone_duration());
-  timer_ = env_.scheduler->schedule_in(tone_duration(),
-                                       [this] { send_data(); });
-}
-
-void ScpmacSim::send_data() {
-  EDB_ASSERT(!queue_.empty(), "send_data with empty queue");
-  state_ = State::kSendingData;
-  Frame f;
-  f.type = FrameType::kData;
-  f.src = env_.info.id;
-  f.dst = env_.info.parent;
-  f.bits = env_.packet.data_bits();
-  f.packet = queue_.front();
-  env_.channel->transmit(env_.info.id, f, data_airtime());
-  timer_ =
-      env_.scheduler->schedule_in(data_airtime(), [this] { data_sent(); });
-}
-
-void ScpmacSim::data_sent() {
-  state_ = State::kAwaitAck;
-  env_.radio->set_state(RadioState::kListen, now());
-  const double timeout =
-      ack_airtime() + 2.0 * radio_params().t_turnaround + 1e-4;
-  timer_ = env_.scheduler->schedule_in(timeout, [this] { ack_timeout(); });
+  send({.type = FrameType::kStrobe,
+        .dst = kBroadcast,
+        .bits = tone_duration() * radio_params().bitrate},
+       tone_duration(), [this] {
+         // The data frame follows the tone with the radio still in Tx.
+         state_ = State::kSendingData;
+         send_head([this] {
+           state_ = State::kAwaitAck;
+           await_ack([this] { ack_timeout(); });
+         });
+       });
 }
 
 void ScpmacSim::ack_timeout() {
   if (state_ != State::kAwaitAck) return;
-  if (++retries_ <= params_.max_retries) {
-    go_idle();
-    schedule_tx();  // next common poll
-    return;
-  }
-  finish_packet(/*success=*/false);
-}
-
-void ScpmacSim::finish_packet(bool success) {
-  EDB_ASSERT(!queue_.empty(), "finish_packet with empty queue");
-  if (success) {
-    ++packets_sent_;
-  } else {
-    ++packets_dropped_;
-  }
-  retries_ = 0;
-  queue_.pop_front();
+  if (++retries_ > params_.max_retries) finish_head(/*delivered=*/false);
   go_idle();
-  schedule_tx();
+  schedule_tx();  // next common poll
 }
 
 void ScpmacSim::go_idle() {
@@ -171,31 +128,16 @@ void ScpmacSim::on_frame(const Frame& frame) {
         go_idle();  // overheard someone else's exchange
         return;
       }
-      timer_.cancel();
-      EDB_ASSERT(frame.packet.has_value(), "data frame without packet");
-      const Packet pkt = *frame.packet;
       state_ = State::kSendingAck;
-      const int sender = frame.src;
-      timer_ = env_.scheduler->schedule_in(
-          radio_params().t_turnaround, [this, pkt, sender] {
-            env_.radio->set_state(RadioState::kTx, now());
-            Frame ack;
-            ack.type = FrameType::kAck;
-            ack.src = env_.info.id;
-            ack.dst = sender;
-            ack.bits = env_.packet.ack_bits();
-            env_.channel->transmit(env_.info.id, ack, ack_airtime());
-            timer_ = env_.scheduler->schedule_in(ack_airtime(), [this, pkt] {
-              go_idle();
-              env_.deliver(pkt);
-            });
-          });
+      acknowledge(frame);
       return;
     }
     case FrameType::kAck: {
       if (frame.dst != env_.info.id || state_ != State::kAwaitAck) return;
       timer_.cancel();
-      finish_packet(/*success=*/true);
+      finish_head(/*delivered=*/true);
+      go_idle();
+      schedule_tx();
       return;
     }
     default:

@@ -14,8 +14,6 @@
 // average *preamble* (energy, not latency, is where SCP wins).
 #pragma once
 
-#include <deque>
-
 #include "sim/mac_protocol.h"
 
 namespace edb::sim {
@@ -34,7 +32,6 @@ class ScpmacSim : public MacProtocol {
   void start() override;
   void enqueue(const Packet& packet) override;
   void on_frame(const Frame& frame) override;
-  std::size_t queue_length() const override { return queue_.size(); }
 
   double tone_duration() const {
     return radio_params().poll_duration() + 2.0 * params_.tone_guard;
@@ -51,16 +48,12 @@ class ScpmacSim : public MacProtocol {
     kSendingAck,
   };
 
-  void schedule_poll();
   void poll();
   void end_poll();
   void schedule_tx();
   void begin_tone();
-  void send_data();
-  void data_sent();
   void ack_timeout();
-  void finish_packet(bool success);
-  void go_idle();
+  void go_idle() override;
   // Deterministic per-node schedule phase in [0, tp).
   static double poll_phase(int node_id, double tp);
   double next_poll_of(int node_id) const;
@@ -68,13 +61,7 @@ class ScpmacSim : public MacProtocol {
 
   ScpmacSimParams params_;
   State state_ = State::kIdle;
-  std::deque<Packet> queue_;
-  int retries_ = 0;
   bool tx_scheduled_ = false;
-  double listen_window_start_ = 0;
-  EventHandle timer_;
-  EventHandle poll_timer_;
-  EventHandle tx_timer_;
 };
 
 }  // namespace edb::sim

@@ -1,7 +1,5 @@
 #include "sim/xmac_sim.h"
 
-#include "util/log.h"
-
 namespace edb::sim {
 
 XmacSim::XmacSim(MacEnv env, XmacSimParams params)
@@ -21,21 +19,14 @@ double XmacSim::gap_duration() const {
 void XmacSim::start() {
   // Random poll phase desynchronises neighbours.
   const double phase = env_.rng.uniform(0.0, params_.tw);
-  poll_timer_ = env_.scheduler->schedule_in(phase, [this] { poll(); });
-}
-
-void XmacSim::schedule_poll() {
-  poll_timer_ = env_.scheduler->schedule_in(params_.tw, [this] { poll(); });
+  env_.scheduler->schedule_in(phase, [this] { poll(); });
 }
 
 void XmacSim::poll() {
-  schedule_poll();
+  env_.scheduler->schedule_in(params_.tw, [this] { poll(); });
   if (state_ != State::kIdle) return;  // busy with an exchange
   state_ = State::kPolling;
-  listen_window_start_ = now();
-  env_.radio->set_state(RadioState::kListen, now());
-  timer_ = env_.scheduler->schedule_in(radio_params().poll_duration(),
-                                       [this] { end_poll(); });
+  sample_channel([this] { end_poll(); });
 }
 
 void XmacSim::end_poll() {
@@ -71,18 +62,11 @@ void XmacSim::try_send() {
   EDB_ASSERT(!queue_.empty(), "try_send with empty queue");
   if (env_.channel->busy_near(env_.info.id)) {
     // Medium busy: retry after a wake interval (rare at these loads).
-    state_ = State::kIdle;
-    env_.radio->set_state(RadioState::kSleep, now());
-    env_.scheduler->schedule_in(params_.tw * env_.rng.uniform(0.5, 1.0),
-                                [this] {
-                                  if (state_ == State::kIdle &&
-                                      !queue_.empty()) {
-                                    try_send();
-                                  }
-                                });
+    defer_send(params_.tw, [this] {
+      if (state_ == State::kIdle && !queue_.empty()) try_send();
+    });
     return;
   }
-  retries_ = 0;
   strobe_deadline_ = now() + params_.tw;
   send_strobe();
 }
@@ -90,14 +74,10 @@ void XmacSim::try_send() {
 void XmacSim::send_strobe() {
   state_ = State::kStrobing;
   env_.radio->set_state(RadioState::kTx, now());
-  Frame f;
-  f.type = FrameType::kStrobe;
-  f.src = env_.info.id;
-  f.dst = env_.info.parent;
-  f.bits = env_.packet.strobe_bits();
-  env_.channel->transmit(env_.info.id, f, strobe_airtime());
-  timer_ = env_.scheduler->schedule_in(strobe_airtime(),
-                                       [this] { end_strobe(); });
+  send({.type = FrameType::kStrobe,
+        .dst = env_.info.parent,
+        .bits = env_.packet.strobe_bits()},
+       strobe_airtime(), [this] { end_strobe(); });
 }
 
 void XmacSim::end_strobe() {
@@ -119,25 +99,12 @@ void XmacSim::gap_timeout() {
 }
 
 void XmacSim::send_data() {
-  EDB_ASSERT(!queue_.empty(), "send_data with empty queue");
   state_ = State::kSendingData;
   env_.radio->set_state(RadioState::kTx, now());
-  Frame f;
-  f.type = FrameType::kData;
-  f.src = env_.info.id;
-  f.dst = env_.info.parent;
-  f.bits = env_.packet.data_bits();
-  f.packet = queue_.front();
-  env_.channel->transmit(env_.info.id, f, data_airtime());
-  timer_ = env_.scheduler->schedule_in(data_airtime(), [this] { data_sent(); });
-}
-
-void XmacSim::data_sent() {
-  state_ = State::kAwaitAck;
-  env_.radio->set_state(RadioState::kListen, now());
-  const double timeout =
-      ack_airtime() + 2.0 * radio_params().t_turnaround + 1e-4;
-  timer_ = env_.scheduler->schedule_in(timeout, [this] { ack_timeout(); });
+  send_head([this] {
+    state_ = State::kAwaitAck;
+    await_ack([this] { ack_timeout(); });
+  });
 }
 
 void XmacSim::ack_timeout() {
@@ -151,15 +118,7 @@ void XmacSim::ack_timeout() {
 }
 
 void XmacSim::finish_packet(bool success) {
-  EDB_ASSERT(!queue_.empty(), "finish_packet with empty queue");
-  if (success) {
-    ++packets_sent_;
-  } else {
-    ++packets_dropped_;
-    EDB_DEBUG("X-MAC node " << env_.info.id << " dropped packet "
-                            << queue_.front().uid);
-  }
-  queue_.pop_front();
+  finish_head(success);
   if (!queue_.empty()) {
     try_send();
   } else {
@@ -189,27 +148,16 @@ void XmacSim::on_frame(const Frame& frame) {
       // Answer with the early ACK after the rx->tx turnaround (the strobing
       // sender needs its own tx->rx turnaround to be listening again).
       state_ = State::kSendingCtrl;
-      const int strober = frame.src;
-      timer_ = env_.scheduler->schedule_in(
-          radio_params().t_turnaround, [this, strober] {
-            env_.radio->set_state(RadioState::kTx, now());
-            Frame ack;
-            ack.type = FrameType::kEarlyAck;
-            ack.src = env_.info.id;
-            ack.dst = strober;
-            ack.bits = env_.packet.ack_bits();
-            env_.channel->transmit(env_.info.id, ack, ack_airtime());
-            timer_ = env_.scheduler->schedule_in(ack_airtime(), [this] {
-              state_ = State::kAwaitData;
-              env_.radio->set_state(RadioState::kListen, now());
-              // Give the sender time to start the data frame.
-              const double timeout = data_airtime() +
-                                     4.0 * radio_params().t_turnaround + 1e-3;
-              timer_ = env_.scheduler->schedule_in(timeout, [this] {
-                if (state_ == State::kAwaitData) go_idle();
-              });
-            });
-          });
+      reply(FrameType::kEarlyAck, frame.src, [this] {
+        state_ = State::kAwaitData;
+        env_.radio->set_state(RadioState::kListen, now());
+        // Give the sender time to start the data frame.
+        const double timeout =
+            data_airtime() + 4.0 * radio_params().t_turnaround + 1e-3;
+        timer_ = env_.scheduler->schedule_in(timeout, [this] {
+          if (state_ == State::kAwaitData) go_idle();
+        });
+      });
       return;
     }
     case FrameType::kEarlyAck: {
@@ -223,26 +171,9 @@ void XmacSim::on_frame(const Frame& frame) {
     }
     case FrameType::kData: {
       if (frame.dst != env_.info.id || state_ != State::kAwaitData) return;
-      timer_.cancel();
-      EDB_ASSERT(frame.packet.has_value(), "data frame without packet");
-      const Packet pkt = *frame.packet;
       // Link-layer ACK after the turnaround, then hand the packet up.
       state_ = State::kSendingCtrl;
-      const int sender = frame.src;
-      timer_ = env_.scheduler->schedule_in(
-          radio_params().t_turnaround, [this, pkt, sender] {
-            env_.radio->set_state(RadioState::kTx, now());
-            Frame ack;
-            ack.type = FrameType::kAck;
-            ack.src = env_.info.id;
-            ack.dst = sender;
-            ack.bits = env_.packet.ack_bits();
-            env_.channel->transmit(env_.info.id, ack, ack_airtime());
-            timer_ = env_.scheduler->schedule_in(ack_airtime(), [this, pkt] {
-              go_idle();
-              env_.deliver(pkt);
-            });
-          });
+      acknowledge(frame);
       return;
     }
     case FrameType::kAck: {

@@ -16,8 +16,6 @@
 // optimisation).
 #pragma once
 
-#include <deque>
-
 #include "sim/mac_protocol.h"
 
 namespace edb::sim {
@@ -35,7 +33,6 @@ class XmacSim : public MacProtocol {
   void start() override;
   void enqueue(const Packet& packet) override;
   void on_frame(const Frame& frame) override;
-  std::size_t queue_length() const override { return queue_.size(); }
 
   double strobe_airtime() const;
   double gap_duration() const;
@@ -52,7 +49,6 @@ class XmacSim : public MacProtocol {
     kSendingCtrl,   // receiver: early ACK / ACK on the air
   };
 
-  void schedule_poll();
   void poll();
   void end_poll();
   void try_send();
@@ -60,20 +56,14 @@ class XmacSim : public MacProtocol {
   void end_strobe();
   void gap_timeout();
   void send_data();
-  void data_sent();
   void ack_timeout();
   void finish_packet(bool success);
-  void go_idle();
+  void go_idle() override;
 
   XmacSimParams params_;
   State state_ = State::kIdle;
-  std::deque<Packet> queue_;
-  int retries_ = 0;
   int poll_extensions_ = 0;
-  double listen_window_start_ = 0;
   double strobe_deadline_ = 0;
-  EventHandle timer_;       // gap / ack / receiver-data timeout
-  EventHandle poll_timer_;
 };
 
 }  // namespace edb::sim
