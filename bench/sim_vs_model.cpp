@@ -77,8 +77,7 @@ int main() {
       c.name = std::string(row.protocol) + "@" + std::to_string(param);
       c.protocol = row.protocol;
       c.x = {param};
-      c.ring = ctx.ring;
-      c.fs = kFs;
+      c.context = ctx;
       c.duration = kDuration;
       c.lmac_slots = kLmacSlots;
       c.scenario_seed =

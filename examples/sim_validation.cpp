@@ -43,8 +43,7 @@ int main() {
   cell.name = "nbs-validation";
   cell.protocol = "X-MAC";
   cell.x = {tw};
-  cell.ring = scenario.context.ring;
-  cell.fs = scenario.context.fs;
+  cell.context = scenario.context;
   cell.duration = 4000;
   cell.scenario_seed = 7;
 

@@ -122,13 +122,7 @@ SimTwin sim_twin(const CatalogScenario& scenario,
   c.name = scenario.id();
   c.protocol = twin.protocol;
   c.x = twin.x;
-  c.ring = ctx.ring;
-  c.radio = ctx.radio;
-  c.packet = ctx.packet;
-  c.fs = ctx.fs;
-  c.arrivals = ctx.arrivals;
-  c.burst_factor = ctx.burst_factor;
-  c.jitter_frac = ctx.jitter_frac;
+  c.context = ctx;
   c.loss_probability = scenario.sim.loss_probability;
   c.duration = std::min(kMaxDuration, kTargetPackets / ctx.fs);
   c.lmac_slots = lmac_slots;

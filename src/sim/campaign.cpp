@@ -60,27 +60,25 @@ ReplicationMetrics Campaign::run_replication(const CampaignScenario& scenario,
                                              std::uint64_t rep_seed,
                                              SimArena* arena) {
   EDB_SPAN("sim.replication");
+  const mac::ModelContext& ctx = scenario.context;
   auto factory = make_sim_factory(
       scenario.protocol,
       SimProtocolParams{.x = scenario.x,
-                        .max_depth = scenario.ring.depth,
+                        .max_depth = ctx.ring.depth,
                         .lmac_slots = scenario.lmac_slots});
   EDB_ASSERT(factory.ok(), "campaign scenario needs a behavioural protocol");
 
   SimulationConfig cfg;
-  cfg.radio = scenario.radio;
-  cfg.packet = scenario.packet;
-  cfg.traffic = net::TrafficModel{.fs = scenario.fs,
-                                  .jitter_frac = scenario.jitter_frac,
-                                  .arrivals = scenario.arrivals,
-                                  .burst_factor = scenario.burst_factor};
+  cfg.radio = ctx.radio;
+  cfg.packet = ctx.packet;
+  cfg.traffic = ctx.traffic_model();
   cfg.duration = scenario.duration;
   cfg.seed = rep_seed;
 
   Simulation sim(cfg, arena);
   // The deployment is part of the scenario's identity: all replications
   // measure the same network, whatever the campaign seed.
-  build_ring_corridor(sim, scenario.ring,
+  build_ring_corridor(sim, ctx.ring,
                       splitmix64(scenario.scenario_seed ^ kTopologyStream));
   if (needs_slot_assignment(scenario.protocol)) {
     sim.assign_lmac_slots(scenario.lmac_slots);
@@ -94,7 +92,7 @@ ReplicationMetrics Campaign::run_replication(const CampaignScenario& scenario,
 
   ReplicationMetrics m;
   m.bottleneck_power = sim.mean_power_at_depth(1);
-  m.deep_delay = sim.metrics().mean_delay_from_depth(scenario.ring.depth);
+  m.deep_delay = sim.metrics().mean_delay_from_depth(ctx.ring.depth);
   m.delivery_ratio = sim.metrics().delivery_ratio();
   m.generated = sim.metrics().generated();
   m.delivered = sim.metrics().delivered();

@@ -30,10 +30,7 @@
 #include <vector>
 
 #include "engine/fan.h"
-#include "net/packet.h"
-#include "net/radio.h"
-#include "net/ring.h"
-#include "net/traffic.h"
+#include "mac/model.h"
 #include "sim/simulation.h"
 #include "util/stats.h"
 
@@ -47,13 +44,11 @@ struct CampaignScenario {
   std::string name;            // label for reports ("dense-ring/17", ...)
   std::string protocol;        // mac/registry spelling ("xmac", "X-MAC")
   std::vector<double> x;       // analytic operating point
-  net::RingTopology ring{};    // corridor deployment shape
-  net::RadioParams radio = net::RadioParams::cc2420();
-  net::PacketFormat packet = net::PacketFormat::default_wsn();
-  double fs = 0.01;            // per-source mean rate [packets/s]
-  double jitter_frac = 0.1;
-  net::ArrivalProcess arrivals = net::ArrivalProcess::kPeriodic;
-  double burst_factor = 1.0;
+  // The deployment the analytic model sees: corridor shape, radio, packet
+  // format and traffic (context.traffic_model()).  Set context.fs: its
+  // default is the paper's 6.5e-5 packets/s, which a short replication
+  // would barely sample.
+  mac::ModelContext context;
   double loss_probability = 0.0;  // Channel::set_loss_probability
   double duration = 2000.0;       // simulated seconds per replication
   int lmac_slots = 16;            // LMAC frame size (ignored otherwise)

@@ -112,9 +112,9 @@ TEST(ModelVersion, CampaignFingerprintMatchesPreKV2Golden) {
   cell.name = "golden";
   cell.protocol = "X-MAC";
   cell.x = {0.9};
-  cell.ring.depth = 3;
-  cell.ring.density = 3.0;
-  cell.fs = 0.01;
+  cell.context.ring.depth = 3;
+  cell.context.ring.density = 3.0;
+  cell.context.fs = 0.01;
   cell.duration = 400.0;
   cell.scenario_seed = 42;
   sim::CampaignOptions copts;

@@ -63,8 +63,8 @@ std::vector<sim::CampaignScenario> small_scenarios() {
   xmac.name = "xmac-small";
   xmac.protocol = "xmac";
   xmac.x = {0.3};
-  xmac.ring = net::RingTopology{.depth = 2, .density = 2};
-  xmac.fs = 0.02;
+  xmac.context.ring = net::RingTopology{.depth = 2, .density = 2};
+  xmac.context.fs = 0.02;
   xmac.duration = 200;
   xmac.scenario_seed = 2001;
   out.push_back(xmac);

@@ -26,8 +26,8 @@ std::vector<CampaignScenario> small_scenarios() {
   xmac.name = "xmac-small";
   xmac.protocol = "xmac";  // registry spelling resolves like the analytic side
   xmac.x = {0.3};
-  xmac.ring = net::RingTopology{.depth = 2, .density = 2};
-  xmac.fs = 0.02;
+  xmac.context.ring = net::RingTopology{.depth = 2, .density = 2};
+  xmac.context.fs = 0.02;
   xmac.duration = 200;
   xmac.scenario_seed = 1001;
   out.push_back(xmac);
@@ -50,8 +50,8 @@ std::vector<CampaignScenario> small_scenarios() {
   CampaignScenario lossy = xmac;
   lossy.name = "xmac-lossy-bursty";
   lossy.loss_probability = 0.1;
-  lossy.arrivals = net::ArrivalProcess::kBursty;
-  lossy.burst_factor = 4.0;
+  lossy.context.arrivals = net::ArrivalProcess::kBursty;
+  lossy.context.burst_factor = 4.0;
   lossy.scenario_seed = 1004;
   out.push_back(lossy);
 
@@ -183,7 +183,7 @@ std::vector<CampaignScenario> pinned_scenarios() {
     s.name = "pin-" + protocols[i];
     s.protocol = protocols[i];
     s.x = {kPinnedX[i]};
-    s.fs = 0.05;
+    s.context.fs = 0.05;
     s.duration = 600;
     s.lmac_slots = 21;
     s.scenario_seed = 2000 + i;
@@ -192,14 +192,14 @@ std::vector<CampaignScenario> pinned_scenarios() {
   CampaignScenario lossy = out[0];
   lossy.name = "pin-X-MAC-lossy-bursty";
   lossy.loss_probability = 0.1;
-  lossy.arrivals = net::ArrivalProcess::kBursty;
-  lossy.burst_factor = 4.0;
+  lossy.context.arrivals = net::ArrivalProcess::kBursty;
+  lossy.context.burst_factor = 4.0;
   lossy.scenario_seed = 2010;
   out.push_back(lossy);
 
   CampaignScenario poisson = out[4];
   poisson.name = "pin-SCP-MAC-poisson-lossy";
-  poisson.arrivals = net::ArrivalProcess::kPoisson;
+  poisson.context.arrivals = net::ArrivalProcess::kPoisson;
   poisson.loss_probability = 0.1;
   poisson.scenario_seed = 2011;
   out.push_back(poisson);
