@@ -9,6 +9,7 @@
 #include <limits>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.h"
@@ -120,6 +121,15 @@ class BodyReader {
 
 constexpr auto kMaxErrorCode = ErrorCode::kCancelled;
 
+// The last code of each enum in the scenario walk, the bound both doors
+// check: the QUERY body reads the code as a u8, a JSON line as an int.
+constexpr auto max_code(net::ArrivalProcess) {
+  return net::ArrivalProcess::kBursty;
+}
+constexpr auto max_code(mac::ModelVersion) {
+  return mac::ModelVersion::kV2Queueing;
+}
+
 template <typename IO, typename H>
 void hello_body(IO& io, H& h) {
   std::uint32_t magic = kMagicWord;
@@ -138,11 +148,9 @@ void query_body(IO& io, Q& q) {
   core::for_each_field(q.scenario, [&io](const char*, auto& v) {
     using T = std::remove_cvref_t<decltype(v)>;
     if constexpr (std::is_same_v<T, net::ArrivalProcess>) {
-      io.later(io.u8(v, net::ArrivalProcess::kBursty),
-               "query arrival process");
+      io.later(io.u8(v, max_code(v)), "query arrival process");
     } else if constexpr (std::is_same_v<T, mac::ModelVersion>) {
-      io.later(io.u8(v, mac::ModelVersion::kV2Queueing),
-               "query model version");
+      io.later(io.u8(v, max_code(v)), "query model version");
     } else if constexpr (std::is_same_v<T, int>) {
       io.i32(v);
     } else {
@@ -383,7 +391,8 @@ struct JsonCursor {
       }
       out.push_back(ch);
     }
-    if (pos >= s.size()) {
+    // Every string of a request is a str16 on the binary door.
+    if (pos >= s.size() || out.size() > 0xffff) {
       ok = false;
       return out;
     }
@@ -421,6 +430,40 @@ struct JsonCursor {
     }
     return static_cast<T>(t);
   }
+  // The literal true or false, or a number (nonzero is true).
+  bool bool_token() {
+    skip_ws();
+    for (const std::string_view word : {"true", "false"}) {
+      if (s.substr(pos).starts_with(word)) {
+        pos += word.size();
+        return word == "true";
+      }
+    }
+    return number_token() != 0;
+  }
+  // One value into a field of the scenario walk or a numeric query
+  // option: an enum as its integer code, checked against the bound the
+  // QUERY body checks, an integer truncated into its type, else a double.
+  template <typename T>
+  void read(T& v) {
+    if constexpr (std::is_enum_v<T>) {
+      const int code = integer_token<int>();
+      ok = ok && code >= 0 && code <= static_cast<int>(max_code(v));
+      if (ok) v = static_cast<T>(code);
+    } else if constexpr (std::is_integral_v<T>) {
+      v = integer_token<T>();
+    } else {
+      v = number_token();
+    }
+  }
+};
+
+// Short names a JSON line may use for a field of the scenario walk.
+constexpr std::pair<std::string_view, std::string_view> kJsonAliases[] = {
+    {"lmax", "req.l_max"},
+    {"ebudget", "req.e_budget"},
+    {"depth", "ring.depth"},
+    {"density", "ring.density"},
 };
 
 }  // namespace
@@ -432,7 +475,8 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
                       "json request: expected '{'");
   }
   JsonRequest req;
-  req.query.scenario = core::Scenario::paper_default();
+  service::TuningQuery& q = req.query;
+  q.scenario = core::Scenario::paper_default();
   bool first = true;
   while (!c.eat('}')) {
     if (!first && !c.eat(',')) {
@@ -446,25 +490,17 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
                         "json request: expected \"key\":");
     }
     if (key == "hello") {
-      req.hello = c.number_token() != 0;
+      req.hello = c.bool_token();
     } else if (key == "tenant") {
       req.tenant = c.string_token();
     } else if (key == "seq") {
-      req.seq = c.integer_token<std::uint64_t>();
-    } else if (key == "lmax") {
-      req.query.scenario.requirements.l_max = c.number_token();
-    } else if (key == "ebudget") {
-      req.query.scenario.requirements.e_budget = c.number_token();
+      c.read(req.seq);
+    } else if (key == "radio.name") {
+      q.scenario.context.radio.name = c.string_token();
     } else if (key == "alpha") {
-      req.query.options.alpha = c.number_token();
+      c.read(q.options.alpha);
     } else if (key == "eval_budget") {
-      req.query.options.eval_budget = c.integer_token<long long>();
-    } else if (key == "depth") {
-      req.query.scenario.context.ring.depth = c.integer_token<int>();
-    } else if (key == "density") {
-      req.query.scenario.context.ring.density = c.number_token();
-    } else if (key == "fs") {
-      req.query.scenario.context.fs = c.number_token();
+      c.read(q.options.eval_budget);
     } else if (key == "protocols") {
       if (!c.eat('[')) {
         return make_error(ErrorCode::kInvalidArgument,
@@ -472,16 +508,28 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
       }
       if (!c.eat(']')) {
         do {
-          req.query.protocols.push_back(c.string_token());
-        } while (c.ok && c.eat(','));
-        if (!c.ok || !c.eat(']')) {
+          q.protocols.push_back(c.string_token());
+        } while (c.ok && q.protocols.size() <= kMaxProtocols && c.eat(','));
+        if (!c.ok || q.protocols.size() > kMaxProtocols || !c.eat(']')) {
           return make_error(ErrorCode::kInvalidArgument,
                             "json request: bad protocols array");
         }
       }
     } else {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "json request: unknown key \"" + key + "\"");
+      std::string_view field = key;
+      for (const auto& [alias, name] : kJsonAliases) {
+        if (key == alias) field = name;
+      }
+      bool known = false;
+      core::for_each_field(q.scenario, [&](const char* name, auto& v) {
+        if (known || field != name) return;
+        known = true;
+        c.read(v);
+      });
+      if (!known) {
+        return make_error(ErrorCode::kInvalidArgument,
+                          "json request: unknown key \"" + key + "\"");
+      }
     }
     if (!c.ok) {
       return make_error(ErrorCode::kInvalidArgument,

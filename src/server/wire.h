@@ -152,14 +152,34 @@ FrameStatus next_frame(ByteRing& in, std::uint32_t max_frame,
 // One object per line.  Request schema (unknown keys are errors — debug
 // clients should learn about typos, not get defaults):
 //
-//   {"hello":1,"tenant":"ops"}             -- optional, once, first line
+//   {"hello":true,"tenant":"ops"}          -- optional, once, first line
 //   {"seq":1,"lmax":2.5,"ebudget":0.05,"alpha":0.5,"depth":5,
 //    "density":7,"fs":6.5e-5,"protocols":["X-MAC","LMAC"]}
 //
+// A query line reads the scenario through core::for_each_field, so its
+// keys are the walk's names — the QUERY body's field list:
+//
+//   radio.p_tx radio.p_rx radio.p_sleep radio.bitrate radio.t_startup
+//   radio.t_turnaround radio.t_cca packet.payload packet.header
+//   packet.ack packet.strobe packet.ctrl packet.sync ring.depth
+//   ring.density fs energy_epoch arrivals jitter_frac burst_factor
+//   model_version req.e_budget req.l_max
+//
+// plus four short aliases (lmax = req.l_max, ebudget = req.e_budget,
+// depth = ring.depth, density = ring.density) and the QUERY body's other
+// fields: radio.name (a string), protocols (an array of at most 256
+// names), alpha and eval_budget.  ring.depth, eval_budget and seq are
+// integers (a fraction truncates toward zero; NaN, infinities and values
+// outside the type are errors).  arrivals (0 periodic, 1 Poisson,
+// 2 bursty) and model_version (0 kV1, 1 kV2Queueing) are integer codes,
+// checked against the bounds the QUERY body checks.  hello takes true,
+// false or a number (nonzero is true).
+//
 // Every field of the query line is optional and overrides
 // core::Scenario::paper_default(); doubles are parsed with strtod, so
-// hex-float spellings ("0x1.9p-5") round-trip exactly.  Responses mirror
-// the binary RESULT/ERROR payloads with doubles printed as %.17g.
+// hex-float spellings ("0x1.9p-5") round-trip exactly, and a line that
+// sets every field asks exactly what a QUERY frame asks.  Responses
+// mirror the binary RESULT/ERROR payloads with doubles printed as %.17g.
 
 struct JsonRequest {
   bool hello = false;  // hello line: only tenant is meaningful

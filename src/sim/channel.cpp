@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.h"
 
@@ -68,7 +69,7 @@ void Channel::transmit(int sender, const Frame& frame, double duration) {
   EDB_ASSERT(duration > 0, "transmission must have positive duration");
 
   const std::uint64_t tx_id = next_tx_id_++;
-  active_[tx_id] = {sender, scheduler_.now() + duration};
+  active_.push_back({tx_id, sender, frame});
   ++frames_sent_;
 
   // Lock on every in-range listener; register the energy for everyone in
@@ -90,15 +91,16 @@ void Channel::transmit(int sender, const Frame& frame, double duration) {
     rx.rx_tx_id = tx_id;
   }
 
-  scheduler_.schedule_in(duration, [this, tx_id, sender, frame]() {
-    finish(tx_id, sender, frame);
-  });
+  scheduler_.schedule_in(duration, [this, tx_id]() { finish(tx_id); });
 }
 
-void Channel::finish(std::uint64_t tx_id, int sender, Frame frame) {
-  active_.erase(tx_id);
-  auto sit = nodes_.find(sender);
-  for (int nid : sit->second.neighbours) {
+void Channel::finish(std::uint64_t tx_id) {
+  // Swap-and-pop the record before delivery (a sink may transmit).
+  auto it = std::find_if(active_.begin(), active_.end(),
+                         [tx_id](const ActiveTx& t) { return t.id == tx_id; });
+  const ActiveTx tx = std::exchange(*it, active_.back());
+  active_.pop_back();
+  for (int nid : nodes_.at(tx.sender).neighbours) {
     NodeEntry& rx = nodes_.at(nid);
     if (!rx.receiving || rx.rx_tx_id != tx_id) continue;
     bool ok = !rx.corrupted && rx.radio->state() == RadioState::kListen;
@@ -112,7 +114,7 @@ void Channel::finish(std::uint64_t tx_id, int sender, Frame frame) {
     rx.rx_tx_id = 0;
     if (ok) {
       EDB_ASSERT(rx.sink != nullptr, "frame delivery before set_sink()");
-      rx.sink->on_frame(frame);
+      rx.sink->on_frame(tx.frame);
     }
   }
 }
@@ -126,13 +128,9 @@ bool Channel::energy_since(int node, double t) const {
 bool Channel::busy_near(int node) const {
   auto it = nodes_.find(node);
   EDB_ASSERT(it != nodes_.end(), "unknown node");
-  if (active_.empty()) return false;
-  for (const auto& [tx_id, tx] : active_) {
-    const NodeEntry& s = nodes_.at(tx.sender);
-    if (tx.sender == node) continue;
-    if (in_range(it->second, s)) return true;
-  }
-  return false;
+  return std::any_of(active_.begin(), active_.end(), [&](const ActiveTx& tx) {
+    return tx.sender != node && in_range(it->second, nodes_.at(tx.sender));
+  });
 }
 
 }  // namespace edb::sim

@@ -12,7 +12,6 @@
 // contention-based MACs.
 #pragma once
 
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -81,18 +80,20 @@ class Channel {
     std::uint64_t rx_tx_id = 0;
   };
 
+  // A frame on the air, kept flat so a steady-state frame never allocates.
   struct ActiveTx {
+    std::uint64_t id;
     int sender;
-    double end;
+    Frame frame;
   };
 
   bool in_range(const NodeEntry& a, const NodeEntry& b) const;
-  void finish(std::uint64_t tx_id, int sender, Frame frame);
+  void finish(std::uint64_t tx_id);
 
   Scheduler& scheduler_;
   double comm_range_;
   std::unordered_map<int, NodeEntry> nodes_;
-  std::unordered_map<std::uint64_t, ActiveTx> active_;
+  std::vector<ActiveTx> active_;
   std::uint64_t next_tx_id_ = 1;
   std::size_t frames_sent_ = 0;
   std::size_t collisions_ = 0;

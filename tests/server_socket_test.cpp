@@ -4,7 +4,8 @@
 // (wire RESULT == encoded in-process ServiceCore answer), pipelined
 // response ordering, admission shed on the wire (global bucket, tenant
 // bucket, queue bound), the fatal path for malformed and oversized frames
-// and JSON lines, the JSON debug mode over a raw socket, and drain and
+// and JSON lines, the JSON debug mode over a raw socket (the daemon's
+// documented lines, and the upgrade from a binary HELLO), and drain and
 // no-drain shutdown; and, against a fake server, the client's refusal of
 // a malformed frame.
 #include <gtest/gtest.h>
@@ -548,6 +549,70 @@ TEST(ServerSocket, JsonDebugModeOverARawSocket) {
   EXPECT_NE(got.find("\"ok\":true"), std::string::npos) << got;
   EXPECT_NE(got.find("\"recommended\":\"X-MAC\""), std::string::npos) << got;
   ::close(fd);
+  srv.shutdown(/*drain=*/true);
+}
+
+// The example in tuning_serverd's header, byte for byte: a boolean hello,
+// then a query that names no protocols.
+TEST(ServerSocket, DaemonsDocumentedJsonLinesAreServed) {
+  TuningServer srv(test_options(1));
+  ASSERT_TRUE(srv.start().ok());
+  const int fd = connect_raw(srv.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "{\"hello\": true}\n{\"seq\": 1, \"lmax\": 4.0}\n"));
+  std::string got;
+  char buf[4096];
+  while (std::count(got.begin(), got.end(), '\n') < 2) {
+    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+    ASSERT_GT(r, 0) << "server closed before both response lines: " << got;
+    got.append(buf, static_cast<std::size_t>(r));
+  }
+  EXPECT_EQ(got.substr(0, got.find('\n') + 1), json_hello_ok_line()) << got;
+  EXPECT_NE(got.find("\"seq\":1,\"ok\":true"), std::string::npos) << got;
+  ::close(fd);
+  EXPECT_EQ(srv.stats().protocol_errors, 0u);
+  srv.shutdown(/*drain=*/true);
+}
+
+// A binary HELLO asking for JSON mode: HELLO_OK comes back as a frame,
+// and every byte after the HELLO, in the same send, is JSON both ways —
+// answers and errors alike.
+TEST(ServerSocket, BinaryHelloUpgradesTheConnectionToJson) {
+  const ServerOptions opts = test_options(1);
+  TuningServer srv(opts);
+  ASSERT_TRUE(srv.start().ok());
+  const int fd = connect_raw(srv.port());
+  ASSERT_GE(fd, 0);
+
+  Hello hello;
+  hello.mode = WireMode::kJson;
+  hello.tenant = "upgraded";
+  ASSERT_TRUE(send_all(fd, encode_hello(hello) +
+                               "{\"seq\": 5, \"lmax\": 4.0, "
+                               "\"protocols\": [\"X-MAC\"]}\n"));
+  const std::string hello_ok = encode_hello_ok();
+  std::string got;
+  char buf[4096];
+  while (got.size() <= hello_ok.size() ||
+         got.find('\n', hello_ok.size()) == std::string::npos) {
+    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+    ASSERT_GT(r, 0) << "server closed before the JSON answer";
+    got.append(buf, static_cast<std::size_t>(r));
+  }
+  EXPECT_EQ(got.substr(0, hello_ok.size()), hello_ok);
+  service::ServiceCore core(reference_options(opts));
+  const auto reference = core.serve({test_query(4.0)});
+  ASSERT_EQ(reference.size(), 1u);
+  EXPECT_EQ(got.substr(hello_ok.size()), json_response_line(reference[0], 5));
+
+  ASSERT_TRUE(send_all(fd, "{\"lmaks\": 3}\n"));
+  const std::string err = recv_line(fd);
+  EXPECT_NE(err.find("\"ok\":false,\"fatal\":true"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("unknown key \\\"lmaks\\\""), std::string::npos) << err;
+  EXPECT_EQ(::recv(fd, buf, sizeof buf, 0), 0);
+  ::close(fd);
+  EXPECT_EQ(srv.stats().protocol_errors, 1u);
   srv.shutdown(/*drain=*/true);
 }
 

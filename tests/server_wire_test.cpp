@@ -3,17 +3,24 @@
 // a ByteRing, a malformed-frame corpus (truncations, oversized counts,
 // out-of-range enum bytes, bad magic — every one must come back as a
 // clean error, never a crash or over-read; CI runs this binary under
-// ASan), the JSON debug-mode parser, and a deterministic mutation loop
-// that feeds byte-flipped, truncated and extended frames to every decoder.
+// ASan), the JSON debug-mode parser (which must read every catalog
+// scenario into the query whose QUERY frame it came from), and a
+// deterministic mutation loop that feeds byte-flipped, truncated and
+// extended frames to every decoder.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "core/scenario.h"
 #include "server/wire.h"
+#include "service/key.h"
 #include "service/resilience.h"
 #include "util/rng.h"
 
@@ -582,6 +589,18 @@ TEST(WireMutation, MutatedFramesDecodeCleanlyOrFailCleanly) {
   EXPECT_GT(bodies.ok, 0u);
 }
 
+// One more than the protocol count a QUERY body may carry.
+constexpr int kTooManyProtocols = 257;
+
+// {"protocols": ["P0", ..., "P<n-1>"]}
+std::string protocols_array(int n) {
+  std::string line = "{\"protocols\": [";
+  for (int i = 0; i < n; ++i) {
+    line += (i ? ",\"P" : "\"P") + std::to_string(i) + "\"";
+  }
+  return line + "]}";
+}
+
 TEST(WireMutation, MutatedJsonLinesParseCleanlyOrFailCleanly) {
   const std::vector<std::string> corpus = {
       "{\"hello\": 1, \"tenant\": \"ops\"}",
@@ -594,6 +613,15 @@ TEST(WireMutation, MutatedJsonLinesParseCleanlyOrFailCleanly) {
       "{\"lmax\":3} extra",
       "{\"protocols\": 3}",
       "{\"lmax\": }",
+      "{\"hello\": true, \"tenant\": \"ops\"}",
+      "{\"radio.name\": \"cc2420\", \"radio.p_tx\": 0x1.9p-5, "
+      "\"packet.payload\": 64, \"ring.depth\": 3, \"energy_epoch\": 50, "
+      "\"arrivals\": 2, \"burst_factor\": 4, \"model_version\": 1, "
+      "\"req.l_max\": 2.5, \"req.e_budget\": 0.05}",
+      "{\"arrivals\": 3}",
+      "{\"model_version\": -1}",
+      "{\"arrivals\": 1e300}",
+      protocols_array(kTooManyProtocols),
   };
   Mutator m(0x15'0a'11ULL);
   Outcomes out;
@@ -665,6 +693,148 @@ TEST(WireJson, RejectsTyposAndTrailingBytes) {
   EXPECT_EQ(truncated->seq, 7u);
   EXPECT_EQ(truncated->query.scenario.context.ring.depth, -2);
   EXPECT_EQ(truncated->query.options.eval_budget, 1000000000000000000LL);
+}
+
+TEST(WireJson, HelloTakesTrueFalseOrANumber) {
+  for (const char* line : {"{\"hello\": true}", "{\"hello\":1}",
+                           "{\"hello\": 0.5, \"tenant\": \"t\"}"}) {
+    auto r = parse_json_request(line);
+    ASSERT_TRUE(r.ok()) << line << ": " << r.error().to_string();
+    EXPECT_TRUE(r->hello) << line;
+  }
+  for (const char* line : {"{\"hello\": false}", "{\"hello\": 0}"}) {
+    auto r = parse_json_request(line);
+    ASSERT_TRUE(r.ok()) << line << ": " << r.error().to_string();
+    EXPECT_FALSE(r->hello) << line;
+  }
+  for (const char* line : {"{\"hello\": tru}", "{\"hello\": truex}",
+                           "{\"hello\": \"true\"}", "{\"hello\": }"}) {
+    auto r = parse_json_request(line);
+    ASSERT_FALSE(r.ok()) << line;
+    EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument) << line;
+  }
+}
+
+// Enum codes past the QUERY body's bounds, values no int holds, a
+// protocol list past its cap and a string no str16 holds are refused, as
+// the binary door refuses them.
+TEST(WireJson, RejectsWhatTheQueryBodyRejects) {
+  for (const std::string& line :
+       {std::string("{\"arrivals\": 3}"), std::string("{\"arrivals\": -1}"),
+        std::string("{\"model_version\": -1}"),
+        std::string("{\"model_version\": 2}"),
+        std::string("{\"arrivals\": 1e300}"),
+        std::string("{\"model_version\": nan}"),
+        std::string("{\"ring.depth\": 1e300}"),
+        std::string("{\"radio.p_tx\": }"),
+        std::string("{\"radio.name\": 3}"),
+        std::string("{\"radio.p_txx\": 1}"),
+        std::string("{\"l_max\": 1}"),
+        protocols_array(kTooManyProtocols),
+        "{\"radio.name\": \"" + std::string(0x10000, 'r') + "\"}"}) {
+    auto r = parse_json_request(line);
+    ASSERT_FALSE(r.ok()) << line.substr(0, 80);
+    EXPECT_EQ(r.error().code, ErrorCode::kInvalidArgument)
+        << line.substr(0, 80);
+  }
+  auto most = parse_json_request(protocols_array(kTooManyProtocols - 1));
+  ASSERT_TRUE(most.ok()) << most.error().to_string();
+  EXPECT_EQ(most->query.protocols.size(),
+            static_cast<std::size_t>(kTooManyProtocols - 1));
+  auto longest = parse_json_request("{\"radio.name\": \"" +
+                                    std::string(0xffff, 'r') + "\"}");
+  ASSERT_TRUE(longest.ok()) << longest.error().to_string();
+  auto codes = parse_json_request(
+      "{\"arrivals\": 2.9, \"model_version\": 1}");
+  ASSERT_TRUE(codes.ok()) << codes.error().to_string();
+  EXPECT_EQ(codes->query.scenario.context.arrivals,
+            net::ArrivalProcess::kBursty);
+  EXPECT_EQ(codes->query.scenario.context.model_version,
+            mac::ModelVersion::kV2Queueing);
+}
+
+// A JSON string literal holding s.
+std::string json_string(std::string_view s) {
+  std::string out = "\"";
+  for (char ch : s) {
+    if (ch == '"' || ch == '\\') out += '\\';
+    out += ch;
+  }
+  return out + "\"";
+}
+
+// The JSON line that asks everything the QUERY frame of q asks: every
+// walk name (doubles as %a hex floats, enums as their codes), radio.name,
+// protocols, alpha and eval_budget.
+std::string json_line_for(const service::TuningQuery& q) {
+  std::string line =
+      "{\"radio.name\":" + json_string(q.scenario.context.radio.name);
+  char buf[64];
+  core::for_each_field(q.scenario, [&](const char* name, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (std::is_enum_v<T>) {
+      std::snprintf(buf, sizeof buf, "%d", static_cast<int>(v));
+    } else if constexpr (std::is_same_v<T, int>) {
+      std::snprintf(buf, sizeof buf, "%d", v);
+    } else {
+      std::snprintf(buf, sizeof buf, "%a", v);
+    }
+    line += std::string(",\"") + name + "\":" + buf;
+  });
+  line += ",\"protocols\":[";
+  for (std::size_t i = 0; i < q.protocols.size(); ++i) {
+    line += (i ? "," : "") + json_string(q.protocols[i]);
+  }
+  std::snprintf(buf, sizeof buf, "%a", q.options.alpha);
+  line += std::string("],\"alpha\":") + buf +
+          ",\"eval_budget\":" + std::to_string(q.options.eval_budget) + "}";
+  return line;
+}
+
+// The two doors read one field list: every catalog scenario, written as
+// a JSON line, parses into the query whose QUERY frame and cache key it
+// came from, byte for byte.
+TEST(WireJson, EveryCatalogScenarioReadsAsItsQueryFrame) {
+  const auto scenarios =
+      catalog::Catalog::builtin().expand_all(catalog::kDefaultSeed);
+  ASSERT_EQ(scenarios.size(), 252u);
+  const std::vector<std::string> sets[] = {
+      {"X-MAC", "DMAC", "LMAC"}, {"LMAC"}, {}, {"B-MAC", "X-MAC"}};
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    service::TuningQuery q;
+    q.scenario = scenarios[i].scenario;
+    q.protocols = sets[i % 4];
+    q.options.alpha = 0.25 + 0.0625 * static_cast<double>(i % 9);
+    q.options.eval_budget = static_cast<long long>(i) * 1009;
+    const std::string line = json_line_for(q);
+    auto parsed = parse_json_request(line);
+    ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.error().to_string();
+    EXPECT_EQ(encode_query(parsed->query, 0), encode_query(q, 0)) << line;
+    const auto set = service::canonical_protocol_set(q.protocols).value();
+    EXPECT_EQ(service::query_key(parsed->query.scenario, set,
+                                 parsed->query.options),
+              service::query_key(q.scenario, set, q.options))
+        << line;
+  }
+}
+
+TEST(WireJson, AliasesReadAsTheirWalkNames) {
+  service::TuningQuery def;
+  def.scenario = core::Scenario::paper_default();
+  const std::string def_bytes = encode_query(def, 0);
+  const std::pair<std::string, std::string> pairs[] = {
+      {"lmax", "req.l_max"},
+      {"ebudget", "req.e_budget"},
+      {"depth", "ring.depth"},
+      {"density", "ring.density"}};
+  for (const auto& [alias, name] : pairs) {
+    auto a = parse_json_request("{\"" + alias + "\": 3}");
+    auto b = parse_json_request("{\"" + name + "\": 3}");
+    ASSERT_TRUE(a.ok()) << alias << ": " << a.error().to_string();
+    ASSERT_TRUE(b.ok()) << name << ": " << b.error().to_string();
+    EXPECT_EQ(encode_query(a->query, 0), encode_query(b->query, 0)) << alias;
+    EXPECT_NE(encode_query(a->query, 0), def_bytes) << alias;
+  }
 }
 
 TEST(WireJson, ResponseLinesCarrySeqAndOutcome) {

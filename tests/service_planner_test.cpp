@@ -2,16 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "core/sweep.h"
 #include "mac/registry.h"
+
+// Every global operator new of this test binary counts itself, so a test
+// can count the allocations a serve makes.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Out of line: inlined into their callers, the malloc/free pairs would
+// draw gcc's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace edb::service {
 namespace {
@@ -166,6 +187,48 @@ TEST(ServedLadderTest, EveryRungMatchesColdRunSweep) {
   // dead, most are not.
   EXPECT_GT(dead, 1u);
   EXPECT_LT(dead, protocols.size() * kRungs);
+}
+
+// Heap allocations per served query on the paper's three protocols at
+// width 1, counted over a 32-query batch of misses and the same batch
+// again as hits.  The pins are the counts this code made when they were
+// set; a change may lower them (then lower the pin), never raise them.
+TEST(ServeAllocations, PerMissAndPerHitArePinned) {
+  constexpr long kMissBatchPin = 6886;  // 215.19 per query
+  constexpr long kHitBatchPin = 1253;  // 39.16 per query
+  CoreOptions opts;
+  opts.engine = core::EngineOptions{.threads = 1, .parallel = false};
+  ServiceCore core(opts);
+  const auto ladder = [](double from) {
+    std::vector<TuningQuery> batch;
+    for (int i = 0; i < 32; ++i) {
+      TuningQuery q;
+      q.scenario = core::Scenario::paper_default();
+      q.scenario.requirements.l_max = from + 0.125 * i;
+      q.protocols = {"X-MAC", "DMAC", "LMAC"};
+      batch.push_back(q);
+    }
+    return batch;
+  };
+  core.serve(ladder(12.0));  // warm-up: registry names, engine scratch
+  const std::vector<TuningQuery> batch = ladder(2.0);
+  const auto count = [&] {
+    const long before = g_allocations.load();
+    const auto results = core.serve(batch);
+    const long n = g_allocations.load() - before;
+    for (const auto& r : results) EXPECT_TRUE(r.ok());
+    return n;
+  };
+  const PlannerStats warm = core.planner_stats();
+  const long misses = count();
+  EXPECT_EQ(core.planner_stats().solved - warm.solved, 3 * batch.size());
+  const long hits = count();
+  EXPECT_EQ(core.planner_stats().cache_hits - warm.cache_hits,
+            3 * batch.size());
+  std::printf("allocations per query: %.2f per miss, %.2f per hit\n",
+              misses / 32.0, hits / 32.0);
+  EXPECT_LE(misses, kMissBatchPin) << "allocations over 32 missed queries";
+  EXPECT_LE(hits, kHitBatchPin) << "allocations over 32 hit queries";
 }
 
 TEST_F(PlannerTest, CoalescesDuplicatesWithinABatch) {

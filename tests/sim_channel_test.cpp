@@ -2,7 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <vector>
+
+// Every global operator new of this test binary counts itself, so a test
+// can count the allocations a stretch of simulation makes.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Out of line: inlined into their callers, the malloc/free pairs would
+// draw gcc's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace edb::sim {
 namespace {
@@ -182,6 +203,39 @@ TEST_F(ChannelTest, FrameCountersAdvance) {
   scheduler_.run_until(1.0);
   EXPECT_EQ(channel_.frames_sent(), 1u);
   EXPECT_EQ(channel_.collisions(), 0u);
+}
+
+// A frame in flight lives in the channel's flat record, and its finish
+// event captures only the id: once the record vector and the scheduler's
+// pool are warm, a frame costs no heap allocation, alone on the air or
+// overlapping another.
+TEST_F(ChannelTest, SteadyStateFramesDoNotAllocate) {
+  const int a = add(0, 0);
+  const int b = add(1, 0);
+  channel_.freeze();
+  listen(b);
+  sinks_[b]->frames.reserve(4096);
+  // Clean frames one at a time, then pairs that overlap and collide.
+  const auto send = [&](int frames) {
+    for (int i = 0; i < frames; ++i) {
+      channel_.transmit(a, data_frame(a, b), 0.001);
+      scheduler_.run_until(scheduler_.now() + 0.002);
+    }
+    for (int i = 0; i < frames; ++i) {
+      channel_.transmit(a, data_frame(a, b), 0.003);
+      scheduler_.run_until(scheduler_.now() + 0.002);
+    }
+    scheduler_.run_until(scheduler_.now() + 0.01);
+  };
+  send(100);  // warm-up
+  const std::size_t delivered = sinks_[b]->frames.size();
+  const std::size_t collisions = channel_.collisions();
+  const long before = g_allocations.load();
+  send(1000);
+  const long allocations = g_allocations.load() - before;
+  EXPECT_EQ(sinks_[b]->frames.size() - delivered, 1000u);
+  EXPECT_GT(channel_.collisions(), collisions);
+  EXPECT_EQ(allocations, 0) << "allocations over 2000 frames";
 }
 
 }  // namespace

@@ -10,6 +10,11 @@
 //
 //   $ printf '{"hello": true}\n{"seq": 1, "lmax": 4.0}\n' | nc 127.0.0.1 7421
 //
+// A query line may set any field of a binary QUERY, under the scenario
+// walk's names ("radio.p_tx", "ring.depth", "req.l_max", ...; the enums
+// "arrivals" and "model_version" as integer codes) or the short names
+// "lmax", "ebudget", "depth" and "density"; server/wire.h has the grammar.
+//
 // Admission flags mirror service::ResilienceOptions; --tenant may repeat
 // to give individual tenants their own token buckets.
 #include <atomic>
