@@ -104,7 +104,8 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
         failed[qi] = true;
         continue;
       }
-      partial[qi].key = query_key(q.scenario, *protocols, q.options);
+      const KeyPrefix prefix(q.scenario, q.options);
+      partial[qi].key = prefix.query_key(*protocols);
       // "service.dispatch" injection site: request processing itself,
       // keyed on the whole-query canonical hash (a stable identity, so
       // the same query faults identically at any thread count or arrival
@@ -125,7 +126,7 @@ std::vector<Expected<TuningResult>> ServiceCore::serve(
       partial[qi].per_protocol.resize(protocols->size());
       for (std::size_t pi = 0; pi < protocols->size(); ++pi) {
         const std::string& name = (*protocols)[pi];
-        QueryKey key = protocol_key(q.scenario, name, q.options);
+        QueryKey key = prefix.protocol_key(name);
         ++stats_.protocol_queries;
         // "cache.lookup" injection site: a fired fault suppresses this
         // attempt's lookup (the entry may exist, but the attempt cannot

@@ -1,7 +1,8 @@
 #include "service/key.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
+#include <charconv>
 #include <type_traits>
 
 #include "mac/registry.h"
@@ -9,17 +10,33 @@
 namespace edb::service {
 namespace {
 
+// A "%.9e" token of v (-0 folded into +0) written into buf.  to_chars
+// with scientific precision 9 is defined as printf's "%.9e" in the C
+// locale, so no LC_NUMERIC setting can change it.
+std::string_view format_token(std::array<char, 32>& buf, double v) {
+  if (v == 0.0) v = 0.0;  // fold -0 into +0
+  const auto r = std::to_chars(buf.data(), buf.data() + buf.size(), v,
+                               std::chars_format::scientific, 9);
+  return {buf.data(), static_cast<std::size_t>(r.ptr - buf.data())};
+}
+
 // The scenario walk's visitor: accumulates "name=token;" pairs and
 // finishes into a QueryKey.
 class KeyBuilder {
  public:
+  // Every token has a bounded width, so a scenario's ~650 bytes fit.
+  KeyBuilder() { canonical_.reserve(1024); }
   void operator()(std::string_view name, double v) {
-    (*this)(name, std::string_view(quantize_token(v)));
+    std::array<char, 32> buf;
+    (*this)(name, format_token(buf, v));
   }
   template <typename T>
     requires std::is_integral_v<T> || std::is_enum_v<T>
   void operator()(std::string_view name, T v) {
-    (*this)(name, std::string_view(std::to_string(static_cast<int>(v))));
+    std::array<char, 16> buf;
+    const auto r = std::to_chars(buf.data(), buf.data() + buf.size(),
+                                 static_cast<int>(v));
+    (*this)(name, std::string_view(buf.data(), r.ptr - buf.data()));
   }
   void operator()(std::string_view name, std::string_view token) {
     canonical_.append(name);
@@ -38,24 +55,11 @@ class KeyBuilder {
   std::string canonical_;
 };
 
-void append_scenario(KeyBuilder& b, const core::Scenario& s,
-                     const QueryOptions& opts) {
-  core::for_each_field(s, b);
-  b("opts.alpha", opts.alpha);
-}
-
 }  // namespace
 
 std::string quantize_token(double v) {
-  if (v == 0.0) v = 0.0;  // fold -0 into +0
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9e", v);
-  // Keys may be persisted across processes, so the canonical form must
-  // not depend on the host's LC_NUMERIC decimal point.
-  for (char* c = buf; *c; ++c) {
-    if (*c == ',') *c = '.';
-  }
-  return buf;
+  std::array<char, 32> buf;
+  return std::string(format_token(buf, v));
 }
 
 Expected<std::vector<std::string>> canonical_protocol_set(
@@ -86,26 +90,54 @@ QueryKey context_key(const mac::ModelContext& ctx) {
   return std::move(b).build();
 }
 
+KeyPrefix::KeyPrefix(const core::Scenario& scenario,
+                     const QueryOptions& opts) {
+  KeyBuilder b;
+  core::for_each_field(scenario, b);
+  b("opts.alpha", opts.alpha);
+  prefix_ = std::move(b).build();
+}
+
+template <typename Values>
+QueryKey KeyPrefix::extend(std::string_view name,
+                           const Values& values) const {
+  std::size_t size = prefix_.canonical.size() + name.size() + 1;
+  for (const auto& v : values) size += std::string_view(v).size() + 1;
+  QueryKey key;
+  key.canonical.reserve(size);
+  key.canonical.append(prefix_.canonical).append(name).push_back('=');
+  std::string_view sep;
+  for (const auto& v : values) {
+    key.canonical.append(sep).append(v);
+    sep = ",";
+  }
+  key.canonical.push_back(';');
+  // FNV-1a is a left fold over the bytes, so continuing the prefix's
+  // state over the suffix gives fnv1a64 of the whole canonical.
+  key.hash = fnv1a64(
+      std::string_view(key.canonical).substr(prefix_.canonical.size()),
+      prefix_.hash);
+  return key;
+}
+
+QueryKey KeyPrefix::protocol_key(std::string_view protocol) const {
+  return extend("protocol", std::array{protocol});
+}
+
+QueryKey KeyPrefix::query_key(
+    const std::vector<std::string>& canonical_protocols) const {
+  return extend("protocols", canonical_protocols);
+}
+
 QueryKey protocol_key(const core::Scenario& scenario,
                       std::string_view protocol, const QueryOptions& opts) {
-  KeyBuilder b;
-  append_scenario(b, scenario, opts);
-  b("protocol", protocol);
-  return std::move(b).build();
+  return KeyPrefix(scenario, opts).protocol_key(protocol);
 }
 
 QueryKey query_key(const core::Scenario& scenario,
                    const std::vector<std::string>& canonical_protocols,
                    const QueryOptions& opts) {
-  KeyBuilder b;
-  append_scenario(b, scenario, opts);
-  std::string set;
-  for (const auto& p : canonical_protocols) {
-    if (!set.empty()) set.push_back(',');
-    set.append(p);
-  }
-  b("protocols", std::string_view(set));
-  return std::move(b).build();
+  return KeyPrefix(scenario, opts).query_key(canonical_protocols);
 }
 
 }  // namespace edb::service

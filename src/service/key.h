@@ -24,12 +24,11 @@
 // Guarantees: canonicalization is total and deterministic — the same
 // scenario/options/protocol inputs produce the same key on every
 // platform, run and thread (FNV-1a and "%.9e" quantization are exact
-// integer/decimal procedures with no libm dependence), so keys may be
-// logged, persisted and compared across processes whose numeric locale
-// uses a '.' or ',' decimal point (',' is normalised; processes that
-// install an exotic LC_NUMERIC separator are on their own).  Two keys
-// are equal iff their canonical strings are equal; the hash is derived
-// and never relied on alone.
+// integer/decimal procedures with no libm dependence).  Numbers are
+// written by std::to_chars, which ignores the locale, so keys may be
+// logged, persisted and compared across processes whatever their
+// LC_NUMERIC.  Two keys are equal iff their canonical strings are
+// equal; the hash is derived and never relied on alone.
 //
 // Thread-safety: every function here is a pure function of its
 // arguments — no shared or global state — and safe to call concurrently
@@ -93,12 +92,31 @@ std::string quantize_token(double v);
 Expected<std::vector<std::string>> canonical_protocol_set(
     const std::vector<std::string>& protocols);
 
+// The part every key of one query shares — deployment, requirements and
+// options — walked once, with the FNV-1a state of its bytes.  A query's
+// keys append their suffix to it and continue the hash, so serving a
+// query walks its scenario once however many protocols it asks about.
+class KeyPrefix {
+ public:
+  KeyPrefix(const core::Scenario& scenario, const QueryOptions& opts);
+  QueryKey protocol_key(std::string_view protocol) const;
+  QueryKey query_key(const std::vector<std::string>& canonical_protocols) const;
+
+ private:
+  // The prefix, then "name=v0,v1,...;".
+  template <typename Values>
+  QueryKey extend(std::string_view name, const Values& values) const;
+
+  QueryKey prefix_;
+};
+
 // Key over the deployment only (radio, packet, ring, rates) — what a MAC
 // model is built from.
 QueryKey context_key(const mac::ModelContext& ctx);
 
 // Key of one protocol's cache entry: deployment + requirements + options
 // + protocol.  `protocol` must already be a registered display name.
+// This and query_key are KeyPrefix(scenario, opts)'s keys.
 QueryKey protocol_key(const core::Scenario& scenario,
                       std::string_view protocol, const QueryOptions& opts);
 

@@ -19,9 +19,10 @@ namespace edb {
 
 // 64-bit FNV-1a: the hash of cache keys (service/key.h), fault sites
 // (util/fault.h) and catalog stream seeds (catalog/family.h).  Keys and
-// seeds are logged and persisted, so the constants never change.
-inline std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+// seeds are logged and persisted, so the constants never change.  `h`
+// continues a hash: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+inline std::uint64_t fnv1a64(std::string_view s,
+                             std::uint64_t h = 0xcbf29ce484222325ULL) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ULL;

@@ -2,9 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
+#include "catalog/catalog.h"
 #include "core/scenario.h"
+#include "mac/registry.h"
+#include "util/rng.h"
 
 namespace edb::service {
 namespace {
@@ -206,6 +216,133 @@ TEST(KeyGoldenTest, PaperDefaultKeysArePinned) {
                                  kPaperRequirementsAndAlpha +
                                  "protocols=DMAC,LMAC,X-MAC;");
   EXPECT_EQ(query.hash, 0xe927e6c167e88830ULL);
+}
+
+// ------------------------------------------- differential: printf keys --
+//
+// The key format as printf wrote it: "%.9e" through snprintf, one
+// scenario walk per key.  The builder must reproduce it byte for byte.
+
+std::string printf_token(double v) {
+  if (v == 0.0) v = 0.0;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9e", v);
+  for (char* c = buf; *c; ++c) {
+    if (*c == ',') *c = '.';
+  }
+  return buf;
+}
+
+class PrintfKeyBuilder {
+ public:
+  void operator()(std::string_view name, double v) {
+    (*this)(name, std::string_view(printf_token(v)));
+  }
+  template <typename T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+  void operator()(std::string_view name, T v) {
+    (*this)(name, std::string_view(std::to_string(static_cast<int>(v))));
+  }
+  void operator()(std::string_view name, std::string_view token) {
+    canonical_.append(name).append("=").append(token).append(";");
+  }
+  QueryKey build() && { return {fnv1a64(canonical_), std::move(canonical_)}; }
+
+ private:
+  std::string canonical_;
+};
+
+QueryKey printf_key(const core::Scenario& s, const QueryOptions& opts,
+                    std::string_view name, std::string_view value) {
+  PrintfKeyBuilder b;
+  core::for_each_field(s, b);
+  b("opts.alpha", opts.alpha);
+  b(name, value);
+  return std::move(b).build();
+}
+
+// Random bit patterns over every exponent, random mantissas at everyday
+// magnitudes, subnormals, and each side of the decades and of the
+// 10-digit rounding ties.
+std::vector<double> differential_doubles() {
+  std::vector<double> out = {0.0, -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest()};
+  const auto with_neighbours = [&](double v) {
+    for (double x : {v, std::nextafter(v, 0.0), std::nextafter(v, 2 * v)}) {
+      if (std::isfinite(x)) {
+        out.push_back(x);
+        out.push_back(-x);
+      }
+    }
+  };
+  for (int k = -324; k <= 308; ++k) {
+    for (const char* mantissa : {"1", "5", "9.9999999995", "1.0000000005",
+                                 "2.5000000005", "4.4999999995"}) {
+      char text[48];
+      std::snprintf(text, sizeof text, "%se%d", mantissa, k);
+      with_neighbours(std::strtod(text, nullptr));
+    }
+  }
+  constexpr std::uint64_t kMantissa = (1ULL << 52) - 1;
+  for (std::uint64_t i = 0; out.size() < 4'200'000; ++i) {
+    const std::uint64_t bits = splitmix64(i);
+    const double raw = std::bit_cast<double>(bits);
+    if (std::isfinite(raw)) out.push_back(raw);
+    // Exponent within 2^±64 and a subnormal, same mantissa bits.
+    const std::uint64_t exp = 1023 - 64 + (bits >> 56) % 129;
+    out.push_back(std::bit_cast<double>((bits & (kMantissa | 1ULL << 63)) |
+                                        exp << 52));
+    out.push_back(std::bit_cast<double>(bits & kMantissa));
+  }
+  return out;
+}
+
+TEST(KeyDifferential, QuantizeTokenMatchesPrintfByteForByte) {
+  const std::vector<double> doubles = differential_doubles();
+  ASSERT_GE(doubles.size(), 4'000'000u);
+  std::size_t differ = 0;
+  for (double v : doubles) {
+    const std::string got = quantize_token(v);
+    const std::string want = printf_token(v);
+    if (got != want && ++differ <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << ": " << got << " vs " << want;
+    }
+  }
+  EXPECT_EQ(differ, 0u) << "of " << doubles.size() << " doubles";
+}
+
+TEST(KeyDifferential, ServedKeysMatchPrintfKeysOnEveryCatalogScenario) {
+  const auto scenarios =
+      catalog::Catalog::builtin().expand_all(catalog::kDefaultSeed);
+  ASSERT_EQ(scenarios.size(), 252u);
+  const std::vector<std::string> all = mac::registered_protocols();
+  const std::vector<std::string> sets[] = {
+      canonical_protocol_set({}).value(), canonical_protocol_set(all).value()};
+  for (const auto& entry : scenarios) {
+    for (double alpha : {0.5, 0.3}) {
+      const QueryOptions opts{alpha};
+      const KeyPrefix served(entry.scenario, opts);
+      for (const auto& name : all) {
+        const QueryKey want = printf_key(entry.scenario, opts, "protocol", name);
+        EXPECT_EQ(served.protocol_key(name), want) << entry.id() << " " << name;
+        EXPECT_EQ(protocol_key(entry.scenario, name, opts), want);
+      }
+      for (const auto& set : sets) {
+        std::string joined;
+        for (const auto& p : set) joined += (joined.empty() ? "" : ",") + p;
+        const QueryKey want =
+            printf_key(entry.scenario, opts, "protocols", joined);
+        EXPECT_EQ(served.query_key(set), want) << entry.id() << " " << joined;
+        EXPECT_EQ(query_key(entry.scenario, set, opts), want);
+      }
+      PrintfKeyBuilder ctx;
+      mac::for_each_field(entry.scenario.context, ctx);
+      EXPECT_EQ(context_key(entry.scenario.context), std::move(ctx).build());
+    }
+  }
 }
 
 }  // namespace
