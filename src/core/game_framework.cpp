@@ -51,13 +51,16 @@ struct RawObjective {
 
   // (P4)'s objective is -product when both normalised slacks are positive
   // and a positive violation measure otherwise (continuous across the
-  // boundary).
+  // boundary).  At the symmetric alpha = 1/2 of every default query the
+  // product's factors are square roots, an order of magnitude cheaper
+  // than pow.
   double operator()(double e, double l) const {
     if (kind == Kind::kEnergy) return e;
     if (kind == Kind::kLatency) return l;
     const double se = (e_worst - e) / e_range;
     const double sl = (l_worst - l) / l_range;
     if (se > 0.0 && sl > 0.0) {
+      if (alpha == 0.5) return -(std::sqrt(se) * std::sqrt(sl));
       return -std::pow(se, alpha) * std::pow(sl, 1.0 - alpha);
     }
     return (se <= 0.0 ? -se : 0.0) + (sl <= 0.0 ? -sl : 0.0);

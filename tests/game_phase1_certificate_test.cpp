@@ -49,8 +49,10 @@ constexpr double kRungs[] = {0.5,   0.8,  0.9,  0.97, 0.99, 0.999,
                              1.3,   1.6,  2.0,  3.0};
 
 // FNV-1a over every cell's rendering, captured on the last commit without
-// the certificate.  It holds in optimized and Debug+ASan builds alike.
-constexpr std::uint64_t kParentFingerprint = 0x91e5809b0820b987ULL;
+// the certificate, and re-captured when the alpha = 1/2 Nash objective
+// moved from pow to sqrt (3 cells moved inside the flat zone).  It holds
+// in optimized and Debug+ASan builds alike.
+constexpr std::uint64_t kParentFingerprint = 0x7aa6422d4d60460fULL;
 
 struct Cell {
   std::size_t model = 0;  // index into Table::models
