@@ -477,7 +477,7 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
   JsonRequest req;
   service::TuningQuery& q = req.query;
   q.scenario = core::Scenario::paper_default();
-  bool first = true;
+  bool first = true, has_tenant = false;
   while (!c.eat('}')) {
     if (!first && !c.eat(',')) {
       return make_error(ErrorCode::kInvalidArgument,
@@ -493,6 +493,7 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
       req.hello = c.bool_token();
     } else if (key == "tenant") {
       req.tenant = c.string_token();
+      has_tenant = true;
     } else if (key == "seq") {
       c.read(req.seq);
     } else if (key == "radio.name") {
@@ -540,6 +541,11 @@ Expected<JsonRequest> parse_json_request(std::string_view line) {
   if (c.pos != line.size()) {
     return make_error(ErrorCode::kInvalidArgument,
                       "json request: trailing bytes after '}'");
+  }
+  if (has_tenant && !req.hello) {
+    // The server reads the tenant from the hello line only.
+    return make_error(ErrorCode::kInvalidArgument,
+                      "json request: \"tenant\" belongs on the hello line");
   }
   return req;
 }

@@ -152,7 +152,8 @@ FrameStatus next_frame(ByteRing& in, std::uint32_t max_frame,
 // One object per line.  Request schema (unknown keys are errors — debug
 // clients should learn about typos, not get defaults):
 //
-//   {"hello":true,"tenant":"ops"}          -- optional, once, first line
+//   {"hello":true,"tenant":"ops"}          -- optional, once, first line;
+//                                             the only line tenant may be on
 //   {"seq":1,"lmax":2.5,"ebudget":0.05,"alpha":0.5,"depth":5,
 //    "density":7,"fs":6.5e-5,"protocols":["X-MAC","LMAC"]}
 //

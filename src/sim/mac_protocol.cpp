@@ -30,22 +30,22 @@ void MacProtocol::await_ack(EventFn on_timeout) {
 }
 
 void MacProtocol::reply(FrameType type, int to, EventFn then) {
+  reply_then_ = std::move(then);
   timer_ = env_.scheduler->schedule_in(
-      radio_params().t_turnaround,
-      [this, type, to, then = std::move(then)]() mutable {
+      radio_params().t_turnaround, [this, type, to] {
         env_.radio->set_state(RadioState::kTx, now());
         send({.type = type, .dst = to, .bits = env_.packet.ack_bits()},
-             ack_airtime(), std::move(then));
+             ack_airtime(), std::move(reply_then_));
       });
 }
 
 void MacProtocol::acknowledge(const Frame& data) {
   timer_.cancel();
   EDB_ASSERT(data.packet.has_value(), "data frame without packet");
-  const Packet pkt = *data.packet;
-  reply(FrameType::kAck, data.src, [this, pkt] {
+  acked_ = *data.packet;
+  reply(FrameType::kAck, data.src, [this] {
     go_idle();
-    env_.deliver(pkt);
+    env_.deliver(acked_);
   });
 }
 

@@ -116,6 +116,12 @@ class MacProtocol : public FrameSink {
   EventHandle timer_;  // the exchange's one pending step
   int retries_ = 0;    // retransmissions of the queue head so far
   double listen_window_start_ = 0;
+  // The pending reply's continuation and the packet an ACK hands up.  Kept
+  // here, they leave the reply's events capturing only `this` and small
+  // values, which fit std::function's in-place buffer, so an ACK does not
+  // allocate.  A reply is pending only in timer_, so one of each suffices.
+  EventFn reply_then_;
+  Packet acked_;
   std::size_t packets_sent_ = 0;
   std::size_t packets_dropped_ = 0;
 };

@@ -574,6 +574,29 @@ TEST(ServerSocket, DaemonsDocumentedJsonLinesAreServed) {
   srv.shutdown(/*drain=*/true);
 }
 
+// The server reads a connection's tenant from its hello line only, so a
+// query line that names one is refused rather than served under the
+// default tenant's limits.
+TEST(ServerSocket, TenantOnAJsonQueryLineIsRefused) {
+  TuningServer srv(test_options(1));
+  ASSERT_TRUE(srv.start().ok());
+  const int fd = connect_raw(srv.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(
+      fd, "{\"seq\": 1, \"lmax\": 4.0, \"tenant\": \"batch\"}\n"));
+  const std::string err = recv_line(fd);
+  ASSERT_NE(err.find("\"ok\":false"), std::string::npos) << err;
+  EXPECT_NE(err.find("\"fatal\":true"), std::string::npos) << err;
+  EXPECT_NE(err.find("\"code\":\"invalid_argument\""), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("belongs on the hello line"), std::string::npos) << err;
+  char buf[64];
+  EXPECT_EQ(::recv(fd, buf, sizeof buf, 0), 0);
+  ::close(fd);
+  EXPECT_EQ(srv.stats().protocol_errors, 1u);
+  srv.shutdown(/*drain=*/true);
+}
+
 // A binary HELLO asking for JSON mode: HELLO_OK comes back as a frame,
 // and every byte after the HELLO, in the same send, is JSON both ways —
 // answers and errors alike.

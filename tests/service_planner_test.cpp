@@ -194,8 +194,8 @@ TEST(ServedLadderTest, EveryRungMatchesColdRunSweep) {
 // again as hits.  The pins are the counts this code made when they were
 // set; a change may lower them (then lower the pin), never raise them.
 TEST(ServeAllocations, PerMissAndPerHitArePinned) {
-  constexpr long kMissBatchPin = 6886;  // 215.19 per query
-  constexpr long kHitBatchPin = 1253;  // 39.16 per query
+  constexpr long kMissBatchPin = 6278;  // 196.19 per query
+  constexpr long kHitBatchPin = 645;  // 20.16 per query
   CoreOptions opts;
   opts.engine = core::EngineOptions{.threads = 1, .parallel = false};
   ServiceCore core(opts);

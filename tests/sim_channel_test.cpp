@@ -4,8 +4,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
+
+#include "sim/builder.h"
+#include "sim/dmac_sim.h"
+#include "sim/scpmac_sim.h"
+#include "sim/simulation.h"
 
 // Every global operator new of this test binary counts itself, so a test
 // can count the allocations a stretch of simulation makes.
@@ -236,6 +242,77 @@ TEST_F(ChannelTest, SteadyStateFramesDoNotAllocate) {
   EXPECT_EQ(sinks_[b]->frames.size() - delivered, 1000u);
   EXPECT_GT(channel_.collisions(), collisions);
   EXPECT_EQ(allocations, 0) << "allocations over 2000 frames";
+}
+
+// Runs a real MAC and counts the heap allocations its receptions of data
+// frames addressed to this node make after `warm_until`: where the MAC
+// answers with an ACK and builds the ACK exchange's events.
+class AckCounter final : public MacProtocol {
+ public:
+  AckCounter(MacEnv env, std::unique_ptr<MacProtocol> mac, double warm_until)
+      : MacProtocol(std::move(env)), mac_(std::move(mac)),
+        warm_until_(warm_until) {}
+  std::string_view name() const override { return mac_->name(); }
+  void start() override { mac_->start(); }
+  void enqueue(const Packet& packet) override { mac_->enqueue(packet); }
+  void on_frame(const Frame& frame) override {
+    const bool counted = frame.type == FrameType::kData &&
+                         frame.dst == env_.info.id && now() > warm_until_;
+    const long before = g_allocations.load();
+    mac_->on_frame(frame);
+    if (counted) {
+      ++data_frames;
+      allocations += g_allocations.load() - before;
+    }
+  }
+
+  long data_frames = 0;
+  long allocations = 0;
+
+ protected:
+  void go_idle() override {}
+
+ private:
+  std::unique_ptr<MacProtocol> mac_;
+  double warm_until_;
+};
+
+// Every hop of a 3-hop chain ACKs its data frames: with the continuation
+// and the packet held in MacProtocol, the exchange's events fit
+// std::function's in-place buffer and an ACK allocates nothing.
+TEST(MacAck, SteadyStateAcksDoNotAllocate) {
+  using Make = std::unique_ptr<MacProtocol> (*)(MacEnv);
+  const std::pair<const char*, Make> macs[] = {
+      {"DMAC",
+       [](MacEnv env) -> std::unique_ptr<MacProtocol> {
+         return std::make_unique<DmacSim>(
+             std::move(env), DmacSimParams{.t_cycle = 1.0, .max_depth = 3});
+       }},
+      {"SCP-MAC", [](MacEnv env) -> std::unique_ptr<MacProtocol> {
+         return std::make_unique<ScpmacSim>(std::move(env),
+                                            ScpmacSimParams{});
+       }}};
+  for (const auto& [name, make] : macs) {
+    SimulationConfig cfg;
+    cfg.traffic.fs = 0.05;
+    cfg.duration = 2000;
+    Simulation sim(cfg);
+    build_chain(sim, 3);
+    std::vector<AckCounter*> counters;
+    sim.finalize([&, make = make](MacEnv env) {
+      auto counter = std::make_unique<AckCounter>(env, make(env), 200.0);
+      counters.push_back(counter.get());
+      return counter;
+    });
+    sim.run();
+    long frames = 0, allocations = 0;
+    for (const AckCounter* c : counters) {
+      frames += c->data_frames;
+      allocations += c->allocations;
+    }
+    EXPECT_GT(frames, 400) << name;
+    EXPECT_EQ(allocations, 0) << name << ": over " << frames << " data frames";
+  }
 }
 
 }  // namespace
